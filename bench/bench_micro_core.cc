@@ -34,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -839,21 +840,20 @@ uint64_t DirectoryBytes(const std::string& dir) {
   return total;
 }
 
-/// One transform-mode cell: which read path, which bounded schedule,
-/// which payload codec.
+/// One transform-mode cell: which read path, which payload codec. The
+/// bounded cache always runs the wave schedule.
 struct OocoreModeSpec {
   const char* name;
   StoreIo io;
-  BoundedSchedule schedule;
   bool compressed;
 };
 
 constexpr OocoreModeSpec kOocoreModes[] = {
-    {"read_serial_raw", StoreIo::kRead, BoundedSchedule::kSerial, false},
-    {"mmap_serial_raw", StoreIo::kMmap, BoundedSchedule::kSerial, false},
-    {"mmap_wave_raw", StoreIo::kMmap, BoundedSchedule::kWave, false},
-    {"mmap_wave_varint", StoreIo::kMmap, BoundedSchedule::kWave, true},
+    {"read_wave_raw", StoreIo::kRead, false},
+    {"mmap_wave_raw", StoreIo::kMmap, false},
+    {"mmap_wave_varint", StoreIo::kMmap, true},
 };
+constexpr size_t kNumOocoreModes = std::size(kOocoreModes);
 
 struct OocoreModeCell {
   double transform_seconds = 0.0;
@@ -870,7 +870,7 @@ struct OocoreCase {
   uint64_t store_bytes_varint = 0;
   double chunked_transform_seconds = 0.0;  ///< the mmap_wave_raw mode
   double in_memory_transform_seconds = -1.0;  ///< < 0 means skipped
-  OocoreModeCell modes[4];
+  OocoreModeCell modes[kNumOocoreModes];
   bool bit_identical = true;  ///< every mode matches the reference
   uint64_t peak_rss_bytes = 0;
 };
@@ -952,18 +952,17 @@ int RunOocoreReport(const bench::Flags& flags) {
     cell.ingest_varint_seconds = ingest_watch.ElapsedSeconds();
     cell.store_bytes_varint = DirectoryBytes(store_dir_varint);
 
-    // Transform legs: every (read path, bounded schedule, codec) mode,
-    // decoded columns bounded by --cache-mb. The first mode is the
-    // reference; every other mode must reproduce its bits exactly.
+    // Transform legs: every (read path, codec) mode, decoded columns
+    // bounded by --cache-mb. The first mode is the reference; every other
+    // mode must reproduce its bits exactly.
     Matrix reference_cov;
-    for (size_t m = 0; m < 4; ++m) {
+    for (size_t m = 0; m < kNumOocoreModes; ++m) {
       const OocoreModeSpec& spec = kOocoreModes[m];
       ChunkedTable& mode_store = spec.compressed ? store_varint : store;
       mode_store.set_io_mode(spec.io);
       StreamTransformOptions stream;
       stream.transform.threads = threads;
       stream.column_cache_bytes = cache_bytes;
-      stream.bounded_schedule = spec.schedule;
       Stopwatch mode_watch;
       auto moments = StreamTransformMoments(mode_store, stream);
       cell.modes[m].transform_seconds = mode_watch.ElapsedSeconds();
@@ -1008,9 +1007,9 @@ int RunOocoreReport(const bench::Flags& flags) {
   (void)RemoveDirectoryRecursive(work_dir);
 
   bool all_identical = true;
-  ReportTable table({"Rows", "Chunks", "Ingest s", "Rows/s", "Read+serial s",
-                     "Mmap+serial s", "Mmap+wave s", "Wave+varint s",
-                     "In-memory s", "Identical", "Peak RSS MB"});
+  ReportTable table({"Rows", "Chunks", "Ingest s", "Rows/s", "Read+wave s",
+                     "Mmap+wave s", "Wave+varint s", "In-memory s",
+                     "Identical", "Peak RSS MB"});
   for (const OocoreCase& cell : cases) {
     if (!cell.bit_identical) all_identical = false;
     table.AddRow(
@@ -1023,7 +1022,6 @@ int RunOocoreReport(const bench::Flags& flags) {
          bench::Score3(cell.modes[0].transform_seconds),
          bench::Score3(cell.modes[1].transform_seconds),
          bench::Score3(cell.modes[2].transform_seconds),
-         bench::Score3(cell.modes[3].transform_seconds),
          cell.in_memory_transform_seconds < 0.0
              ? "skipped"
              : bench::Score3(cell.in_memory_transform_seconds),
@@ -1079,7 +1077,7 @@ int RunOocoreReport(const bench::Flags& flags) {
     json.Number(cell.chunked_transform_seconds);
     json.Key("modes");
     json.BeginObject();
-    for (size_t m = 0; m < 4; ++m) {
+    for (size_t m = 0; m < kNumOocoreModes; ++m) {
       json.Key(kOocoreModes[m].name);
       json.BeginObject();
       json.Key("transform_seconds");

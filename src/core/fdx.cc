@@ -201,10 +201,19 @@ Result<LearnedStructure> LearnWithRetries(const Matrix& input,
 }  // namespace
 
 Result<FdxResult> FdxDiscoverer::Discover(const Table& table) const {
+  return DiscoverWith(table.num_rows(), table.num_columns(),
+                      [&table](const TransformOptions& transform) {
+                        return PairTransformMoments(table, transform);
+                      });
+}
+
+Result<FdxResult> FdxDiscoverer::DiscoverWith(
+    size_t num_rows, size_t num_columns,
+    const TransformStep& transform_step) const {
   const Deadline deadline(options_.time_budget_seconds);
   Stopwatch watch;
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
+  const size_t k = num_columns;
+  const size_t n = num_rows;
   if (k == 0) {
     return Status::InvalidArgument("Discover: table has no columns");
   }
@@ -227,8 +236,7 @@ Result<FdxResult> FdxDiscoverer::Discover(const Table& table) const {
   if (transform.deadline == nullptr && options_.time_budget_seconds > 0.0) {
     transform.deadline = &deadline;
   }
-  FDX_ASSIGN_OR_RETURN(TransformedMoments moments,
-                       PairTransformMoments(table, transform));
+  FDX_ASSIGN_OR_RETURN(TransformedMoments moments, transform_step(transform));
   const double transform_seconds = watch.ElapsedSeconds();
   if (deadline.Expired()) {
     return Status::Timeout("fdx: time budget exhausted after transform");

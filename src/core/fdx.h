@@ -2,6 +2,7 @@
 #define FDX_CORE_FDX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,20 @@ class FdxDiscoverer {
 
   /// Runs the full pipeline on a (possibly noisy) table.
   Result<FdxResult> Discover(const Table& table) const;
+
+  /// Step 1 of the pipeline as a callable: receives the run's effective
+  /// transform options (threads and the run's deadline filled in) and
+  /// returns the transformed moments.
+  using TransformStep =
+      std::function<Result<TransformedMoments>(const TransformOptions&)>;
+
+  /// Runs the full pipeline on a num_rows x num_columns input whose pair
+  /// transform is `transform_step`. Discover passes the in-memory
+  /// PairTransformMoments; the out-of-core store passes its streaming
+  /// transform. Both get the same degenerate-shape result, deadline,
+  /// timeout messages, and timing from this one body.
+  Result<FdxResult> DiscoverWith(size_t num_rows, size_t num_columns,
+                                 const TransformStep& transform_step) const;
 
   /// Runs structure learning + FD generation on an externally supplied
   /// covariance (used by ablations that bypass the pair transform).

@@ -25,13 +25,6 @@ void StableSortByCodes(const std::vector<int32_t>& codes, size_t cardinality,
   }
 }
 
-void AttributePass::Reset(const EncodedTable& encoded,
-                          const std::vector<uint32_t>& shuffled, size_t attr,
-                          size_t max_pairs, uint64_t attr_seed) {
-  Reset(encoded.column_codes(attr), encoded.Cardinality(attr), shuffled,
-        max_pairs, attr_seed);
-}
-
 void AttributePass::Reset(const std::vector<int32_t>& codes,
                           size_t cardinality,
                           const std::vector<uint32_t>& shuffled,

@@ -19,8 +19,8 @@ namespace fdx {
 ///
 /// Row indices are uint32 throughout the pair layer: the order arrays
 /// are the hottest streamed data of the transform (every pass walks one
-/// per column), and 4-byte indices halve that bandwidth. PrepareTransform
-/// rejects tables with more than UINT32_MAX rows.
+/// per column), and 4-byte indices halve that bandwidth.
+/// PrepareTransformStreams rejects tables with more than UINT32_MAX rows.
 void StableSortByCodes(const std::vector<int32_t>& codes, size_t cardinality,
                        const std::vector<uint32_t>& shuffled,
                        std::vector<uint32_t>* order,
@@ -37,21 +37,15 @@ void StableSortByCodes(const std::vector<int32_t>& codes, size_t cardinality,
 /// attribute without reallocating.
 class AttributePass {
  public:
-  /// Sorts for attribute `attr`. With max_pairs in (0, n) the pass emits
-  /// max_pairs sampled positions chosen by a seeded reservoir over the
-  /// sorted positions (the sampled variant of the transform, §5.4),
-  /// emitted in ascending position order; otherwise all n adjacent
-  /// pairs. The reservoir needs O(max_pairs) memory and its selection
-  /// is a pure function of (n, max_pairs, attr_seed) — independent of
-  /// how the rows were chunked — which is what lets the out-of-core
-  /// path reproduce the in-memory sample exactly.
-  void Reset(const EncodedTable& encoded,
-             const std::vector<uint32_t>& shuffled, size_t attr,
-             size_t max_pairs, uint64_t attr_seed);
-
-  /// Same pass over a bare code column (dense codes in [0, cardinality),
-  /// kNullCode for nulls) — the out-of-core entry point, where there is
-  /// no EncodedTable to point at.
+  /// Sorts rows by one attribute's dictionary codes (dense in
+  /// [0, cardinality), kNullCode for nulls). With max_pairs in (0, n)
+  /// the pass emits max_pairs sampled positions chosen by a seeded
+  /// reservoir over the sorted positions (the sampled variant of the
+  /// transform, §5.4), emitted in ascending position order; otherwise all
+  /// n adjacent pairs. The reservoir needs O(max_pairs) memory and its
+  /// selection is a pure function of (n, max_pairs, attr_seed) —
+  /// independent of how the rows were chunked — which is what lets the
+  /// out-of-core path reproduce the in-memory sample exactly.
   void Reset(const std::vector<int32_t>& codes, size_t cardinality,
              const std::vector<uint32_t>& shuffled, size_t max_pairs,
              uint64_t attr_seed);

@@ -14,65 +14,6 @@ namespace fdx {
 
 namespace {
 
-/// Packs one pass's equality bits for every column into `bits`
-/// (num_pairs x k, reused across passes).
-void PackPassBits(const EncodedTable& encoded, const AttributePass& pass,
-                  BitMatrix* bits, PackScratch* scratch) {
-  const size_t k = encoded.num_columns();
-  bits->Reset(pass.num_pairs(), k);
-  for (size_t col = 0; col < k; ++col) {
-    ColumnBitWriter writer(bits->column_words(col));
-    AppendPassColumnBits(encoded.column_codes(col), pass, &writer, scratch);
-    writer.Flush();
-  }
-}
-
-/// Per-thread stage timings, merged into the caller's TransformProfile
-/// under a mutex at chunk exit (profiling only; results never depend on
-/// it).
-struct LocalProfile {
-  double sort = 0.0;
-  double pack = 0.0;
-  double accumulate = 0.0;
-
-  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
-    if (profile == nullptr) return;
-    std::lock_guard<std::mutex> lock(*mu);
-    profile->sort_seconds += sort;
-    profile->pack_seconds += pack;
-    profile->accumulate_seconds += accumulate;
-  }
-};
-
-/// Shared preamble of every transform entry point: validates the shape,
-/// encodes, shuffles, and forks the per-attribute seeds.
-struct TransformSetup {
-  EncodedTable encoded;
-  std::vector<uint32_t> shuffled;
-  std::vector<uint64_t> attr_seeds;
-  size_t per_attr = 0;
-};
-
-Result<TransformSetup> PrepareTransform(const Table& table,
-                                        const TransformOptions& options) {
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  if (k == 0 || n < 2) {
-    return Status::InvalidArgument(
-        "pair transform needs >= 2 rows and >= 1 column");
-  }
-  if (n > UINT32_MAX) {
-    // The pair layer streams 4-byte row indices (see core/pairs.h).
-    return Status::InvalidArgument("pair transform caps at 2^32 - 1 rows");
-  }
-  TransformSetup setup;
-  setup.encoded = EncodedTable::Encode(table);
-  PrepareTransformStreams(options.seed, n, k, &setup.shuffled,
-                          &setup.attr_seeds);
-  setup.per_attr = PairsPerAttribute(n, options.max_pairs_per_attribute);
-  return setup;
-}
-
 inline bool CheckDeadline(const TransformOptions& options,
                           std::atomic<bool>* expired) {
   if (options.deadline != nullptr &&
@@ -86,10 +27,90 @@ inline bool CheckDeadline(const TransformOptions& options,
 
 }  // namespace
 
+Result<TransformStreams> PrepareTransformStreams(size_t n, size_t k,
+                                                 uint64_t seed) {
+  if (k == 0 || n < 2) {
+    return Status::InvalidArgument(
+        "pair transform needs >= 2 rows and >= 1 column");
+  }
+  if (n > UINT32_MAX) {
+    // The pair layer streams 4-byte row indices (see core/pairs.h).
+    return Status::InvalidArgument("pair transform caps at 2^32 - 1 rows");
+  }
+  TransformStreams streams;
+  Rng rng(seed);
+  streams.shuffled.resize(n);
+  std::iota(streams.shuffled.begin(), streams.shuffled.end(), uint32_t{0});
+  rng.Shuffle(&streams.shuffled);
+  streams.attr_seeds = ForkAttributeSeeds(&rng, k);
+  return streams;
+}
+
+Result<PassMoments> AccumulateResidentPasses(
+    const std::vector<const std::vector<int32_t>*>& columns,
+    const std::vector<size_t>& cardinalities,
+    const TransformStreams& streams, const TransformOptions& options,
+    bool pooled) {
+  const size_t k = columns.size();
+  const size_t num_chunks =
+      std::min(ResolveThreadCount(options.threads), k);
+  std::vector<PassMoments> parts(num_chunks, PassMoments(k, pooled));
+  std::atomic<bool> expired{false};
+  std::mutex profile_mu;
+
+  ParallelForChunks(
+      0, k, num_chunks, options.threads,
+      [&](size_t chunk, size_t lo, size_t hi) {
+        AttributePass pass;
+        BitMatrix bits;
+        LocalProfile local;
+        Stopwatch watch;
+        PackScratch scratch;
+        std::vector<uint64_t> pass_counts(k, 0);
+        std::vector<uint64_t> pass_co_counts(k * k, 0);
+        for (size_t attr = lo; attr < hi; ++attr) {
+          if (CheckDeadline(options, &expired)) break;
+          watch.Reset();
+          pass.Reset(*columns[attr], cardinalities[attr], streams.shuffled,
+                     options.max_pairs_per_attribute,
+                     streams.attr_seeds[attr]);
+          local.sort += watch.ElapsedSeconds();
+          watch.Reset();
+          bits.Reset(pass.num_pairs(), k);
+          for (size_t col = 0; col < k; ++col) {
+            ColumnBitWriter writer(bits.column_words(col));
+            AppendPassColumnBits(*columns[col], pass, &writer, &scratch);
+            writer.Flush();
+          }
+          local.pack += watch.ElapsedSeconds();
+          watch.Reset();
+          std::fill(pass_counts.begin(), pass_counts.end(), 0);
+          std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
+          bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
+          parts[chunk].AddPass(attr, pass_counts, pass_co_counts,
+                               pass.num_pairs());
+          local.accumulate += watch.ElapsedSeconds();
+        }
+        local.MergeInto(options.profile, &profile_mu);
+      });
+
+  if (expired.load(std::memory_order_relaxed)) {
+    return Status::Timeout("pair transform: time budget exhausted");
+  }
+  for (size_t chunk = 1; chunk < num_chunks; ++chunk) {
+    parts[0].Merge(std::move(parts[chunk]));
+  }
+  return std::move(parts[0]);
+}
+
 Result<BitMatrix> PairTransformPacked(const Table& table,
                                       const TransformOptions& options) {
-  FDX_ASSIGN_OR_RETURN(TransformSetup setup, PrepareTransform(table, options));
-  const size_t k = setup.encoded.num_columns();
+  const size_t k = table.num_columns();
+  const size_t n = table.num_rows();
+  FDX_ASSIGN_OR_RETURN(TransformStreams streams,
+                       PrepareTransformStreams(n, k, options.seed));
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  const size_t per_attr = PairsPerAttribute(n, options.max_pairs_per_attribute);
   std::atomic<bool> expired{false};
   std::mutex profile_mu;
 
@@ -104,9 +125,10 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
     for (size_t attr = lo; attr < hi; ++attr) {
       if (CheckDeadline(options, &expired)) break;
       watch.Reset();
-      passes[attr].Reset(setup.encoded, setup.shuffled, attr,
+      passes[attr].Reset(encoded.column_codes(attr),
+                         encoded.Cardinality(attr), streams.shuffled,
                          options.max_pairs_per_attribute,
-                         setup.attr_seeds[attr]);
+                         streams.attr_seeds[attr]);
       local.sort += watch.ElapsedSeconds();
     }
     local.MergeInto(options.profile, &profile_mu);
@@ -118,7 +140,7 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
   // Phase 2: pack the equality bits, one column per writer. Column c's
   // bit r is sample r = pass * per_attr + pair_index, so each column is
   // appended sequentially across all passes.
-  BitMatrix bits(setup.per_attr * k, k);
+  BitMatrix bits(per_attr * k, k);
   ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
     LocalProfile local;
     Stopwatch watch;
@@ -128,7 +150,7 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
       watch.Reset();
       ColumnBitWriter writer(bits.column_words(col));
       for (size_t attr = 0; attr < k; ++attr) {
-        AppendPassColumnBits(setup.encoded.column_codes(col), passes[attr],
+        AppendPassColumnBits(encoded.column_codes(col), passes[attr],
                              &writer, &scratch);
       }
       writer.Flush();
@@ -154,121 +176,43 @@ Result<Matrix> PairTransform(const Table& table,
 
 namespace {
 
-/// The streaming accumulation core shared by PairTransformCounts and
-/// PairTransformMoments: runs every attribute pass (sort, pack,
-/// popcount) without materializing more than one pass of bits per
-/// thread, merging integer counts commutatively. When `pass_cov` is
-/// non-null (pooled covariance), each pass additionally produces its
-/// own double covariance from its integer pass moments, stored per
-/// attribute and reduced in attribute order by the caller.
-Status AccumulatePasses(const TransformSetup& setup,
-                        const TransformOptions& options,
-                        std::vector<uint64_t>* counts,
-                        std::vector<uint64_t>* co_counts, size_t* total,
-                        std::vector<Matrix>* pass_cov) {
-  const size_t k = setup.encoded.num_columns();
-  const size_t num_chunks =
-      std::min(ResolveThreadCount(options.threads), k);
-  std::vector<std::vector<uint64_t>> chunk_counts(
-      num_chunks, std::vector<uint64_t>(k, 0));
-  std::vector<std::vector<uint64_t>> chunk_co_counts(
-      num_chunks, std::vector<uint64_t>(k * k, 0));
-  std::vector<size_t> chunk_totals(num_chunks, 0);
-  std::atomic<bool> expired{false};
-  std::mutex profile_mu;
-
-  ParallelForChunks(
-      0, k, num_chunks, options.threads,
-      [&](size_t chunk, size_t lo, size_t hi) {
-        AttributePass pass;
-        BitMatrix bits;
-        LocalProfile local;
-        Stopwatch watch;
-        PackScratch scratch;
-        std::vector<uint64_t> pass_counts(k, 0);
-        std::vector<uint64_t> pass_co_counts(k * k, 0);
-        for (size_t attr = lo; attr < hi; ++attr) {
-          if (CheckDeadline(options, &expired)) break;
-          watch.Reset();
-          pass.Reset(setup.encoded, setup.shuffled, attr,
-                     options.max_pairs_per_attribute,
-                     setup.attr_seeds[attr]);
-          local.sort += watch.ElapsedSeconds();
-          watch.Reset();
-          PackPassBits(setup.encoded, pass, &bits, &scratch);
-          local.pack += watch.ElapsedSeconds();
-          watch.Reset();
-          std::fill(pass_counts.begin(), pass_counts.end(), 0);
-          std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
-          bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
-          for (size_t c = 0; c < k; ++c) {
-            chunk_counts[chunk][c] += pass_counts[c];
-          }
-          for (size_t c = 0; c < k * k; ++c) {
-            chunk_co_counts[chunk][c] += pass_co_counts[c];
-          }
-          chunk_totals[chunk] += pass.num_pairs();
-          local.accumulate += watch.ElapsedSeconds();
-          if (pass_cov != nullptr && pass.num_pairs() > 0) {
-            // Pass-local covariance from the pass's integer moments;
-            // summed across passes after the join.
-            (*pass_cov)[attr] = PassCovarianceFromCounts(
-                pass_counts.data(), pass_co_counts.data(), k,
-                pass.num_pairs());
-          }
-        }
-        local.MergeInto(options.profile, &profile_mu);
-      });
-
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::Timeout("pair transform: time budget exhausted");
+/// Runs the resident driver over the table's encoded columns, in place.
+Result<PassMoments> TablePasses(const Table& table,
+                                const TransformOptions& options,
+                                bool pooled) {
+  const size_t k = table.num_columns();
+  FDX_ASSIGN_OR_RETURN(
+      TransformStreams streams,
+      PrepareTransformStreams(table.num_rows(), k, options.seed));
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  std::vector<const std::vector<int32_t>*> columns(k);
+  std::vector<size_t> cardinalities(k);
+  for (size_t c = 0; c < k; ++c) {
+    columns[c] = &encoded.column_codes(c);
+    cardinalities[c] = encoded.Cardinality(c);
   }
-  counts->assign(k, 0);
-  co_counts->assign(k * k, 0);
-  *total = 0;
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    for (size_t c = 0; c < k; ++c) (*counts)[c] += chunk_counts[chunk][c];
-    for (size_t c = 0; c < k * k; ++c) {
-      (*co_counts)[c] += chunk_co_counts[chunk][c];
-    }
-    *total += chunk_totals[chunk];
-  }
-  if (*total == 0) {
-    return Status::InvalidArgument("pair transform produced no samples");
-  }
-  return Status::OK();
+  return AccumulateResidentPasses(columns, cardinalities, streams, options,
+                                  pooled);
 }
 
 }  // namespace
 
 Result<TransformCounts> PairTransformCounts(const Table& table,
                                             const TransformOptions& options) {
-  FDX_ASSIGN_OR_RETURN(TransformSetup setup, PrepareTransform(table, options));
-  TransformCounts out;
-  FDX_RETURN_IF_ERROR(AccumulatePasses(setup, options, &out.counts,
-                                       &out.co_counts, &out.num_samples,
-                                       /*pass_cov=*/nullptr));
-  return out;
+  FDX_ASSIGN_OR_RETURN(PassMoments moments,
+                       TablePasses(table, options, /*pooled=*/false));
+  if (moments.sums.num_samples == 0) {
+    return Status::InvalidArgument("pair transform produced no samples");
+  }
+  return std::move(moments.sums);
 }
 
 Result<TransformedMoments> PairTransformMoments(
     const Table& table, const TransformOptions& options) {
-  FDX_ASSIGN_OR_RETURN(TransformSetup setup, PrepareTransform(table, options));
-  const size_t k = setup.encoded.num_columns();
-  std::vector<Matrix> pass_cov;
-  if (options.pooled_covariance) pass_cov.assign(k, Matrix());
-  std::vector<uint64_t> counts;
-  std::vector<uint64_t> co_counts;
-  size_t total = 0;
-  FDX_RETURN_IF_ERROR(AccumulatePasses(
-      setup, options, &counts, &co_counts, &total,
-      options.pooled_covariance ? &pass_cov : nullptr));
-
-  TransformedMoments moments = MomentsFromCounts(counts, co_counts, total, k);
-  if (options.pooled_covariance) {
-    moments.cov = ReducePooledCovariance(pass_cov);
-  }
-  return moments;
+  FDX_ASSIGN_OR_RETURN(
+      PassMoments moments,
+      TablePasses(table, options, options.pooled_covariance));
+  return FinishMoments(moments);
 }
 
 }  // namespace fdx

@@ -2,7 +2,8 @@
 #define FDX_CORE_TRANSFORM_KERNELS_H_
 
 #include <cstdint>
-#include <numeric>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/pairs.h"
@@ -10,15 +11,16 @@
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 /// Shared internals of the pair-difference transform. Two engines
 /// consume these: the in-memory PairTransform* entry points
 /// (core/transform.cc) and the out-of-core streaming transform
 /// (store/stream_transform.cc). Everything that determines the *result*
 /// of a transform — randomness ordering, equality semantics, bit
-/// layout, and the integer→double moment expressions — lives here, so
-/// the two engines cannot drift apart: bit-identical inputs produce
-/// bit-identical moments on either path.
+/// layout, the integer→double moment expressions, and the resident pass
+/// driver itself — lives here, so the two engines cannot drift apart:
+/// bit-identical inputs produce bit-identical moments on either path.
 namespace fdx {
 
 /// Equality indicator with strict null semantics: a null matches nothing.
@@ -40,19 +42,37 @@ inline std::vector<uint64_t> ForkAttributeSeeds(Rng* rng, size_t k) {
   return seeds;
 }
 
-/// The canonical randomness preamble of every transform: one Rng seeded
-/// with `seed` shuffles the row identity permutation, then forks the k
-/// per-attribute seeds — in that exact order. Any engine that wants to
-/// reproduce a transform must consume the stream this way.
-inline void PrepareTransformStreams(uint64_t seed, size_t n, size_t k,
-                                    std::vector<uint32_t>* shuffled,
-                                    std::vector<uint64_t>* attr_seeds) {
-  Rng rng(seed);
-  shuffled->resize(n);
-  std::iota(shuffled->begin(), shuffled->end(), uint32_t{0});
-  rng.Shuffle(shuffled);
-  *attr_seeds = ForkAttributeSeeds(&rng, k);
-}
+/// The random streams of one transform run: the shuffled row identity
+/// permutation (the sort tie breaker) and the per-attribute seeds.
+struct TransformStreams {
+  std::vector<uint32_t> shuffled;
+  std::vector<uint64_t> attr_seeds;
+};
+
+/// The canonical preamble of every transform: rejects shapes no pass can
+/// run on, with the one set of messages every engine reports, then seeds
+/// one Rng with `seed`, shuffles the row identity permutation, and forks
+/// the k per-attribute seeds — in that exact order. Any engine that wants
+/// to reproduce a transform must consume the stream this way.
+Result<TransformStreams> PrepareTransformStreams(size_t n, size_t k,
+                                                 uint64_t seed);
+
+/// Per-thread stage timings, merged into the caller's TransformProfile
+/// under a mutex at chunk exit (profiling only; results never depend on
+/// it).
+struct LocalProfile {
+  double sort = 0.0;
+  double pack = 0.0;
+  double accumulate = 0.0;
+
+  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
+    if (profile == nullptr) return;
+    std::lock_guard<std::mutex> lock(*mu);
+    profile->sort_seconds += sort;
+    profile->pack_seconds += pack;
+    profile->accumulate_seconds += accumulate;
+  }
+};
 
 /// Sequential bit appender over a column's word array. Bits arrive in
 /// index order; whole words are stored once, the trailing partial word
@@ -221,6 +241,83 @@ inline TransformedMoments MomentsFromCounts(
   }
   return moments;
 }
+
+/// A transform's passes before the finish: their integer moments, summed
+/// (exact and additive, so merge order is free), plus — under the pooled
+/// estimator — each pass's own covariance in its attribute's slot.
+struct PassMoments {
+  PassMoments(size_t k, bool pooled) : pass_cov(pooled ? k : 0) {
+    sums.counts.assign(k, 0);
+    sums.co_counts.assign(k * k, 0);
+  }
+
+  /// Adds integer moments: one pass's, or a partial over several.
+  void AddCounts(const std::vector<uint64_t>& counts,
+                 const std::vector<uint64_t>& co_counts,
+                 size_t num_samples) {
+    for (size_t c = 0; c < counts.size(); ++c) sums.counts[c] += counts[c];
+    for (size_t c = 0; c < co_counts.size(); ++c) {
+      sums.co_counts[c] += co_counts[c];
+    }
+    sums.num_samples += num_samples;
+  }
+
+  /// Adds one finished pass's moments.
+  void AddPass(size_t attr, const std::vector<uint64_t>& pass_counts,
+               const std::vector<uint64_t>& pass_co_counts,
+               size_t num_pairs) {
+    AddCounts(pass_counts, pass_co_counts, num_pairs);
+    if (!pass_cov.empty() && num_pairs > 0) {
+      pass_cov[attr] =
+          PassCovarianceFromCounts(pass_counts.data(), pass_co_counts.data(),
+                                   pass_counts.size(), num_pairs);
+    }
+  }
+
+  /// Folds in the moments of a disjoint set of passes (one thread's).
+  void Merge(PassMoments&& part) {
+    AddCounts(part.sums.counts, part.sums.co_counts, part.sums.num_samples);
+    for (size_t attr = 0; attr < pass_cov.size(); ++attr) {
+      if (!part.pass_cov[attr].empty()) {
+        pass_cov[attr] = std::move(part.pass_cov[attr]);
+      }
+    }
+  }
+
+  TransformCounts sums;
+  std::vector<Matrix> pass_cov;  ///< k slots when pooled, else empty
+};
+
+/// The finish every engine shares: mean and covariance from the integer
+/// moments, the covariance replaced by the attribute-order pooled
+/// reduction when pass covariances were kept.
+inline Result<TransformedMoments> FinishMoments(const PassMoments& moments) {
+  const TransformCounts& sums = moments.sums;
+  if (sums.num_samples == 0) {
+    return Status::InvalidArgument("pair transform produced no samples");
+  }
+  TransformedMoments out =
+      MomentsFromCounts(sums.counts, sums.co_counts, sums.num_samples,
+                        sums.counts.size());
+  if (!moments.pass_cov.empty()) {
+    out.cov = ReducePooledCovariance(moments.pass_cov);
+  }
+  return out;
+}
+
+/// The resident pass driver: every attribute pass of Algorithm 2 (sort,
+/// pack, popcount) over columns that are all in memory, the passes fanned
+/// out over `options.threads` with one pass of bits per thread alive at a
+/// time. `columns[c]` points at column c's dense codes (kNullCode for
+/// nulls) and `cardinalities[c]` bounds them; nothing is copied. Keeps
+/// per-pass covariances when `pooled`. Polls `options.deadline` between
+/// passes and returns Timeout on expiry. Bit-identical at any thread
+/// count.
+Result<PassMoments> AccumulateResidentPasses(
+    const std::vector<const std::vector<int32_t>*>& columns,
+    const std::vector<size_t>& cardinalities,
+    const TransformStreams& streams, const TransformOptions& options,
+    bool pooled);
 
 }  // namespace fdx
 

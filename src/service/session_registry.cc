@@ -197,12 +197,10 @@ SessionRegistry::SolverTotals SessionRegistry::SolverStats() const {
 }
 
 size_t SessionRegistry::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->slots.size();
-  }
-  return total;
+  // Summing the shard tables one lock at a time is no snapshot: a Close
+  // in a shard already counted plus an Open in one not yet counted would
+  // show both sessions. The admission count is exact at every instant.
+  return live_.load(std::memory_order_relaxed);
 }
 
 }  // namespace fdx

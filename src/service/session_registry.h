@@ -112,6 +112,8 @@ class SessionRegistry {
   };
   SolverTotals SolverStats() const;
 
+  /// Live sessions: the admission count the cap is enforced against, so
+  /// it never exceeds max_sessions(), even while Opens and Closes race.
   size_t size() const;
   size_t max_sessions() const { return max_sessions_; }
   double ttl_seconds() const { return ttl_seconds_; }

@@ -1,67 +1,20 @@
 #include "store/store_discover.h"
 
-#include <numeric>
-#include <string>
-
 #include "store/stream_transform.h"
-#include "util/stopwatch.h"
 
 namespace fdx {
 
 Result<FdxResult> DiscoverFromStore(const ChunkedTable& table,
                                     const StoreDiscoverOptions& options) {
-  // This function is FdxDiscoverer::Discover with the in-memory
-  // transform swapped for the streaming one; every branch below — the
-  // degenerate-shape result, the deadline wiring, the timeout message —
-  // is kept textually identical so the equivalence suite can compare
-  // the two paths output-for-output.
-  const Deadline deadline(options.fdx.time_budget_seconds);
-  Stopwatch watch;
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  if (k == 0) {
-    return Status::InvalidArgument("Discover: table has no columns");
-  }
-  if (n < 2 || k < 2) {
-    FdxResult result;
-    result.theta = Matrix(k, k);
-    result.autoregression = Matrix(k, k);
-    result.ordering.resize(k);
-    std::iota(result.ordering.begin(), result.ordering.end(), size_t{0});
-    result.diagnostics.events.push_back(
-        {"input", "degenerate_table",
-         std::to_string(n) + " row(s) x " + std::to_string(k) +
-             " column(s): no FD can exist; returning an empty set"});
-    return result;
-  }
-
-  StreamTransformOptions stream;
-  stream.transform = options.fdx.transform;
-  if (stream.transform.threads == 0) {
-    stream.transform.threads = options.fdx.threads;
-  }
-  if (stream.transform.deadline == nullptr &&
-      options.fdx.time_budget_seconds > 0.0) {
-    stream.transform.deadline = &deadline;
-  }
-  stream.column_cache_bytes = options.column_cache_bytes;
-  stream.rss_limit_bytes = options.rss_limit_bytes;
-  stream.bounded_schedule = options.bounded_schedule;
-
-  FDX_ASSIGN_OR_RETURN(TransformedMoments moments,
-                       StreamTransformMoments(table, stream));
-  const double transform_seconds = watch.ElapsedSeconds();
-  if (deadline.Expired()) {
-    return Status::Timeout("fdx: time budget exhausted after transform");
-  }
-  const FdxDiscoverer discoverer(options.fdx);
-  FDX_ASSIGN_OR_RETURN(
-      FdxResult result,
-      discoverer.DiscoverFromCovariance(moments.cov, &deadline));
-  result.transform_seconds = transform_seconds;
-  result.transform_samples = moments.num_samples;
-  result.diagnostics.transform_seconds = transform_seconds;
-  return result;
+  return FdxDiscoverer(options.fdx).DiscoverWith(
+      table.num_rows(), table.num_columns(),
+      [&](const TransformOptions& transform) {
+        StreamTransformOptions stream;
+        stream.transform = transform;
+        stream.column_cache_bytes = options.column_cache_bytes;
+        stream.rss_limit_bytes = options.rss_limit_bytes;
+        return StreamTransformMoments(table, stream);
+      });
 }
 
 }  // namespace fdx

@@ -5,25 +5,22 @@
 
 #include "core/fdx.h"
 #include "store/chunked_table.h"
-#include "store/stream_transform.h"
 
 namespace fdx {
 
 /// Out-of-core discovery knobs: the full FdxOptions plus the streaming
-/// transform's memory controls (see stream_transform.h).
+/// transform's memory controls (see store/stream_transform.h).
 struct StoreDiscoverOptions {
   FdxOptions fdx;
   /// Budget for resident decoded columns; 0 = unbounded.
   uint64_t column_cache_bytes = 0;
   /// Process-RSS ceiling; a breach returns kUnavailable. 0 disables.
   uint64_t rss_limit_bytes = 0;
-  /// Pass schedule when the cache budget binds (see stream_transform.h).
-  BoundedSchedule bounded_schedule = BoundedSchedule::kWave;
 };
 
-/// FdxDiscoverer::Discover over a ChunkedTable: streaming pair transform
-/// (bounded memory), then the identical structure-learning path via
-/// DiscoverFromCovariance. Bit-identical to discovering the in-memory
+/// FdxDiscoverer::Discover over a ChunkedTable: the same pipeline body
+/// (FdxDiscoverer::DiscoverWith) with the streaming pair transform as its
+/// transform step. Bit-identical to discovering the in-memory
 /// concatenation of every appended batch — same FDs, same matrices,
 /// same diagnostics, same error messages — at any chunk size, cache
 /// budget, and thread count.

@@ -1,14 +1,10 @@
 #include "store/stream_transform.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/pairs.h"
@@ -21,78 +17,12 @@
 namespace fdx {
 namespace {
 
-/// LRU cache of decoded transform-code columns. Only the serial
-/// (memory-bounded) path uses it; capacity is in whole columns and at
-/// least two (each pass needs the sort column and the pack column
-/// alive at once).
-class ColumnCache {
- public:
-  ColumnCache(const ChunkedTable* table, size_t capacity)
-      : table_(table), capacity_(capacity) {}
-
-  /// Returns the column's codes, loading (and possibly evicting) as
-  /// needed. The pointer stays valid until the next Get.
-  Result<const std::vector<int32_t>*> Get(size_t col) {
-    auto it = entries_.find(col);
-    if (it != entries_.end()) {
-      lru_.erase(it->second.pos);
-      lru_.push_front(col);
-      it->second.pos = lru_.begin();
-      return &it->second.codes;
-    }
-    if (entries_.size() >= capacity_) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    Entry entry;
-    FDX_RETURN_IF_ERROR(table_->ReadColumnCodes(col, &entry.codes));
-    lru_.push_front(col);
-    entry.pos = lru_.begin();
-    return &entries_.emplace(col, std::move(entry)).first->second.codes;
-  }
-
- private:
-  struct Entry {
-    std::vector<int32_t> codes;
-    std::list<size_t>::iterator pos;
-  };
-
-  const ChunkedTable* table_;
-  size_t capacity_;
-  std::list<size_t> lru_;  ///< front = most recently used
-  std::unordered_map<size_t, Entry> entries_;
-};
-
-/// Shape validation + the canonical randomness preamble. Must reject
-/// with the exact in-memory messages: equivalence tests compare errors
-/// too.
-Status PrepareStream(const ChunkedTable& table,
-                     const StreamTransformOptions& options,
-                     std::vector<uint32_t>* shuffled,
-                     std::vector<uint64_t>* attr_seeds) {
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  if (k == 0 || n < 2) {
-    return Status::InvalidArgument(
-        "pair transform needs >= 2 rows and >= 1 column");
-  }
-  if (n > UINT32_MAX) {
-    return Status::InvalidArgument("pair transform caps at 2^32 - 1 rows");
-  }
-  PrepareTransformStreams(options.transform.seed, n, k, shuffled, attr_seeds);
-  return Status::OK();
-}
-
-/// Resident columns per the cache budget: everything when unbounded,
-/// otherwise at least two, at most all of them.
-size_t CacheCapacity(const StreamTransformOptions& options, size_t n,
-                     size_t k) {
-  if (options.column_cache_bytes == 0) return k;
-  const uint64_t per_column = static_cast<uint64_t>(n) * sizeof(int32_t);
-  const uint64_t fit =
-      per_column == 0 ? k : options.column_cache_bytes / per_column;
-  return static_cast<size_t>(
-      std::min<uint64_t>(k, std::max<uint64_t>(2, fit)));
+/// Whether every decoded column fits the cache budget at once (4 bytes
+/// per row and column); 0 means unbounded.
+bool ColumnsFit(const StreamTransformOptions& options, size_t n, size_t k) {
+  return options.column_cache_bytes == 0 ||
+         static_cast<uint64_t>(n) * k * sizeof(int32_t) <=
+             options.column_cache_bytes;
 }
 
 Status CheckRssCeiling(const StreamTransformOptions& options,
@@ -191,68 +121,6 @@ size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k) {
       std::min<uint64_t>(k, std::max<uint64_t>(1, fit)));
 }
 
-struct StageTimes {
-  double sort = 0.0;
-  double pack = 0.0;
-  double accumulate = 0.0;
-
-  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
-    if (profile == nullptr) return;
-    std::lock_guard<std::mutex> lock(*mu);
-    profile->sort_seconds += sort;
-    profile->pack_seconds += pack;
-    profile->accumulate_seconds += accumulate;
-  }
-};
-
-/// Runs one attribute pass end to end (sort, pack, popcount) against
-/// whatever column source the caller wired up, adding the pass's
-/// integer moments into `counts`/`co_counts`. All three accumulation
-/// kernels are the shared ones in core/transform_kernels.h.
-template <typename GetColumn>
-Status RunPass(size_t attr, const ChunkedTable& table,
-               const StreamTransformOptions& options,
-               const std::vector<uint32_t>& shuffled, uint64_t attr_seed,
-               const GetColumn& get_column, AttributePass* pass,
-               BitMatrix* bits, std::vector<uint64_t>* pass_counts,
-               std::vector<uint64_t>* pass_co_counts, uint64_t* counts,
-               uint64_t* co_counts, size_t* total,
-               std::vector<Matrix>* pass_cov, StageTimes* times) {
-  const size_t k = table.num_columns();
-  Stopwatch watch;
-  {
-    FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, get_column(attr));
-    pass->Reset(*codes, table.Cardinality(attr), shuffled,
-                options.transform.max_pairs_per_attribute, attr_seed);
-  }
-  times->sort += watch.ElapsedSeconds();
-
-  watch.Reset();
-  bits->Reset(pass->num_pairs(), k);
-  PackScratch scratch;
-  for (size_t col = 0; col < k; ++col) {
-    FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, get_column(col));
-    ColumnBitWriter writer(bits->column_words(col));
-    AppendPassColumnBits(*codes, *pass, &writer, &scratch);
-    writer.Flush();
-  }
-  times->pack += watch.ElapsedSeconds();
-
-  watch.Reset();
-  std::fill(pass_counts->begin(), pass_counts->end(), 0);
-  std::fill(pass_co_counts->begin(), pass_co_counts->end(), 0);
-  bits->AccumulateMoments(pass_counts->data(), pass_co_counts->data());
-  for (size_t c = 0; c < k; ++c) counts[c] += (*pass_counts)[c];
-  for (size_t c = 0; c < k * k; ++c) co_counts[c] += (*pass_co_counts)[c];
-  *total += pass->num_pairs();
-  times->accumulate += watch.ElapsedSeconds();
-  if (pass_cov != nullptr && pass->num_pairs() > 0) {
-    (*pass_cov)[attr] = PassCovarianceFromCounts(
-        pass_counts->data(), pass_co_counts->data(), k, pass->num_pairs());
-  }
-  return Status::OK();
-}
-
 /// The wave schedule of the memory-bounded path. Passes are grouped
 /// into waves sized by WaveSize; per wave:
 ///
@@ -262,21 +130,17 @@ Status RunPass(size_t attr, const ChunkedTable& table,
 ///   2. pack — every column streams through once and is appended into
 ///      all of the wave's bit matrices concurrently (passes are
 ///      independent, so the fan-out is over passes, each chunk with its
-///      own gather scratch). One decode per column per wave, versus one
-///      per column per *pass* on the serial schedule.
+///      own gather scratch). One decode per column per wave, not one per
+///      column per pass.
 ///   3. accumulate — per-pass popcounts run in parallel into per-pass
 ///      integer buffers, then merge serially in attribute order.
 ///
 /// Counts are integers (commutative merges) and pooled pass covariances
 /// land in per-attribute slots reduced in attribute order, so the
-/// result is bit-identical to the serial schedule at any thread count.
-Status AccumulateWaves(const ChunkedTable& table,
-                       const StreamTransformOptions& options,
-                       const std::vector<uint32_t>& shuffled,
-                       const std::vector<uint64_t>& attr_seeds,
-                       std::vector<uint64_t>* counts,
-                       std::vector<uint64_t>* co_counts, size_t* total,
-                       std::vector<Matrix>* pass_cov, std::mutex* profile_mu) {
+/// result is bit-identical to the resident driver at any thread count.
+Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
+                                    const StreamTransformOptions& options,
+                                    const TransformStreams& streams) {
   const size_t k = table.num_columns();
   const size_t n = table.num_rows();
   const size_t wave = WaveSize(options, n, k);
@@ -284,7 +148,8 @@ Status AccumulateWaves(const ChunkedTable& table,
   const bool async = threads > 1 && ThreadPool::Shared().size() > 0;
   const Deadline* deadline = options.transform.deadline;
 
-  StageTimes times;
+  PassMoments moments(k, options.transform.pooled_covariance);
+  LocalProfile times;
   Stopwatch watch;
   ColumnStream stream(&table, async);
   std::vector<AttributePass> passes(wave);
@@ -310,9 +175,9 @@ Status AccumulateWaves(const ChunkedTable& table,
       const size_t next = i + 1 < w ? attr + 1 : 0;
       FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes,
                            stream.Next(attr, next));
-      passes[i].Reset(*codes, table.Cardinality(attr), shuffled,
+      passes[i].Reset(*codes, table.Cardinality(attr), streams.shuffled,
                       options.transform.max_pairs_per_attribute,
-                      attr_seeds[attr]);
+                      streams.attr_seeds[attr]);
       bits[i].Reset(passes[i].num_pairs(), k);
     }
     times.sort += watch.ElapsedSeconds();
@@ -354,183 +219,47 @@ Status AccumulateWaves(const ChunkedTable& table,
                         }
                       });
     for (size_t i = 0; i < w; ++i) {
-      const size_t attr = wave_lo + i;
-      for (size_t c = 0; c < k; ++c) (*counts)[c] += pass_counts[i][c];
-      for (size_t c = 0; c < k * k; ++c) {
-        (*co_counts)[c] += pass_co_counts[i][c];
-      }
-      *total += passes[i].num_pairs();
-      if (pass_cov != nullptr && passes[i].num_pairs() > 0) {
-        (*pass_cov)[attr] = PassCovarianceFromCounts(
-            pass_counts[i].data(), pass_co_counts[i].data(), k,
-            passes[i].num_pairs());
-      }
+      moments.AddPass(wave_lo + i, pass_counts[i], pass_co_counts[i],
+                      passes[i].num_pairs());
     }
     times.accumulate += watch.ElapsedSeconds();
   }
-  times.MergeInto(options.transform.profile, profile_mu);
-  return Status::OK();
-}
-
-/// The streaming analogue of the in-memory AccumulatePasses. With every
-/// column resident the passes fan out across threads exactly like the
-/// in-memory engine; under a cache budget the bounded schedule (waves
-/// by default, the serial LRU loop as the reference) takes over. Counts
-/// are integers merged commutatively and pooled pass covariances are
-/// stored per attribute, so every schedule produces the same bits.
-Status AccumulateStream(const ChunkedTable& table,
-                        const StreamTransformOptions& options,
-                        const std::vector<uint32_t>& shuffled,
-                        const std::vector<uint64_t>& attr_seeds,
-                        std::vector<uint64_t>* counts,
-                        std::vector<uint64_t>* co_counts, size_t* total,
-                        std::vector<Matrix>* pass_cov) {
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  const size_t capacity = CacheCapacity(options, n, k);
-  const Deadline* deadline = options.transform.deadline;
   std::mutex profile_mu;
-
-  counts->assign(k, 0);
-  co_counts->assign(k * k, 0);
-  *total = 0;
-
-  if (capacity >= k) {
-    // Everything fits: decode each column once and run the same
-    // parallel-over-attributes schedule as the in-memory engine.
-    std::vector<std::vector<int32_t>> columns(k);
-    for (size_t c = 0; c < k; ++c) {
-      FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &columns[c]));
-    }
-    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
-
-    const size_t num_chunks =
-        std::min(ResolveThreadCount(options.transform.threads), k);
-    std::vector<std::vector<uint64_t>> chunk_counts(
-        num_chunks, std::vector<uint64_t>(k, 0));
-    std::vector<std::vector<uint64_t>> chunk_co_counts(
-        num_chunks, std::vector<uint64_t>(k * k, 0));
-    std::vector<size_t> chunk_totals(num_chunks, 0);
-    std::atomic<bool> expired{false};
-    std::vector<Status> chunk_status(num_chunks, Status::OK());
-
-    ParallelForChunks(
-        0, k, num_chunks, options.transform.threads,
-        [&](size_t chunk, size_t lo, size_t hi) {
-          AttributePass pass;
-          BitMatrix bits;
-          StageTimes times;
-          std::vector<uint64_t> pass_counts(k, 0);
-          std::vector<uint64_t> pass_co_counts(k * k, 0);
-          const auto get_column =
-              [&](size_t col) -> Result<const std::vector<int32_t>*> {
-            return &columns[col];
-          };
-          for (size_t attr = lo; attr < hi; ++attr) {
-            if (deadline != nullptr &&
-                (expired.load(std::memory_order_relaxed) ||
-                 deadline->Expired())) {
-              expired.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const Status status = RunPass(
-                attr, table, options, shuffled, attr_seeds[attr], get_column,
-                &pass, &bits, &pass_counts, &pass_co_counts,
-                chunk_counts[chunk].data(), chunk_co_counts[chunk].data(),
-                &chunk_totals[chunk], pass_cov, &times);
-            if (!status.ok()) {
-              chunk_status[chunk] = status;
-              break;
-            }
-          }
-          times.MergeInto(options.transform.profile, &profile_mu);
-        });
-
-    for (const Status& status : chunk_status) {
-      FDX_RETURN_IF_ERROR(status);
-    }
-    if (expired.load(std::memory_order_relaxed)) {
-      return Status::Timeout("pair transform: time budget exhausted");
-    }
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (size_t c = 0; c < k; ++c) (*counts)[c] += chunk_counts[chunk][c];
-      for (size_t c = 0; c < k * k; ++c) {
-        (*co_counts)[c] += chunk_co_counts[chunk][c];
-      }
-      *total += chunk_totals[chunk];
-    }
-  } else if (options.bounded_schedule == BoundedSchedule::kWave) {
-    FDX_RETURN_IF_ERROR(AccumulateWaves(table, options, shuffled, attr_seeds,
-                                        counts, co_counts, total, pass_cov,
-                                        &profile_mu));
-  } else {
-    // Bounded memory: serial passes over an LRU column cache. Same
-    // kernels, same integer arithmetic — only the I/O schedule differs.
-    ColumnCache cache(&table, capacity);
-    AttributePass pass;
-    BitMatrix bits;
-    StageTimes times;
-    std::vector<uint64_t> pass_counts(k, 0);
-    std::vector<uint64_t> pass_co_counts(k * k, 0);
-    const auto get_column =
-        [&](size_t col) -> Result<const std::vector<int32_t>*> {
-      return cache.Get(col);
-    };
-    for (size_t attr = 0; attr < k; ++attr) {
-      if (deadline != nullptr && deadline->Expired()) {
-        return Status::Timeout("pair transform: time budget exhausted");
-      }
-      FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
-      FDX_RETURN_IF_ERROR(RunPass(attr, table, options, shuffled,
-                                  attr_seeds[attr], get_column, &pass, &bits,
-                                  &pass_counts, &pass_co_counts,
-                                  counts->data(), co_counts->data(), total,
-                                  pass_cov, &times));
-    }
-    times.MergeInto(options.transform.profile, &profile_mu);
-  }
-
-  if (*total == 0) {
-    return Status::InvalidArgument("pair transform produced no samples");
-  }
-  return Status::OK();
+  times.MergeInto(options.transform.profile, &profile_mu);
+  return moments;
 }
 
 }  // namespace
 
-Result<TransformCounts> StreamTransformCounts(
-    const ChunkedTable& table, const StreamTransformOptions& options) {
-  std::vector<uint32_t> shuffled;
-  std::vector<uint64_t> attr_seeds;
-  FDX_RETURN_IF_ERROR(PrepareStream(table, options, &shuffled, &attr_seeds));
-  TransformCounts out;
-  FDX_RETURN_IF_ERROR(AccumulateStream(table, options, shuffled, attr_seeds,
-                                       &out.counts, &out.co_counts,
-                                       &out.num_samples,
-                                       /*pass_cov=*/nullptr));
-  return out;
-}
-
 Result<TransformedMoments> StreamTransformMoments(
     const ChunkedTable& table, const StreamTransformOptions& options) {
   const size_t k = table.num_columns();
-  std::vector<uint32_t> shuffled;
-  std::vector<uint64_t> attr_seeds;
-  FDX_RETURN_IF_ERROR(PrepareStream(table, options, &shuffled, &attr_seeds));
-  std::vector<Matrix> pass_cov;
-  if (options.transform.pooled_covariance) pass_cov.assign(k, Matrix());
-  std::vector<uint64_t> counts;
-  std::vector<uint64_t> co_counts;
-  size_t total = 0;
-  FDX_RETURN_IF_ERROR(AccumulateStream(
-      table, options, shuffled, attr_seeds, &counts, &co_counts, &total,
-      options.transform.pooled_covariance ? &pass_cov : nullptr));
-
-  TransformedMoments moments = MomentsFromCounts(counts, co_counts, total, k);
-  if (options.transform.pooled_covariance) {
-    moments.cov = ReducePooledCovariance(pass_cov);
+  const size_t n = table.num_rows();
+  FDX_ASSIGN_OR_RETURN(
+      TransformStreams streams,
+      PrepareTransformStreams(n, k, options.transform.seed));
+  if (!ColumnsFit(options, n, k)) {
+    FDX_ASSIGN_OR_RETURN(PassMoments moments,
+                         AccumulateWaves(table, options, streams));
+    return FinishMoments(moments);
   }
-  return moments;
+  // Everything fits: decode each column once and hand the columns to the
+  // in-memory engine's resident driver.
+  std::vector<std::vector<int32_t>> decoded(k);
+  std::vector<const std::vector<int32_t>*> columns(k);
+  std::vector<size_t> cardinalities(k);
+  for (size_t c = 0; c < k; ++c) {
+    FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &decoded[c]));
+    columns[c] = &decoded[c];
+    cardinalities[c] = table.Cardinality(c);
+  }
+  FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
+  FDX_ASSIGN_OR_RETURN(
+      PassMoments moments,
+      AccumulateResidentPasses(columns, cardinalities, streams,
+                               options.transform,
+                               options.transform.pooled_covariance));
+  return FinishMoments(moments);
 }
 
 }  // namespace fdx

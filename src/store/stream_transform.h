@@ -12,33 +12,15 @@ namespace fdx {
 /// mean exactly what they mean in-memory — same seed derivation, same
 /// sampling, same pooled-covariance estimator — because both engines run
 /// the shared kernels in core/transform_kernels.h.
-/// Schedule of the memory-bounded path (cache budget smaller than the
-/// full column set). Both schedules run the same kernels on the same
-/// integer counts, so they produce bit-identical results at any thread
-/// count — they differ only in I/O order and parallelism.
-enum class BoundedSchedule {
-  /// Waves of attribute passes sized to the cache budget: each wave's
-  /// passes are sorted with one column decoded ahead, then every column
-  /// streams through once and is packed into all of the wave's passes
-  /// in parallel. Each column is decoded once per wave instead of once
-  /// per pass, and pack/popcount work fans out across threads.
-  kWave,
-  /// One pass at a time over an LRU column cache (the original serial
-  /// schedule), kept as a reference implementation.
-  kSerial,
-};
-
 struct StreamTransformOptions {
   TransformOptions transform;
-  /// Budget for the resident working set (decoded columns at 4
-  /// bytes/row, plus per-pass state on the wave schedule). When every
-  /// column fits, passes run in parallel exactly like the in-memory
-  /// engine; otherwise the bounded schedule below kicks in. 0 means
-  /// unbounded (keep all columns). Results are bit-identical either
-  /// way — the budget only changes I/O.
+  /// Budget for the resident working set. When every decoded column fits
+  /// (4 bytes per row and column), the columns are decoded once and the
+  /// passes run on the in-memory engine's resident driver; otherwise
+  /// they run in waves sized to the budget, each column decoded once per
+  /// wave. 0 means unbounded (keep all columns). Results are
+  /// bit-identical either way — the budget only changes I/O.
   uint64_t column_cache_bytes = 0;
-  /// How to schedule passes when the cache budget binds.
-  BoundedSchedule bounded_schedule = BoundedSchedule::kWave;
   /// Process-RSS ceiling polled between attribute passes; a breach
   /// returns kUnavailable (the caller chose the ceiling, the input
   /// simply does not fit under it). Clean file-backed pages of the
@@ -48,13 +30,9 @@ struct StreamTransformOptions {
   uint64_t rss_limit_bytes = 0;
 };
 
-/// PairTransformCounts over a ChunkedTable. Bit-identical to running the
+/// PairTransformMoments over a ChunkedTable. Bit-identical to running the
 /// in-memory transform on the concatenation of every appended batch, at
 /// any chunk size, cache budget, and thread count.
-Result<TransformCounts> StreamTransformCounts(
-    const ChunkedTable& table, const StreamTransformOptions& options = {});
-
-/// PairTransformMoments over a ChunkedTable (same equivalence contract).
 Result<TransformedMoments> StreamTransformMoments(
     const ChunkedTable& table, const StreamTransformOptions& options = {});
 

@@ -13,6 +13,10 @@ struct DatasetSpec {
   bool exact_rows;
 };
 
+// Without a printer gtest shows the raw bytes, including the address of
+// `name`, which moves with every build and would rename the test cases.
+void PrintTo(const DatasetSpec& spec, std::ostream* os) { *os << spec.name; }
+
 class DatasetShapeTest : public ::testing::TestWithParam<DatasetSpec> {};
 
 RealWorldDataset MakeByName(const std::string& name) {

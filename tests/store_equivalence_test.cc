@@ -106,7 +106,8 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
   auto store = ChunkedTable::Create(table.schema(), "");
   ASSERT_TRUE(store.ok());
   AppendInChunks(table, 57, &store.value());
-  // 2-column cache: forces the serial LRU path with constant reloads.
+  // A 2-column cache leaves no room beyond the two streamed columns, so
+  // every wave holds a single pass and each column is re-read per pass.
   StreamTransformOptions stream;
   stream.column_cache_bytes = 2 * 400 * sizeof(int32_t);
   auto streamed = StreamTransformMoments(store.value(), stream);
@@ -149,32 +150,98 @@ TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
   }
 }
 
-TEST(StoreEquivalenceTest, WaveAndSerialSchedulesIdenticalAcrossThreads) {
-  // A cache budget small enough to force multiple waves; the parallel
-  // wave scheduler must match both the in-memory transform and the
-  // serial LRU path bit-for-bit at every thread count.
-  const Table table = FdTable(400);
-  for (size_t threads : kThreadCounts) {
-    TransformOptions transform;
-    transform.threads = threads;
-    auto memory = PairTransformMoments(table, transform);
-    ASSERT_TRUE(memory.ok());
+/// FdTable's four columns cycled out to width k (a repeated column is an
+/// exact FD on its twin).
+Table TableOfWidth(size_t rows, size_t k) {
+  const Table base = FdTable(rows);
+  std::vector<std::string> names;
+  for (size_t c = 0; c < k; ++c) names.push_back("c" + std::to_string(c));
+  Table table{Schema(names)};
+  std::vector<Value> row(k);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < k; ++c) {
+      row[c] = base.cell(r, c % base.num_columns());
+    }
+    table.AppendRow(row);
+  }
+  return table;
+}
+
+TEST(StoreEquivalenceTest, ResidencyBoundaryGridIdentical) {
+  // A column cache of exactly n*k*4 bytes holds every decoded column, so
+  // the passes run resident; one byte less runs the wave schedule (at
+  // k = 5, several waves). Both sides must match the in-memory transform
+  // bit for bit at every thread count, including k <= 2, where a budget
+  // short of the full column set must still take the wave path.
+  const size_t rows = 400;
+  for (size_t k : {size_t{1}, size_t{2}, size_t{5}}) {
+    const Table table = TableOfWidth(rows, k);
     auto store = ChunkedTable::Create(table.schema(), "");
     ASSERT_TRUE(store.ok());
     AppendInChunks(table, 57, &store.value());
-    for (BoundedSchedule schedule :
-         {BoundedSchedule::kWave, BoundedSchedule::kSerial}) {
-      StreamTransformOptions stream;
-      stream.transform = transform;
-      stream.bounded_schedule = schedule;
-      stream.column_cache_bytes = 3 * 400 * sizeof(int32_t);
-      auto streamed = StreamTransformMoments(store.value(), stream);
-      ASSERT_TRUE(streamed.ok())
-          << threads << "x"
-          << (schedule == BoundedSchedule::kWave ? "wave" : "serial") << ": "
-          << streamed.status().message();
-      ExpectMomentsIdentical(memory.value(), streamed.value());
+    const uint64_t resident = rows * k * sizeof(int32_t);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      TransformOptions transform;
+      transform.threads = threads;
+      auto memory = PairTransformMoments(table, transform);
+      ASSERT_TRUE(memory.ok());
+      for (uint64_t budget : {resident, resident - 1}) {
+        StreamTransformOptions stream;
+        stream.transform = transform;
+        stream.column_cache_bytes = budget;
+        auto streamed = StreamTransformMoments(store.value(), stream);
+        ASSERT_TRUE(streamed.ok())
+            << k << "x" << threads << "@" << budget << ": "
+            << streamed.status().message();
+        ExpectMomentsIdentical(memory.value(), streamed.value());
+      }
     }
+  }
+}
+
+/// Column-cache budgets that select each schedule for an n-row FdTable
+/// store: unbounded (resident) and three of its four columns (waves).
+std::vector<uint64_t> ScheduleBudgets(size_t n) {
+  return {0, 3 * n * sizeof(int32_t)};
+}
+
+TEST(StoreEquivalenceTest, ExpiredDeadlineTimesOutOnEverySchedule) {
+  const Table table = FdTable(400);
+  const Deadline expired(1e-9);
+  while (!expired.Expired()) {
+  }
+  TransformOptions transform;
+  transform.deadline = &expired;
+  auto memory = PairTransformMoments(table, transform);
+  ASSERT_EQ(memory.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(memory.status().message(),
+            "pair transform: time budget exhausted");
+  auto store = ChunkedTable::Create(table.schema(), "");
+  ASSERT_TRUE(store.ok());
+  AppendInChunks(table, 57, &store.value());
+  for (uint64_t budget : ScheduleBudgets(table.num_rows())) {
+    StreamTransformOptions stream;
+    stream.transform = transform;
+    stream.column_cache_bytes = budget;
+    auto streamed = StreamTransformMoments(store.value(), stream);
+    ASSERT_EQ(streamed.status().code(), StatusCode::kTimeout) << budget;
+    EXPECT_EQ(streamed.status().message(), memory.status().message())
+        << budget;
+  }
+}
+
+TEST(StoreEquivalenceTest, RssCeilingBreachIsUnavailableOnEverySchedule) {
+  const Table table = FdTable(400);
+  auto store = ChunkedTable::Create(table.schema(), "");
+  ASSERT_TRUE(store.ok());
+  AppendInChunks(table, 57, &store.value());
+  for (uint64_t budget : ScheduleBudgets(table.num_rows())) {
+    StreamTransformOptions stream;
+    stream.column_cache_bytes = budget;
+    stream.rss_limit_bytes = 1;
+    auto streamed = StreamTransformMoments(store.value(), stream);
+    EXPECT_EQ(streamed.status().code(), StatusCode::kUnavailable)
+        << budget << ": " << streamed.status().message();
   }
 }
 

@@ -482,7 +482,8 @@ TEST(TransformTest, AttributePassEnumeratesWithoutMaterializing) {
   std::vector<uint32_t> shuffled(t.num_rows());
   std::iota(shuffled.begin(), shuffled.end(), 0);
   AttributePass pass;
-  pass.Reset(encoded, shuffled, /*attr=*/0, /*max_pairs=*/0, /*seed=*/1);
+  pass.Reset(encoded.column_codes(0), encoded.Cardinality(0), shuffled,
+             /*max_pairs=*/0, /*seed=*/1);
   EXPECT_EQ(pass.num_pairs(), t.num_rows());
   size_t calls = 0;
   size_t last_index = 0;
@@ -495,7 +496,8 @@ TEST(TransformTest, AttributePassEnumeratesWithoutMaterializing) {
   EXPECT_EQ(calls, pass.num_pairs());
   EXPECT_EQ(last_index, pass.num_pairs() - 1);
 
-  pass.Reset(encoded, shuffled, /*attr=*/1, /*max_pairs=*/13, /*seed=*/2);
+  pass.Reset(encoded.column_codes(1), encoded.Cardinality(1), shuffled,
+             /*max_pairs=*/13, /*seed=*/2);
   EXPECT_TRUE(pass.sampled());
   EXPECT_EQ(pass.num_pairs(), 13u);
 }

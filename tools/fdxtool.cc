@@ -27,8 +27,12 @@
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 validation violations, 4 timeout.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/fdx.h"
@@ -52,6 +56,28 @@
 namespace fdx::tool {
 namespace {
 
+/// Largest --max-memory-mb whose byte count fits in 64 bits.
+constexpr uint64_t kMaxMemoryMb = UINT64_MAX >> 20;
+
+/// Reports a malformed flag value and exits with the usage code.
+[[noreturn]] void BadFlag(const std::string& name, const std::string& value,
+                          const std::string& expected) {
+  std::fprintf(stderr, "fdxtool: --%s=%s: expected %s\n", name.c_str(),
+               value.c_str(), expected.c_str());
+  std::exit(2);
+}
+
+/// The whole of `value` read as a finite number, or nullopt.
+std::optional<double> ParseFinite(const std::string& value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(parsed)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 /// --key=value / --flag argument reader (positional args excluded).
 class Args {
  public:
@@ -66,18 +92,49 @@ class Args {
     }
   }
 
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
+  /// The value of --name=..., or nullopt when the flag is absent.
+  std::optional<std::string> Find(const std::string& name) const {
     const std::string prefix = "--" + name + "=";
     for (const auto& flag : flags_) {
       if (flag.rfind(prefix, 0) == 0) return flag.substr(prefix.size());
     }
-    return fallback;
+    return std::nullopt;
   }
 
+  std::string Get(const std::string& name,
+                  const std::string& fallback = "") const {
+    return Find(name).value_or(fallback);
+  }
+
+  /// A numeric flag, or `fallback` when absent. The whole value must
+  /// parse as a finite number; anything else exits 2 naming the flag.
   double GetDouble(const std::string& name, double fallback) const {
-    const std::string value = Get(name);
-    return value.empty() ? fallback : std::atof(value.c_str());
+    const std::optional<std::string> value = Find(name);
+    if (!value) return fallback;
+    const std::optional<double> parsed = ParseFinite(*value);
+    if (!parsed) BadFlag(name, *value, "a finite number");
+    return *parsed;
+  }
+
+  /// A count or size flag, or `fallback` when absent: the whole value
+  /// must parse as an integral number within [min, max]; anything else
+  /// exits 2 naming the flag.
+  uint64_t GetCount(const std::string& name, uint64_t fallback,
+                    uint64_t min = 0, uint64_t max = UINT64_MAX) const {
+    const std::optional<std::string> value = Find(name);
+    if (!value) return fallback;
+    const std::optional<double> parsed = ParseFinite(*value);
+    // 0x1p64 is the first double above UINT64_MAX; converting anything
+    // at or past it (or below zero) to an integer is undefined.
+    if (!parsed || *parsed < 0.0 || *parsed >= 0x1p64 ||
+        *parsed != std::floor(*parsed) ||
+        static_cast<uint64_t>(*parsed) < min ||
+        static_cast<uint64_t>(*parsed) > max) {
+      BadFlag(name, *value,
+              "an integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "]");
+    }
+    return static_cast<uint64_t>(*parsed);
   }
 
   bool Has(const std::string& name) const {
@@ -111,8 +168,7 @@ FdxOptions OptionsFromArgs(const Args& args) {
       args.GetDouble("tau", options.sparsity_threshold);
   options.relative_threshold =
       args.GetDouble("relative", options.relative_threshold);
-  options.transform.max_pairs_per_attribute = static_cast<size_t>(
-      args.GetDouble("max-pairs", 0.0));
+  options.transform.max_pairs_per_attribute = args.GetCount("max-pairs", 0);
   const std::string ordering = args.Get("ordering");
   if (!ordering.empty()) {
     auto parsed = ParseOrderingMethod(ordering);
@@ -205,11 +261,17 @@ void EmitFdsText(const Schema& schema, size_t rows, const FdxResult& result,
 /// learning under a process-RSS ceiling. Bit-identical results to the
 /// in-memory path (EmitFds* with --stable makes that checkable by cmp).
 int StreamingDiscover(const Args& args, const std::string& path) {
-  const double max_memory_mb = args.GetDouble("max-memory-mb", 0.0);
+  // Every flag is read before the store directory exists, so a rejected
+  // value leaves nothing behind.
   const uint64_t rss_limit =
-      static_cast<uint64_t>(max_memory_mb * 1024.0 * 1024.0);
-  const size_t chunk_rows =
-      static_cast<size_t>(args.GetDouble("chunk-rows", 65536.0));
+      args.GetCount("max-memory-mb", 0, 0, kMaxMemoryMb) << 20;
+  const size_t chunk_rows = args.GetCount("chunk-rows", 65536, /*min=*/1);
+  StoreDiscoverOptions options;
+  options.fdx = OptionsFromArgs(args);
+  options.rss_limit_bytes = rss_limit;
+  // Decoded columns may use at most a quarter of the ceiling; the rest
+  // is left for dictionaries, counts, and the process baseline.
+  options.column_cache_bytes = rss_limit / 4;
   std::string store_dir = args.Get("store-dir");
   const bool temp_store = store_dir.empty();
   if (temp_store) {
@@ -239,12 +301,6 @@ int StreamingDiscover(const Args& args, const std::string& path) {
     return 1;
   }
 
-  StoreDiscoverOptions options;
-  options.fdx = OptionsFromArgs(args);
-  options.rss_limit_bytes = rss_limit;
-  // Decoded columns may use at most a quarter of the ceiling; the rest
-  // is left for dictionaries, counts, and the process baseline.
-  options.column_cache_bytes = rss_limit / 4;
   auto result = DiscoverFromStore(store, options);
   const Schema schema = store.schema();
   const size_t rows = store.num_rows();
@@ -263,7 +319,7 @@ int Discover(const Args& args) {
     std::fprintf(stderr, "usage: fdxtool discover <csv> [flags]\n");
     return 2;
   }
-  if (args.GetDouble("max-memory-mb", 0.0) > 0.0) {
+  if (args.GetCount("max-memory-mb", 0, 0, kMaxMemoryMb) > 0) {
     return StreamingDiscover(args, args.positional()[0]);
   }
   auto table = LoadTable(args, args.positional()[0]);
@@ -459,16 +515,14 @@ int Dc(const Args& args) {
     return 1;
   }
   DcOptions options;
-  options.max_predicates =
-      static_cast<size_t>(args.GetDouble("max-predicates", 3));
-  options.sample_pairs =
-      static_cast<size_t>(args.GetDouble("sample-pairs", 20000));
+  options.max_predicates = args.GetCount("max-predicates", 3);
+  options.sample_pairs = args.GetCount("sample-pairs", 20000);
   auto dcs = DiscoverDenialConstraints(*table, options);
   if (!dcs.ok()) {
     std::fprintf(stderr, "%s\n", dcs.status().ToString().c_str());
     return 1;
   }
-  const size_t top = static_cast<size_t>(args.GetDouble("top", 40));
+  const size_t top = args.GetCount("top", 40);
   std::printf("%zu minimal denial constraints (showing up to %zu):\n",
               dcs->size(), top);
   for (size_t i = 0; i < dcs->size() && i < top; ++i) {
@@ -490,7 +544,7 @@ int Keys(const Args& args) {
   }
   UccOptions options;
   options.max_error = args.GetDouble("error", 0.0);
-  options.max_size = static_cast<size_t>(args.GetDouble("max-size", 3));
+  options.max_size = args.GetCount("max-size", 3);
   auto uccs = DiscoverUccs(*table, options);
   if (!uccs.ok()) {
     std::fprintf(stderr, "%s\n", uccs.status().ToString().c_str());
@@ -524,14 +578,13 @@ int Cfd(const Args& args) {
   options.min_support = args.GetDouble("support", options.min_support);
   options.min_confidence =
       args.GetDouble("confidence", options.min_confidence);
-  options.max_lhs_size =
-      static_cast<size_t>(args.GetDouble("max-lhs", 2));
+  options.max_lhs_size = args.GetCount("max-lhs", 2);
   auto cfds = DiscoverConstantCfds(*table, options);
   if (!cfds.ok()) {
     std::fprintf(stderr, "%s\n", cfds.status().ToString().c_str());
     return 1;
   }
-  const size_t top = static_cast<size_t>(args.GetDouble("top", 40));
+  const size_t top = args.GetCount("top", 40);
   std::printf("%zu constant CFDs (showing up to %zu):\n", cfds->size(),
               top);
   for (size_t i = 0; i < cfds->size() && i < top; ++i) {
@@ -561,7 +614,7 @@ int Rank(const Args& args) {
     std::fprintf(stderr, "%s\n", ranked.status().ToString().c_str());
     return 1;
   }
-  const size_t top = static_cast<size_t>(args.GetDouble("top", 20));
+  const size_t top = args.GetCount("top", 20);
   ReportTable report(
       {"candidate FD", "reliable", "frac-info", "g3", "strength"});
   for (size_t i = 0; i < ranked->size() && i < top; ++i) {
@@ -584,12 +637,10 @@ int Generate(const Args& args) {
     return 2;
   }
   SyntheticConfig config;
-  config.num_tuples =
-      static_cast<size_t>(args.GetDouble("tuples", 1000));
-  config.num_attributes =
-      static_cast<size_t>(args.GetDouble("attributes", 10));
+  config.num_tuples = args.GetCount("tuples", 1000);
+  config.num_attributes = args.GetCount("attributes", 10);
   config.noise_rate = args.GetDouble("noise", 0.01);
-  config.seed = static_cast<uint64_t>(args.GetDouble("seed", 42));
+  config.seed = args.GetCount("seed", 42);
   auto ds = GenerateSynthetic(config);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
