@@ -40,7 +40,9 @@ void EventLoop::AdoptConnection(Socket sock) {
     std::lock_guard<std::mutex> lock(mailbox_mu_);
     adopted_.push_back(std::move(sock));
   }
-  epoll_.Notify();
+  // Before Start() there is no eventfd to wake; Run() drains the
+  // mailbox before its first wait instead.
+  if (started_.load()) epoll_.Notify();
 }
 
 void EventLoop::RequestStop() {
@@ -75,6 +77,7 @@ void EventLoop::Run() {
   // concurrently joins thread_ — so cache it rather than calling
   // thread_.get_id() from two threads at once.
   loop_thread_id_ = std::this_thread::get_id();
+  DrainMailbox();  // sockets adopted before Start()
   std::vector<Epoll::Event> events;
   while (true) {
     // A pending accept backoff bounds the poll so accepting resumes on
@@ -293,10 +296,10 @@ void EventLoop::ApplyCompletion(const Completion& completion) {
   conn->write_buf += '\n';
   if (!completion.keep_open) {
     conn->close_after_flush = true;
-    // Frames pipelined behind a closing response are dropped, matching
-    // the legacy path (the connection closes after this reply); keeping
-    // them would park the connection forever, since they never execute
-    // and MaybeClose waits for an empty queue.
+    // Frames pipelined behind a closing response are dropped (the
+    // connection closes after this reply); keeping them would park the
+    // connection forever, since they never execute and MaybeClose waits
+    // for an empty queue.
     conn->pending.clear();
     conn->read_buf.clear();
   }

@@ -21,8 +21,10 @@ namespace fdx {
 
 /// One non-blocking I/O thread of the fdxd daemon: an epoll instance
 /// owning some set of client connections (and, on the listener-attached
-/// loop, the accept path). Connection count no longer implies thread
-/// count — one loop comfortably multiplexes thousands of sockets.
+/// loop, the accept path). The daemon runs one loop per hardware thread
+/// by default (ServerOptions::io_threads) and assigns connections
+/// round-robin; connection count never implies thread count — one loop
+/// comfortably multiplexes thousands of sockets.
 ///
 /// Framing and pipelining. Bytes are read as they arrive into a
 /// per-connection buffer and split into line-delimited frames
@@ -32,9 +34,10 @@ namespace fdx {
 /// are *executed strictly in arrival order, one at a time* — request
 /// k+1 does not start until request k's response is computed. Responses
 /// are therefore written in request order by construction, and
-/// per-connection effect ordering (append-then-discover) matches the
-/// serial semantics of the legacy thread-per-connection path. Requests
-/// from different connections execute concurrently on the worker pool.
+/// per-connection effect ordering (append-then-discover) is the same as
+/// for a client that waits for each response before sending the next
+/// request. Requests from different connections execute concurrently on
+/// the worker pool.
 ///
 /// Execution happens through a dispatch callback provided by the
 /// server. The dispatcher either answers synchronously on the loop
@@ -90,7 +93,7 @@ class EventLoop {
   Status Start();
 
   /// Hands a connected socket to this loop (thread-safe; callable from
-  /// another loop's accept path or from tests).
+  /// another loop's accept path or from tests, before or after Start()).
   void AdoptConnection(Socket sock);
 
   /// Asks the loop to finish: stop accepting and reading, deliver every
@@ -158,7 +161,7 @@ class EventLoop {
   const Callbacks callbacks_;
 
   Epoll epoll_;
-  ListenSocket* listener_ = nullptr;  ///< not owned; loop 0 only
+  ListenSocket* listener_ = nullptr;  ///< not owned; one loop only
   bool accepting_ = false;
   std::chrono::steady_clock::time_point accept_backoff_until_{};
 

@@ -299,11 +299,10 @@ std::string RenderStatusTextReport(const JsonValue& status) {
                 status.NumberOr("uptime_seconds", 0.0));
   out += line;
 
-  const std::string mode = io == nullptr ? "?" : io->StringOr("mode", "?");
   std::snprintf(line, sizeof(line),
-                "io:          mode=%s io_threads=%lld connections_live=%lld "
+                "io:          io_threads=%lld connections_live=%lld "
                 "accept_transient_errors=%lld\n",
-                mode.c_str(), static_cast<long long>(StatusInt(io, "io_threads")),
+                static_cast<long long>(StatusInt(io, "io_threads")),
                 static_cast<long long>(StatusInt(io, "connections_live")),
                 static_cast<long long>(StatusInt(io, "accept_transient_errors")));
   out += line;

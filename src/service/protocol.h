@@ -72,7 +72,7 @@ std::string RenderErrorResponse(const std::string& op, const Status& status,
 std::string StatusCodeName(StatusCode code);
 
 /// Renders a parsed `status` response as a human-readable multi-line
-/// report (what `fdxctl status --text` prints): I/O mode and live
+/// report (what `fdxctl status --text` prints): I/O threads and live
 /// connection count, cumulative requests by op, queue depth, per-shard
 /// cache hit/miss counters, session and solver totals. Missing members
 /// render as zeros so reports against older daemons stay readable.

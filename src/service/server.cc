@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <set>
 #include <utility>
 
@@ -69,9 +68,8 @@ Result<Schema> ParseSchemaJson(const JsonValue& schema_json) {
   return Schema(std::move(names));
 }
 
-/// A validated append: the target session and the decoded batch. Built
-/// outside any lock so both I/O paths (blocking and event-loop) share
-/// the parse and only diverge in how they take the session mutex.
+/// A validated append: the target session and the decoded batch, built
+/// outside any lock so the session mutex is only taken to apply it.
 struct AppendPlan {
   std::shared_ptr<DatasetSession> session;
   Table batch;
@@ -281,30 +279,30 @@ Status FdxServer::Start() {
     snapshot_thread_ = std::thread(&FdxServer::SnapshotSpillLoop, this);
   }
   uptime_.Reset();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    accepting_ = true;
+  accepting_.store(true);
+  EventLoop::Options loop_options;
+  loop_options.max_pipeline_depth =
+      std::max<size_t>(1, options_.max_pipeline_depth);
+  EventLoop::Callbacks callbacks;
+  callbacks.dispatch = [this](std::string line, EventLoop::DoneFn done) {
+    Dispatch(std::move(line), std::move(done));
+  };
+  callbacks.on_accept = [this](Socket sock) { OnAccept(std::move(sock)); };
+  const size_t loops =
+      options_.io_threads > 0
+          ? options_.io_threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  for (size_t i = 0; i < loops; ++i) {
+    event_loops_.push_back(
+        std::make_unique<EventLoop>(loop_options, callbacks));
   }
-  if (options_.io_mode == IoMode::kEventLoop) {
-    EventLoop::Options loop_options;
-    loop_options.max_pipeline_depth = std::max<size_t>(
-        1, options_.max_pipeline_depth);
-    EventLoop::Callbacks callbacks;
-    callbacks.dispatch = [this](std::string line, EventLoop::DoneFn done) {
-      DispatchAsync(std::move(line), std::move(done));
-    };
-    callbacks.on_accept = [this](Socket sock) { OnAccept(std::move(sock)); };
-    const size_t loops = std::max<size_t>(1, options_.io_threads);
-    for (size_t i = 0; i < loops; ++i) {
-      event_loops_.push_back(
-          std::make_unique<EventLoop>(loop_options, callbacks));
-    }
-    event_loops_.front()->AttachListener(&listener_);
-    for (auto& loop : event_loops_) {
-      FDX_RETURN_IF_ERROR(loop->Start());
-    }
-  } else {
-    accept_thread_ = std::thread(&FdxServer::AcceptLoop, this);
+  // The accepting loop starts last: it hands sockets round-robin to
+  // every loop, so every other loop must be running before the first
+  // accept (the listener is bound before a possibly slow RestoreState,
+  // so clients may already be queued).
+  event_loops_.back()->AttachListener(&listener_);
+  for (auto& loop : event_loops_) {
+    FDX_RETURN_IF_ERROR(loop->Start());
   }
   return Status::OK();
 }
@@ -316,90 +314,11 @@ void FdxServer::OnAccept(Socket sock) {
     accept_faults_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!accepting_) return;  // teardown raced this accept; drop it
-  }
+  if (!accepting_.load()) return;  // teardown raced this accept; drop it
   connections_.fetch_add(1, std::memory_order_relaxed);
   const size_t target = next_loop_.fetch_add(1, std::memory_order_relaxed) %
                         event_loops_.size();
   event_loops_[target]->AdoptConnection(std::move(sock));
-}
-
-void FdxServer::AcceptLoop() {
-  while (true) {
-    Result<Socket> accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (accepted.status().code() == StatusCode::kIOError) {
-        // Transient failure (ECONNABORTED, EMFILE, ...): intake must
-        // survive it. Back off briefly so an fd drought does not turn
-        // into a hot accept/fail spin, then keep accepting.
-        accept_transient_legacy_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      break;  // listener shut down
-    }
-    ReapFinishedConnThreads();
-    if (FaultTriggered(kFaultServiceAccept)) {
-      accept_faults_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!accepting_) continue;  // teardown raced this accept; drop it
-    const uint64_t id = next_conn_id_++;
-    conn_sockets_[id] =
-        std::make_shared<Socket>(std::move(accepted).value());
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    conn_threads_.emplace(id,
-                          std::thread(&FdxServer::ServeConnection, this, id));
-  }
-}
-
-void FdxServer::ReapFinishedConnThreads() {
-  std::vector<std::thread> finished;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    finished.reserve(finished_conn_ids_.size());
-    for (const uint64_t id : finished_conn_ids_) {
-      auto it = conn_threads_.find(id);
-      if (it == conn_threads_.end()) continue;
-      finished.push_back(std::move(it->second));
-      conn_threads_.erase(it);
-    }
-    finished_conn_ids_.clear();
-  }
-  // Joining outside the lock: the handler already ran its last line, so
-  // each join completes promptly, but it must not block the accept path
-  // from admitting sockets meanwhile.
-  for (std::thread& thread : finished) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void FdxServer::ServeConnection(uint64_t conn_id) {
-  std::shared_ptr<Socket> sock;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    auto it = conn_sockets_.find(conn_id);
-    if (it == conn_sockets_.end()) return;
-    sock = it->second;
-  }
-  std::string line;
-  while (sock->ReadLine(&line).ok()) {
-    if (line.empty()) continue;  // tolerate blank keep-alive lines
-    std::string response;
-    const bool keep_open = HandleRequest(line, &response);
-    response += '\n';
-    if (!sock->SendAll(response).ok()) break;
-    if (!keep_open) break;
-  }
-  sock->ShutdownBoth();
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_sockets_.erase(conn_id);
-  // The accept loop joins this thread on its next pass (or teardown
-  // catches whatever is left).
-  finished_conn_ids_.push_back(conn_id);
 }
 
 FdxServer::RequestKind FdxServer::RecordRequest(const std::string& op) {
@@ -423,43 +342,7 @@ FdxServer::RequestKind FdxServer::RecordRequest(const std::string& op) {
   return kind;
 }
 
-bool FdxServer::HandleRequest(const std::string& line, std::string* response) {
-  Result<JsonValue> parsed = JsonValue::Parse(line);
-  if (!parsed.ok()) {
-    RecordRequest("");
-    *response = RenderErrorResponse("request", parsed.status());
-    return true;
-  }
-  const JsonValue& request = parsed.value();
-  const std::string op = request.StringOr("op", "");
-  RecordRequest(op);
-  if (op.empty()) {
-    *response = RenderErrorResponse(
-        "request", Status::InvalidArgument("request needs a string \"op\""));
-    return true;
-  }
-  if (op == "open") {
-    *response = HandleOpen(request);
-  } else if (op == "append") {
-    *response = HandleAppend(request);
-  } else if (op == "discover") {
-    *response = HandleDiscover(request);
-  } else if (op == "status") {
-    *response = HandleStatus();
-  } else if (op == "sleep" && options_.enable_debug_ops) {
-    *response = HandleSleep(request);
-  } else if (op == "shutdown") {
-    *response = RenderShutdownResponse();
-    RequestShutdown();
-    return false;
-  } else {
-    *response = RenderErrorResponse(
-        op, Status::InvalidArgument("unknown op \"" + op + "\""));
-  }
-  return true;
-}
-
-void FdxServer::DispatchAsync(std::string line, EventLoop::DoneFn done) {
+void FdxServer::Dispatch(std::string line, EventLoop::DoneFn done) {
   Result<JsonValue> parsed = JsonValue::Parse(line);
   if (!parsed.ok()) {
     RecordRequest("");
@@ -479,19 +362,13 @@ void FdxServer::DispatchAsync(std::string line, EventLoop::DoneFn done) {
   if (op == "open") {
     done(HandleOpen(request), true);
   } else if (op == "append") {
-    HandleAppendAsync(request, std::move(done));
+    HandleAppend(request, std::move(done));
   } else if (op == "discover") {
-    HandleDiscoverAsync(request, std::move(done));
+    HandleDiscover(request, std::move(done));
   } else if (op == "status") {
     done(HandleStatus(), true);
   } else if (op == "sleep" && options_.enable_debug_ops) {
-    const double seconds = request.NumberOr("seconds", 0.05);
-    SubmitJobAsync("sleep",
-                   WithDeadline("sleep", RequestDeadlineSeconds(request),
-                                [seconds](double /*remaining*/) {
-                                  return SleepBody(seconds);
-                                }),
-                   std::move(done));
+    HandleSleep(request, std::move(done));
   } else if (op == "shutdown") {
     done(RenderShutdownResponse(), false);
     RequestShutdown();
@@ -611,16 +488,8 @@ std::string FdxServer::ApplyAppendLocked(DatasetSession* session, Table batch) {
   return json.TakeString();
 }
 
-std::string FdxServer::HandleAppend(const JsonValue& request) {
-  Result<AppendPlan> plan_or = PlanAppend(request, sessions_.get());
-  if (!plan_or.ok()) return RenderErrorResponse("append", plan_or.status());
-  AppendPlan plan = std::move(plan_or).value();
-  std::lock_guard<std::mutex> lock(plan.session->mu);
-  return ApplyAppendLocked(plan.session.get(), std::move(plan.batch));
-}
-
-void FdxServer::HandleAppendAsync(const JsonValue& request,
-                                  EventLoop::DoneFn done) {
+void FdxServer::HandleAppend(const JsonValue& request,
+                             EventLoop::DoneFn done) {
   Result<AppendPlan> plan_or = PlanAppend(request, sessions_.get());
   if (!plan_or.ok()) {
     done(RenderErrorResponse("append", plan_or.status()), true);
@@ -641,7 +510,7 @@ void FdxServer::HandleAppendAsync(const JsonValue& request,
   }
   std::shared_ptr<DatasetSession> session = plan.session;
   auto batch = std::make_shared<Table>(std::move(plan.batch));
-  SubmitJobAsync(
+  SubmitJob(
       "append",
       [this, session, batch] {
         std::lock_guard<std::mutex> job_lock(session->mu);
@@ -690,71 +559,8 @@ std::string FdxServer::RunTableDiscover(
   return rendered;
 }
 
-std::string FdxServer::HandleDiscover(const JsonValue& request) {
-  Result<DiscoverPlan> plan_or =
-      PlanDiscover(request, sessions_.get(), options_.fdx);
-  if (!plan_or.ok()) return RenderErrorResponse("discover", plan_or.status());
-  DiscoverPlan plan = std::move(plan_or).value();
-  const double deadline_seconds = RequestDeadlineSeconds(request);
-
-  if (plan.session != nullptr) {
-    // Fast path: a cache hit skips the job queue entirely — it is also
-    // exempt from shedding, because serving it costs less than the
-    // rejection would.
-    std::string key;
-    {
-      std::lock_guard<std::mutex> lock(plan.session->mu);
-      key = SessionDiscoverKeyLocked(*plan.session);
-    }
-    std::string payload;
-    if (cache_->Lookup(key, &payload)) return payload;
-
-    Status shed = CheckShed();
-    if (!shed.ok()) {
-      return RenderErrorResponse("discover", shed,
-                                 options_.shed_retry_after_seconds);
-    }
-    Result<std::string> response = RunJob(
-        "discover",
-        WithDeadline("discover", deadline_seconds,
-                     [this, session = plan.session](double /*remaining*/) {
-                       return RunSessionDiscover(session);
-                     }));
-    if (!response.ok()) {
-      return RenderErrorResponse("discover", response.status());
-    }
-    return std::move(response).value();
-  }
-
-  std::string payload;
-  if (cache_->Lookup(plan.table_key, &payload)) return payload;
-
-  Status shed = CheckShed();
-  if (!shed.ok()) {
-    return RenderErrorResponse("discover", shed,
-                               options_.shed_retry_after_seconds);
-  }
-  Result<std::string> response = RunJob(
-      "discover",
-      WithDeadline("discover", deadline_seconds,
-                   [this, table = plan.table, options = plan.table_options,
-                    key = plan.table_key](double remaining) mutable {
-                     // Feed what is left of the request deadline into the
-                     // solver's own wall-clock budget so an in-flight job
-                     // cannot overrun the deadline it was admitted under.
-                     if (remaining > 0.0 &&
-                         (options.time_budget_seconds <= 0.0 ||
-                          options.time_budget_seconds > remaining)) {
-                       options.time_budget_seconds = remaining;
-                     }
-                     return RunTableDiscover(table, options, key);
-                   }));
-  if (!response.ok()) return RenderErrorResponse("discover", response.status());
-  return std::move(response).value();
-}
-
-void FdxServer::HandleDiscoverAsync(const JsonValue& request,
-                                    EventLoop::DoneFn done) {
+void FdxServer::HandleDiscover(const JsonValue& request,
+                               EventLoop::DoneFn done) {
   Result<DiscoverPlan> plan_or =
       PlanDiscover(request, sessions_.get(), options_.fdx);
   if (!plan_or.ok()) {
@@ -762,46 +568,46 @@ void FdxServer::HandleDiscoverAsync(const JsonValue& request,
     return;
   }
   DiscoverPlan plan = std::move(plan_or).value();
-  const double deadline_seconds = RequestDeadlineSeconds(request);
 
+  // A cache hit skips the job queue entirely. It is also exempt from
+  // shedding, because serving it costs less than the rejection would.
+  std::string payload;
+  std::function<std::string(double)> body;
   if (plan.session != nullptr) {
-    // The cache fast path needs the session lock to render the key, and
-    // on the I/O thread only a try_lock is affordable — a worker may
-    // hold the mutex for a whole solve, and a blocking lock here would
-    // stall every connection on this loop behind one session. On
-    // contention the discover goes straight to the queue, which is
-    // where a non-cached discover was headed anyway.
+    // The session key needs the session lock, and on the I/O thread
+    // only a try_lock is affordable — a worker may hold the mutex for a
+    // whole solve, and a blocking lock here would stall every
+    // connection on this loop behind one session. On contention the
+    // discover goes straight to the queue, which is where a non-cached
+    // discover was headed anyway.
     std::unique_lock<std::mutex> lock(plan.session->mu, std::try_to_lock);
     if (lock.owns_lock()) {
       const std::string key = SessionDiscoverKeyLocked(*plan.session);
       lock.unlock();
-      std::string payload;
       if (cache_->Lookup(key, &payload)) {
         done(std::move(payload), true);
         return;
       }
     }
-    Status shed = CheckShed();
-    if (!shed.ok()) {
-      done(RenderErrorResponse("discover", shed,
-                               options_.shed_retry_after_seconds),
-           true);
+    body = [this, session = plan.session](double /*remaining*/) {
+      return RunSessionDiscover(session);
+    };
+  } else {
+    if (cache_->Lookup(plan.table_key, &payload)) {
+      done(std::move(payload), true);
       return;
     }
-    SubmitJobAsync(
-        "discover",
-        WithDeadline("discover", deadline_seconds,
-                     [this, session = plan.session](double /*remaining*/) {
-                       return RunSessionDiscover(session);
-                     }),
-        std::move(done));
-    return;
-  }
-
-  std::string payload;
-  if (cache_->Lookup(plan.table_key, &payload)) {
-    done(std::move(payload), true);
-    return;
+    body = [this, table = plan.table, options = plan.table_options,
+            key = plan.table_key](double remaining) mutable {
+      // Feed what is left of the request deadline into the solver's own
+      // wall-clock budget so an in-flight job cannot overrun the
+      // deadline it was admitted under.
+      if (remaining > 0.0 && (options.time_budget_seconds <= 0.0 ||
+                              options.time_budget_seconds > remaining)) {
+        options.time_budget_seconds = remaining;
+      }
+      return RunTableDiscover(table, options, key);
+    };
   }
   Status shed = CheckShed();
   if (!shed.ok()) {
@@ -810,19 +616,10 @@ void FdxServer::HandleDiscoverAsync(const JsonValue& request,
          true);
     return;
   }
-  SubmitJobAsync(
-      "discover",
-      WithDeadline("discover", deadline_seconds,
-                   [this, table = plan.table, options = plan.table_options,
-                    key = plan.table_key](double remaining) mutable {
-                     if (remaining > 0.0 &&
-                         (options.time_budget_seconds <= 0.0 ||
-                          options.time_budget_seconds > remaining)) {
-                       options.time_budget_seconds = remaining;
-                     }
-                     return RunTableDiscover(table, options, key);
-                   }),
-      std::move(done));
+  SubmitJob("discover",
+            WithDeadline("discover", RequestDeadlineSeconds(request),
+                         std::move(body)),
+            std::move(done));
 }
 
 std::string FdxServer::HandleStatus() {
@@ -850,8 +647,6 @@ std::string FdxServer::HandleStatus() {
   json.Integer(static_cast<int64_t>(accept_faults_.load()));
   json.Key("io");
   json.BeginObject();
-  json.Key("mode");
-  json.String(options_.io_mode == IoMode::kEventLoop ? "epoll" : "threads");
   json.Key("io_threads");
   json.Integer(static_cast<int64_t>(event_loops_.size()));
   json.Key("connections_live");
@@ -958,15 +753,14 @@ std::string FdxServer::HandleStatus() {
   return json.TakeString();
 }
 
-std::string FdxServer::HandleSleep(const JsonValue& request) {
+void FdxServer::HandleSleep(const JsonValue& request, EventLoop::DoneFn done) {
   const double seconds = request.NumberOr("seconds", 0.05);
-  Result<std::string> response =
-      RunJob("sleep", WithDeadline("sleep", RequestDeadlineSeconds(request),
-                                   [seconds](double /*remaining*/) {
-                                     return SleepBody(seconds);
-                                   }));
-  if (!response.ok()) return RenderErrorResponse("sleep", response.status());
-  return std::move(response).value();
+  SubmitJob("sleep",
+            WithDeadline("sleep", RequestDeadlineSeconds(request),
+                         [seconds](double /*remaining*/) {
+                           return SleepBody(seconds);
+                         }),
+            std::move(done));
 }
 
 std::string FdxServer::SessionsDir() const {
@@ -1218,23 +1012,9 @@ Status FdxServer::CheckShed() {
   return Status::OK();
 }
 
-Result<std::string> FdxServer::RunJob(const std::string& op,
-                                      std::function<std::string()> job) {
-  (void)op;
-  FDX_INJECT_FAULT(kFaultServiceEnqueue,
-                   Status::Internal("injected fault at service.enqueue"));
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  FDX_RETURN_IF_ERROR(queue_->Submit(
-      [promise, job = std::move(job)] { promise->set_value(job()); }));
-  // The connection thread parks here; the worker's response is relayed
-  // from this thread so every socket write has a single writer.
-  return future.get();
-}
-
-void FdxServer::SubmitJobAsync(const std::string& op,
-                               std::function<std::string()> body,
-                               EventLoop::DoneFn done) {
+void FdxServer::SubmitJob(const std::string& op,
+                          std::function<std::string()> body,
+                          EventLoop::DoneFn done) {
   if (FaultTriggered(kFaultServiceEnqueue)) {
     done(RenderErrorResponse(
              op, Status::Internal("injected fault at service.enqueue")),
@@ -1254,12 +1034,11 @@ void FdxServer::SubmitJobAsync(const std::string& op,
 size_t FdxServer::live_connections() const {
   size_t live = 0;
   for (const auto& loop : event_loops_) live += loop->live_connections();
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  return live + conn_sockets_.size();
+  return live;
 }
 
 uint64_t FdxServer::accept_transient_errors() const {
-  uint64_t total = accept_transient_legacy_.load(std::memory_order_relaxed);
+  uint64_t total = 0;
   for (const auto& loop : event_loops_) total += loop->accept_transient_errors();
   return total;
 }
@@ -1300,22 +1079,17 @@ void FdxServer::Shutdown() {
 void FdxServer::TeardownLocked() {
   // 1. Stop admitting connections and jobs. In-flight requests from live
   //    connections now get structured "draining" rejections.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    accepting_ = false;
-  }
+  accepting_.store(false);
   if (queue_) queue_->CloseIntake();
 
-  // 2. Wake the accept path and retire it. The event loops discover the
-  //    dead listener on their next poll; the legacy accept thread is
-  //    joined here.
+  // 2. Wake the accept path. The event loops discover the dead listener
+  //    on their next poll.
   listener_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 3. Drain in-flight jobs under the budget; their responses are still
-  //    deliverable because client sockets are untouched so far. In
-  //    event mode every job's completion is in a loop mailbox once
-  //    Drain returns (jobs post before they count as finished).
+  //    deliverable because client sockets are untouched so far. Every
+  //    job's completion is in a loop mailbox once Drain returns (jobs
+  //    post before they count as finished).
   if (queue_) {
     drained_cleanly_.store(queue_->Drain(options_.drain_seconds));
   }
@@ -1334,28 +1108,10 @@ void FdxServer::TeardownLocked() {
     PersistCache();
   }
 
-  // 4a. Event mode: ask each loop to deliver queued completions, flush
-  //     write buffers to slow readers (bounded), close, and exit.
+  // 4. Ask each loop to deliver queued completions, flush write buffers
+  //    to slow readers (bounded), close, and exit.
   for (auto& loop : event_loops_) loop->RequestStop();
   for (auto& loop : event_loops_) loop->Join();
-
-  // 4b. Legacy mode: unblock connection readers and join every
-  //     connection thread. Read-side only: Drain() returns once a job's
-  //     *body* finishes, but the connection thread may still be waking
-  //     from future.get() to send that job's response — a full
-  //     SHUT_RDWR here would cut it off mid-flight. SHUT_RD wakes idle
-  //     readers with EOF while letting pending SendAll calls complete;
-  //     each thread fully shuts down its own socket on exit.
-  std::unordered_map<uint64_t, std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (auto& [id, sock] : conn_sockets_) sock->ShutdownRead();
-    threads.swap(conn_threads_);
-    finished_conn_ids_.clear();
-  }
-  for (auto& [id, thread] : threads) {
-    if (thread.joinable()) thread.join();
-  }
 
   listener_.Close();
 }

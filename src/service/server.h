@@ -10,7 +10,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fdx.h"
@@ -27,26 +26,16 @@ namespace fdx {
 class JsonValue;
 class Table;
 
-/// I/O architecture of an fdxd instance.
-enum class IoMode {
-  /// Non-blocking epoll event loop(s): a fixed number of I/O threads
-  /// multiplex every connection, requests may be pipelined, CPU work
-  /// runs on the JobQueue workers. The production default.
-  kEventLoop,
-  /// Legacy thread-per-connection blocking I/O. Kept for baseline
-  /// benchmarking (fdxload --label comparisons) and as a fallback.
-  kThreadPerConnection,
-};
-
 /// Configuration of an fdxd daemon instance.
 struct ServerOptions {
   /// Loopback TCP port; 0 binds an ephemeral port (read back via port()).
   uint16_t port = 0;
-  /// I/O layer; see IoMode.
-  IoMode io_mode = IoMode::kEventLoop;
-  /// Event-loop I/O threads (>= 1). Connections are assigned
-  /// round-robin; each socket is owned by exactly one loop thread.
-  size_t io_threads = 1;
+  /// Event-loop I/O threads; 0 runs one per hardware thread
+  /// (std::thread::hardware_concurrency(), at least 1). Unlike
+  /// FdxOptions::threads this ignores FDX_THREADS, which sizes the
+  /// compute pools. Connections are assigned round-robin; each socket
+  /// is owned by exactly one loop thread.
+  size_t io_threads = 0;
   /// Worker threads executing discovery jobs.
   size_t workers = 2;
   /// Maximum admitted-but-unfinished discovery jobs; submissions beyond
@@ -109,12 +98,11 @@ struct ServerOptions {
   std::string store_compression;
 };
 
-/// fdxd: the FD-discovery daemon. An epoll event loop (or, in legacy
-/// mode, one thread per connection) doing line-delimited JSON framing,
-/// a bounded JobQueue running discovery, a sharded SessionRegistry for
-/// incremental datasets, and a sharded ResultCache replaying
-/// byte-identical responses for repeated (dataset fingerprint,
-/// canonical options) pairs.
+/// fdxd: the FD-discovery daemon. Epoll event loops doing pipelined
+/// line-delimited JSON framing, a bounded JobQueue running discovery,
+/// a sharded SessionRegistry for incremental datasets, and a sharded
+/// ResultCache replaying byte-identical responses for repeated (dataset
+/// fingerprint, canonical options) pairs.
 ///
 /// Lifecycle: Start() binds and spawns the I/O layer; Wait() blocks
 /// until a `shutdown` request (or Shutdown() call) and then performs
@@ -159,7 +147,6 @@ class FdxServer {
   };
 
   // Introspection for tests and the `status` op.
-  IoMode io_mode() const { return options_.io_mode; }
   size_t io_threads() const { return event_loops_.size(); }
   uint64_t connections() const { return connections_.load(); }
   size_t live_connections() const;
@@ -191,26 +178,14 @@ class FdxServer {
   uint64_t snapshot_failures() const { return snapshot_failures_.load(); }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(uint64_t conn_id);
-  /// Joins connection threads whose handler already returned (the
-  /// legacy path would otherwise accumulate one std::thread per
-  /// connection ever accepted until shutdown).
-  void ReapFinishedConnThreads();
-
   /// Event-loop accept callback: fault injection, admission, and
   /// round-robin assignment to an I/O loop.
   void OnAccept(Socket sock);
 
-  /// Event-loop request dispatch: answers fast ops synchronously on
-  /// the I/O thread and hands solver-bound ops to the JobQueue. `done`
-  /// is invoked exactly once (possibly from a worker thread).
-  void DispatchAsync(std::string line, EventLoop::DoneFn done);
-
-  /// Dispatches one request line; appends the response to `*response`.
-  /// Returns false when the connection must close (shutdown op).
-  /// Legacy blocking path (parks the connection thread on job futures).
-  bool HandleRequest(const std::string& line, std::string* response);
+  /// Request dispatch: answers fast ops synchronously on the I/O thread
+  /// and hands solver-bound ops to the JobQueue. `done` is invoked
+  /// exactly once (possibly from a worker thread).
+  void Dispatch(std::string line, EventLoop::DoneFn done);
 
   /// Bumps the total and per-op request counters; returns the kind.
   RequestKind RecordRequest(const std::string& op);
@@ -220,8 +195,7 @@ class FdxServer {
 
   /// Applies one validated batch; requires the session mutex held.
   std::string ApplyAppendLocked(DatasetSession* session, Table batch);
-  std::string HandleAppend(const JsonValue& request);
-  void HandleAppendAsync(const JsonValue& request, EventLoop::DoneFn done);
+  void HandleAppend(const JsonValue& request, EventLoop::DoneFn done);
 
   // Discover: shared job bodies. RunSessionDiscover computes (or
   // replays) the session's current result under its mutex;
@@ -231,10 +205,8 @@ class FdxServer {
   std::string RunTableDiscover(const std::shared_ptr<const Table>& table,
                                const FdxOptions& options,
                                const std::string& key);
-  std::string HandleDiscover(const JsonValue& request);
-  void HandleDiscoverAsync(const JsonValue& request, EventLoop::DoneFn done);
-
-  std::string HandleSleep(const JsonValue& request);
+  void HandleDiscover(const JsonValue& request, EventLoop::DoneFn done);
+  void HandleSleep(const JsonValue& request, EventLoop::DoneFn done);
 
   // --- Durability (state-dir mode) ---
   std::string SessionsDir() const;
@@ -274,16 +246,11 @@ class FdxServer {
   /// crossed. Bumps the corresponding shed counter.
   Status CheckShed();
 
-  /// Runs `job` on the queue and blocks for its rendered response.
-  /// Carries the service.enqueue fault point and queue backpressure.
-  Result<std::string> RunJob(const std::string& op,
-                             std::function<std::string()> job);
-
-  /// Async variant: submits `body` and routes its response through
+  /// Submits `body` to the queue and routes its response through
   /// `done`; rejections and the service.enqueue fault point are
   /// rendered as structured errors for `op`.
-  void SubmitJobAsync(const std::string& op, std::function<std::string()> body,
-                      EventLoop::DoneFn done);
+  void SubmitJob(const std::string& op, std::function<std::string()> body,
+                 EventLoop::DoneFn done);
 
   void RequestShutdown();
   void TeardownLocked();  ///< runs once; callers serialize via teardown_mu_
@@ -305,16 +272,7 @@ class FdxServer {
   std::unique_ptr<SessionRegistry> sessions_;
   std::unique_ptr<JobQueue> queue_;
 
-  std::thread accept_thread_;
-
-  mutable std::mutex conn_mu_;
-  uint64_t next_conn_id_ = 1;                     ///< guarded by conn_mu_
-  std::unordered_map<uint64_t, std::shared_ptr<Socket>>
-      conn_sockets_;                              ///< guarded by conn_mu_
-  std::unordered_map<uint64_t, std::thread>
-      conn_threads_;                              ///< guarded by conn_mu_
-  std::vector<uint64_t> finished_conn_ids_;       ///< guarded by conn_mu_
-  bool accepting_ = false;                        ///< guarded by conn_mu_
+  std::atomic<bool> accepting_{false};
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
@@ -328,7 +286,6 @@ class FdxServer {
   std::array<std::atomic<uint64_t>, static_cast<size_t>(RequestKind::kCount)>
       requests_by_kind_{};
   std::atomic<uint64_t> accept_faults_{0};
-  std::atomic<uint64_t> accept_transient_legacy_{0};
   std::atomic<bool> drained_cleanly_{true};
 
   // Overload counters.

@@ -296,10 +296,6 @@ void Socket::ShutdownBoth() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-void Socket::ShutdownRead() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void Socket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -356,29 +352,6 @@ Result<ListenSocket> ListenSocket::BindLoopback(uint16_t port) {
 Status ListenSocket::SetNonBlocking(bool nonblocking) {
   if (fd_ < 0) return Status::IOError("listener closed");
   return SetFdNonBlocking(fd_, nonblocking);
-}
-
-Result<Socket> ListenSocket::Accept() {
-  if (fd_ < 0) return Status::Unavailable("listener shut down");
-  for (;;) {
-    const int conn = ::accept(fd_, nullptr, nullptr);
-    if (conn >= 0) {
-      SetNoDelay(conn);
-      return Socket(conn);
-    }
-    if (errno == EINTR) continue;
-    if (IsTransientAcceptErrno(errno)) {
-      // Not fatal: the caller should back off briefly and re-Accept —
-      // EMFILE clears when a connection closes, ECONNABORTED affects
-      // only the one handshake that died.
-      return Status::IOError("transient accept failure: " +
-                             std::string(std::strerror(errno)));
-    }
-    // EINVAL is what a shutdown() listener reports; everything else
-    // non-transient (EBADF, ...) equally means "stop accepting".
-    return Status::Unavailable("listener shut down: " +
-                               std::string(std::strerror(errno)));
-  }
 }
 
 ListenSocket::AcceptOutcome ListenSocket::AcceptNonBlocking(

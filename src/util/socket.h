@@ -13,10 +13,11 @@ namespace fdx {
 /// to 127.0.0.1 only (the service is a local sidecar, not a network
 /// server), writes suppress SIGPIPE so a vanished peer surfaces as a
 /// Status instead of killing the process, and reads are buffered for
-/// the daemon's line-delimited framing. Blocking calls serve the legacy
-/// thread-per-connection path and the CLI clients; the non-blocking
-/// surface (SetNonBlocking + RecvRaw/SendRaw/AcceptNonBlocking) is what
-/// the epoll event loop and the fdxload engine are built on.
+/// the daemon's line-delimited framing. The blocking calls
+/// (ConnectLoopback, SendAll, ReadLine) serve the CLI clients and tests;
+/// the non-blocking surface (SetNonBlocking + RecvRaw/SendRaw/
+/// AcceptNonBlocking) is what the daemon's epoll event loops and the
+/// fdxload engine are built on.
 
 /// Outcome of one non-blocking read or write attempt.
 struct IoOutcome {
@@ -80,16 +81,9 @@ class Socket {
   /// With SetReadTimeout armed, an idle wait surfaces as kTimeout.
   Status ReadLine(std::string* line, size_t max_bytes = 64 * 1024 * 1024);
 
-  /// Half-closes or fully shuts down the connection (wakes a blocked
-  /// reader on the other side — and on *this* side, which is how the
-  /// daemon unblocks connection threads during teardown).
+  /// Shuts down both directions: the peer sees EOF, and a blocked
+  /// reader on this side wakes.
   void ShutdownBoth();
-
-  /// Half-closes the receive side only: a blocked ReadLine on *this*
-  /// socket wakes with EOF, but writes keep working. The daemon's
-  /// teardown uses this so a response already being sent for a drained
-  /// job still reaches the client.
-  void ShutdownRead();
 
   void Close();
 
@@ -101,7 +95,7 @@ class Socket {
 /// True for accept(2) errno values that indicate a transient condition
 /// (aborted handshake, fd or buffer exhaustion) rather than a dead
 /// listener — the accept loop must retry these, not exit. Exposed so
-/// both I/O paths and the tests agree on the classification.
+/// the event loop and the tests agree on the classification.
 bool IsTransientAcceptErrno(int error);
 
 /// A listening loopback socket.
@@ -134,19 +128,13 @@ class ListenSocket {
   /// Switches O_NONBLOCK on the listener (for the event loop).
   Status SetNonBlocking(bool nonblocking);
 
-  /// Blocks for the next connection. Transient failures (see
-  /// IsTransientAcceptErrno) come back as kIOError — the caller should
-  /// back off briefly and call again. After Shutdown() every pending
-  /// and future Accept returns kUnavailable ("listener shut down").
-  Result<Socket> Accept();
-
   /// One non-blocking accept attempt; `*error` carries detail for the
   /// kRetryable / kShutdown outcomes.
   AcceptOutcome AcceptNonBlocking(Socket* out, std::string* error);
 
-  /// Wakes any blocked Accept and refuses new connections. The fd stays
-  /// open (and is only released by the destructor / Close), so there is
-  /// no close/accept race on fd reuse.
+  /// Refuses new connections; the event loop polling the listener sees
+  /// it as shut down. The fd stays open (and is only released by the
+  /// destructor / Close), so there is no close/accept race on fd reuse.
   void Shutdown();
 
   void Close();

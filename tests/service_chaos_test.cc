@@ -1,9 +1,8 @@
 // Socket-level chaos tests: injected short reads/writes, EAGAIN storms,
 // abrupt mid-pipeline disconnects, server-side deadlines, and load
-// shedding — against both I/O modes. The invariant under every fault is
-// the same: responses stay byte-correct, the server stays up, and
-// overload turns into structured retry_after rejections, never torn
-// frames or hangs.
+// shedding. The invariant under every fault is the same: responses stay
+// byte-correct, the server stays up, and overload turns into structured
+// retry_after rejections, never torn frames or hangs.
 
 #include <gtest/gtest.h>
 
@@ -63,13 +62,12 @@ std::string RowsJson(int rows, int modulus) {
   return json + "]";
 }
 
-class ServiceChaosTest : public ::testing::TestWithParam<IoMode> {
+class ServiceChaosTest : public ::testing::Test {
  protected:
   void TearDown() override { DisarmFaults(); }
 
   FdxServer& StartServer(ServerOptions options) {
     options.port = 0;
-    options.io_mode = GetParam();
     servers_.push_back(std::make_unique<FdxServer>(std::move(options)));
     auto status = servers_.back()->Start();
     EXPECT_TRUE(status.ok()) << status.ToString();
@@ -83,7 +81,7 @@ class ServiceChaosTest : public ::testing::TestWithParam<IoMode> {
 // to one-byte reads and writes. Byte-at-a-time framing is the harshest
 // fragmentation the kernel could ever deliver; every response must
 // still parse and repeat discovers must stay byte-identical.
-TEST_P(ServiceChaosTest, ShortReadsAndWritesKeepResponsesIntact) {
+TEST_F(ServiceChaosTest, ShortReadsAndWritesKeepResponsesIntact) {
   FdxServer& server = StartServer(ServerOptions{});
   ASSERT_TRUE(ArmFaults(std::string(kFaultSocketReadShort) + "," +
                         kFaultSocketWriteShort)
@@ -110,7 +108,7 @@ TEST_P(ServiceChaosTest, ShortReadsAndWritesKeepResponsesIntact) {
 // The loop must buffer, re-arm EPOLLOUT, and finish the flush — the
 // client (blocking SendAll/ReadLine, which don't consult this fault
 // point) just sees a slightly slower, still-correct response.
-TEST_P(ServiceChaosTest, WriteEagainStormStillDelivers) {
+TEST_F(ServiceChaosTest, WriteEagainStormStillDelivers) {
   FdxServer& server = StartServer(ServerOptions{});
   ASSERT_TRUE(ArmFaults(std::string(kFaultSocketWriteEagain) + ":3%").ok());
   for (int i = 0; i < 4; ++i) {
@@ -121,9 +119,9 @@ TEST_P(ServiceChaosTest, WriteEagainStormStillDelivers) {
 }
 
 // A client that vanishes mid-pipeline — request sent, response pending —
-// must not wedge the server, and in event-loop mode the abort is
-// counted. The next client gets normal service.
-TEST_P(ServiceChaosTest, MidPipelineDisconnectIsAbsorbed) {
+// must not wedge the server, and the abort is counted. The next client
+// gets normal service.
+TEST_F(ServiceChaosTest, MidPipelineDisconnectIsAbsorbed) {
   ServerOptions options;
   options.enable_debug_ops = true;
   FdxServer& server = StartServer(options);
@@ -146,17 +144,15 @@ TEST_P(ServiceChaosTest, MidPipelineDisconnectIsAbsorbed) {
   auto after = Request(server.port(), R"({"op":"status"})");
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(IsOk(*after)) << *after;
-  if (GetParam() == IoMode::kEventLoop) {
-    EXPECT_TRUE(WaitFor([&] { return server.aborted_connections() >= 1; }))
-        << "event loop did not count the aborted connection";
-  }
+  EXPECT_TRUE(WaitFor([&] { return server.aborted_connections() >= 1; }))
+      << "event loop did not count the aborted connection";
 }
 
 // conn.drop: the first socket operation that visits the point gets an
 // injected disconnect (whichever side of the loopback wins the race).
 // The contract is recovery: once the one-shot fault burns, the very
 // next request succeeds.
-TEST_P(ServiceChaosTest, InjectedConnDropRecovers) {
+TEST_F(ServiceChaosTest, InjectedConnDropRecovers) {
   FdxServer& server = StartServer(ServerOptions{});
   ASSERT_TRUE(ArmFaults(std::string(kFaultConnDrop) + ":1").ok());
   auto doomed = Request(server.port(), R"({"op":"status"})");
@@ -170,7 +166,7 @@ TEST_P(ServiceChaosTest, InjectedConnDropRecovers) {
 // Queue-depth load shedding: with the watermark at capacity/2 and the
 // workers pinned by sleeps, new discover jobs get a structured
 // Unavailable with a retry_after hint, and the shed counter moves.
-TEST_P(ServiceChaosTest, QueueWatermarkShedsDiscover) {
+TEST_F(ServiceChaosTest, QueueWatermarkShedsDiscover) {
   ServerOptions options;
   options.enable_debug_ops = true;
   options.workers = 1;
@@ -213,7 +209,7 @@ TEST_P(ServiceChaosTest, QueueWatermarkShedsDiscover) {
 // Server-side deadlines: a request that waits in the queue past its
 // deadline_seconds is answered with Timeout + retry_after instead of
 // being executed. The deadline-shed counter moves; the work is skipped.
-TEST_P(ServiceChaosTest, QueuedPastDeadlineIsShedNotExecuted) {
+TEST_F(ServiceChaosTest, QueuedPastDeadlineIsShedNotExecuted) {
   ServerOptions options;
   options.enable_debug_ops = true;
   options.workers = 1;
@@ -244,7 +240,7 @@ TEST_P(ServiceChaosTest, QueuedPastDeadlineIsShedNotExecuted) {
 
 // A default server-side deadline from ServerOptions applies to requests
 // that never sent deadline_seconds.
-TEST_P(ServiceChaosTest, DefaultDeadlineAppliesWhenRequestOmitsIt) {
+TEST_F(ServiceChaosTest, DefaultDeadlineAppliesWhenRequestOmitsIt) {
   ServerOptions options;
   options.enable_debug_ops = true;
   options.workers = 1;
@@ -262,15 +258,6 @@ TEST_P(ServiceChaosTest, DefaultDeadlineAppliesWhenRequestOmitsIt) {
   EXPECT_EQ(ErrorCode(*late), "Timeout") << *late;
   pin.join();
 }
-
-INSTANTIATE_TEST_SUITE_P(IoModes, ServiceChaosTest,
-                         ::testing::Values(IoMode::kEventLoop,
-                                           IoMode::kThreadPerConnection),
-                         [](const ::testing::TestParamInfo<IoMode>& info) {
-                           return info.param == IoMode::kEventLoop
-                                      ? "epoll"
-                                      : "threads";
-                         });
 
 }  // namespace
 }  // namespace fdx

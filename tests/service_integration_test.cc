@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -605,10 +606,14 @@ TEST_F(ServiceIntegrationTest, StatusExposesIoAndShardObservability) {
   EXPECT_DOUBLE_EQ(by_op->NumberOr("discover", 0), 2);
   EXPECT_DOUBLE_EQ(by_op->NumberOr("append", -1), 0);
 
+  // The default runs one event loop per hardware thread.
   const JsonValue* io = parsed->Find("io");
   ASSERT_NE(io, nullptr) << *status;
-  EXPECT_EQ(io->StringOr("mode", ""), "epoll");
-  EXPECT_DOUBLE_EQ(io->NumberOr("io_threads", 0), 1);
+  const size_t derived =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(server.io_threads(), derived);
+  EXPECT_DOUBLE_EQ(io->NumberOr("io_threads", 0),
+                   static_cast<double>(derived));
   // This status connection itself is live while being served.
   EXPECT_GE(io->NumberOr("connections_live", -1), 1);
   EXPECT_GE(io->NumberOr("accept_transient_errors", -1), 0);
@@ -637,53 +642,19 @@ TEST_F(ServiceIntegrationTest, StatusExposesIoAndShardObservability) {
   const JsonValue* sessions = parsed->Find("sessions");
   ASSERT_NE(sessions, nullptr) << *status;
   EXPECT_DOUBLE_EQ(sessions->NumberOr("shards", 0), 4);
-}
 
-TEST_F(ServiceIntegrationTest, LegacyThreadModeStillServes) {
-  ServerOptions options;
-  options.io_mode = IoMode::kThreadPerConnection;
-  FdxServer& server = StartServer(options);
-
-  // Lifecycle smoke on the legacy path (the suite default is epoll, so
-  // this is the thread-per-connection regression coverage).
-  auto open = Request(server.port(),
-                      R"({"op":"open","schema":["a","b","c"]})");
-  ASSERT_TRUE(open.ok());
-  ASSERT_TRUE(IsOk(*open)) << *open;
-  ASSERT_TRUE(Request(server.port(),
-                      R"({"op":"append","session":"s-1","rows":)" +
-                          RowsJson(24, 5) + "}")
-                  .ok());
-  auto cold = Request(server.port(), R"({"op":"discover","session":"s-1"})");
-  ASSERT_TRUE(cold.ok());
-  EXPECT_TRUE(IsOk(*cold)) << *cold;
-  auto cached = Request(server.port(), R"({"op":"discover","session":"s-1"})");
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(*cold, *cached);
-  EXPECT_EQ(server.cache().hits(), 1u);
-
-  // Legacy connections also serve pipelined batches in order (the
-  // blocking loop reads frames sequentially).
-  auto sock = Socket::ConnectLoopback(server.port());
-  ASSERT_TRUE(sock.ok());
-  ASSERT_TRUE(sock->SendAll(DiscoverTableRequest(10, 5) + "\n" +
-                            DiscoverTableRequest(12, 5) + "\n")
-                  .ok());
-  for (const double rows : {10.0, 12.0}) {
-    std::string line;
-    ASSERT_TRUE(sock->ReadLine(&line).ok());
-    auto parsed = JsonValue::Parse(line);
-    ASSERT_TRUE(parsed.ok()) << line;
-    EXPECT_DOUBLE_EQ(parsed->NumberOr("rows", 0), rows) << line;
-  }
-
-  auto status = Request(server.port(), R"({"op":"status"})");
-  ASSERT_TRUE(status.ok());
-  auto parsed = JsonValue::Parse(*status);
-  ASSERT_TRUE(parsed.ok());
-  const JsonValue* io = parsed->Find("io");
-  ASSERT_NE(io, nullptr) << *status;
-  EXPECT_EQ(io->StringOr("mode", ""), "threads");
+  // An explicit count is taken as given.
+  ServerOptions one_loop;
+  one_loop.io_threads = 1;
+  FdxServer& pinned = StartServer(one_loop);
+  EXPECT_EQ(pinned.io_threads(), 1u);
+  auto pinned_status = Request(pinned.port(), R"({"op":"status"})");
+  ASSERT_TRUE(pinned_status.ok());
+  auto pinned_parsed = JsonValue::Parse(*pinned_status);
+  ASSERT_TRUE(pinned_parsed.ok()) << *pinned_status;
+  const JsonValue* pinned_io = pinned_parsed->Find("io");
+  ASSERT_NE(pinned_io, nullptr) << *pinned_status;
+  EXPECT_DOUBLE_EQ(pinned_io->NumberOr("io_threads", 0), 1);
 }
 
 }  // namespace

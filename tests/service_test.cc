@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/event_loop.h"
 #include "service/job_queue.h"
 #include "util/json_parser.h"
 #include "service/protocol.h"
@@ -319,6 +321,51 @@ TEST(JobQueueTest, DrainTimesOutOnStuckJob) {
   release.set_value();  // let the destructor's unbounded drain finish
 }
 
+// ----------------------------------------------------------- EventLoop
+
+/// A connected pair: the loop serves one end, the test talks on the
+/// other (with a read deadline, so a lost wakeup fails instead of
+/// hanging).
+void ConnectedPair(Socket* client, Socket* server) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  *client = Socket(fds[0]);
+  *server = Socket(fds[1]);
+  ASSERT_TRUE(client->SetReadTimeout(10.0).ok());
+}
+
+TEST(EventLoopTest, ConnectionAdoptedBeforeStartIsServed) {
+  EventLoop::Callbacks callbacks;
+  callbacks.dispatch = [](std::string line, EventLoop::DoneFn done) {
+    done("echo " + line, /*keep_open=*/true);
+  };
+  callbacks.on_accept = [](Socket) {};
+  EventLoop loop(EventLoop::Options{}, callbacks);
+
+  // A socket adopted before Start() posts its wakeup before the loop
+  // has an eventfd; the loop must still pick it up.
+  Socket early_client, early;
+  ASSERT_NO_FATAL_FAILURE(ConnectedPair(&early_client, &early));
+  ASSERT_TRUE(early_client.SendAll("early\n").ok());
+  loop.AdoptConnection(std::move(early));
+  ASSERT_TRUE(loop.Start().ok());
+
+  std::string line;
+  ASSERT_TRUE(early_client.ReadLine(&line).ok());
+  EXPECT_EQ(line, "echo early");
+
+  Socket late_client, late;
+  ASSERT_NO_FATAL_FAILURE(ConnectedPair(&late_client, &late));
+  loop.AdoptConnection(std::move(late));
+  ASSERT_TRUE(late_client.SendAll("late\n").ok());
+  ASSERT_TRUE(late_client.ReadLine(&line).ok());
+  EXPECT_EQ(line, "echo late");
+
+  loop.RequestStop();
+  loop.Join();
+  EXPECT_EQ(loop.aborted_connections(), 0u);
+}
+
 // ----------------------------------------------------------- Sessions
 
 TEST(SessionRegistryTest, OpenGetCloseLifecycle) {
@@ -531,7 +578,7 @@ TEST(StatusTextReportTest, RendersCountersAndShards) {
     "requests_by_op": {"open": 2, "append": 3, "discover": 30,
                        "status": 5, "sleep": 0, "shutdown": 0, "invalid": 2},
     "accept_faults": 0,
-    "io": {"mode": "epoll", "io_threads": 2, "connections_live": 3,
+    "io": {"io_threads": 2, "connections_live": 3,
            "max_pipeline_depth": 1024, "accept_transient_errors": 1},
     "queue": {"workers": 2, "capacity": 8, "active": 1,
               "executed": 29, "rejected": 4},
@@ -547,7 +594,6 @@ TEST(StatusTextReportTest, RendersCountersAndShards) {
   ASSERT_TRUE(parsed.ok());
   const std::string report = RenderStatusTextReport(parsed.value());
 
-  EXPECT_NE(report.find("mode=epoll"), std::string::npos) << report;
   EXPECT_NE(report.find("io_threads=2"), std::string::npos) << report;
   EXPECT_NE(report.find("connections_live=3"), std::string::npos) << report;
   EXPECT_NE(report.find("accept_transient_errors=1"), std::string::npos);

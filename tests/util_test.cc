@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -192,6 +195,94 @@ TEST(DeadlineTest, TinyBudgetExpires) {
   volatile double x = 0;
   for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_TRUE(d.Expired());
+}
+
+// ------------------------------------------------------------ Flags
+
+/// Flags over `args` (args[0] is the program), read from `first`.
+Flags ParseArgs(std::vector<std::string> args, int first = 1) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Flags("tool", static_cast<int>(argv.size()), argv.data(), first);
+}
+
+TEST(FlagsTest, CountRejectsWhatIsNotAWholeNumberInRange) {
+  for (const char* value : {"abc", "-1", "1e30", "1.5", "", "7x", "nan",
+                            "inf"}) {
+    const Result<uint64_t> parsed = ParseCountFlag("workers", value, 1, 64);
+    ASSERT_FALSE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              std::string("--workers=") + value +
+                  ": expected an integer in [1, 64]");
+  }
+  EXPECT_FALSE(ParseCountFlag("workers", "0", 1, 64).ok());
+  EXPECT_FALSE(ParseCountFlag("workers", "65", 1, 64).ok());
+  EXPECT_EQ(ParseCountFlag("workers", "64", 1, 64).value(), 64u);
+  EXPECT_EQ(ParseCountFlag("workers", "1e1").value(), 10u);
+  // 2^64 itself is out of range; the largest exact double below it is in.
+  EXPECT_FALSE(ParseCountFlag("n", "18446744073709551616").ok());
+  EXPECT_EQ(ParseCountFlag("n", "9007199254740992").value(),
+            9007199254740992u);
+}
+
+TEST(FlagsTest, NumberAcceptsOnlyWholeFiniteValues) {
+  EXPECT_DOUBLE_EQ(ParseNumberFlag("lambda", "1.5").value(), 1.5);
+  EXPECT_DOUBLE_EQ(ParseNumberFlag("lambda", "-1").value(), -1.0);
+  EXPECT_DOUBLE_EQ(ParseNumberFlag("lambda", "1e30").value(), 1e30);
+  for (const char* value : {"abc", "", "0.5s", "inf", "nan", "1e999"}) {
+    const Result<double> parsed = ParseNumberFlag("timeout", value);
+    ASSERT_FALSE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.status().message(),
+              std::string("--timeout=") + value + ": expected a finite number");
+  }
+}
+
+TEST(FlagsTest, PortIsACountUpTo65535) {
+  const Result<uint16_t> too_big = ParsePortFlag("port", "65536");
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().message(),
+            "--port=65536: expected an integer in [0, 65535]");
+  EXPECT_EQ(ParsePortFlag("port", "65535").value(), 65535);
+  EXPECT_EQ(ParsePortFlag("port", "0").value(), 0);
+  for (const char* value : {"abc", "-1", "1.5", "70000"}) {
+    EXPECT_FALSE(ParsePortFlag("port", value).ok()) << value;
+  }
+  const Flags flags = ParseArgs({"tool", "--port=4464"});
+  EXPECT_EQ(flags.GetPort("port", 7), 4464);
+  EXPECT_EQ(flags.GetPort("absent", 7), 7);
+}
+
+TEST(FlagsTest, LastValueWinsAndBareFlagsArePresence) {
+  const Flags flags = ParseArgs({"tool", "sub", "--workers=2", "data.csv",
+                                 "--workers=4", "--debug-ops"},
+                                /*first=*/2);
+  EXPECT_EQ(flags.GetCount("workers", 1), 4u);
+  EXPECT_EQ(flags.GetCount("absent", 9), 9u);
+  EXPECT_DOUBLE_EQ(flags.GetNumber("workers", 0.5), 4.0);
+  EXPECT_DOUBLE_EQ(flags.GetNumber("absent", 0.5), 0.5);
+  EXPECT_EQ(flags.Get("workers"), "4");
+  EXPECT_FALSE(flags.Find("debug-ops").has_value());
+  EXPECT_TRUE(flags.Has("debug-ops"));
+  EXPECT_FALSE(flags.Has("workers"));
+  EXPECT_EQ(flags.positional(), std::vector<std::string>{"data.csv"});
+}
+
+TEST(FlagsTest, CheckKnownNamesTheFirstStranger) {
+  const Flags known = ParseArgs({"tool", "--port=1", "--debug-ops"});
+  EXPECT_TRUE(known.CheckKnown({"port=", "debug-ops"}).ok());
+  // A valued name does not admit the bare flag, nor the reverse.
+  EXPECT_EQ(known.CheckKnown({"port", "debug-ops"}).message(),
+            "unknown flag --port=1");
+  EXPECT_EQ(known.CheckKnown({"port=", "debug-ops="}).message(),
+            "unknown flag --debug-ops");
+  // A known name never admits a longer one that starts with it.
+  EXPECT_FALSE(known.CheckKnown({"por=", "debug-ops"}).ok());
+
+  EXPECT_EQ(ParseArgs({"tool", "--port=1", "extra"})
+                .CheckKnown({"port="})
+                .message(),
+            "unexpected argument extra");
 }
 
 }  // namespace

@@ -17,11 +17,13 @@
 // response line; an expired deadline exits 6 without a response.
 // --deadline=SEC (any op) asks the *server* to shed the request if it
 // cannot start within SEC (adds "deadline_seconds" to the request).
+// Numeric flags are strict: a malformed or out-of-range value (say
+// --timeout=abc or --port=70000) exits 2 naming the flag.
 //
-// --retries=N re-attempts a failed request up to N extra times with
-// exponential backoff plus jitter (--retry-base-ms=MS, default 100,
-// doubling per attempt; a server-sent retry_after hint extends the
-// wait). Retryable outcomes:
+// --retries=N (at most 1000) re-attempts a failed request up to N extra
+// times with exponential backoff plus jitter (--retry-base-ms=MS,
+// default 100, doubling per attempt; a server-sent retry_after hint
+// extends the wait). Retryable outcomes:
 //   exit 3 (connect failure)   — always; the daemon may be restarting
 //   exit 5 (busy/Unavailable)  — always; shedding asks for exactly this
 //   exit 4/6 (timeouts)        — only for idempotent ops (discover,
@@ -39,47 +41,24 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "util/json_parser.h"
 #include "service/protocol.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/socket.h"
 
 namespace fdx::ctl {
 namespace {
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) flags_.emplace_back(argv[i]);
-  }
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    const std::string prefix = "--" + name + "=";
-    for (const auto& flag : flags_) {
-      if (flag.rfind(prefix, 0) == 0) return flag.substr(prefix.size());
-    }
-    return fallback;
-  }
-
-  bool Has(const std::string& name) const {
-    for (const auto& flag : flags_) {
-      if (flag == "--" + name) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::string> flags_;
-};
+/// Largest --retries: enough to outlast a daemon restart, small enough
+/// that the attempt counter stays far from int overflow.
+constexpr uint64_t kMaxRetries = 1000;
 
 int Usage() {
   std::fprintf(
@@ -101,10 +80,17 @@ std::string Quote(const std::string& text) {
   return "\"" + JsonWriter::Escape(text) + "\"";
 }
 
+/// `value` as a JSON number, to 6 significant digits.
+std::string Number(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  return buffer;
+}
+
 /// Resolves the daemon port from --port or --port-file; 0 on failure.
-uint16_t ResolvePort(const Args& args) {
-  const std::string port = args.Get("port");
-  if (!port.empty()) return static_cast<uint16_t>(std::atoi(port.c_str()));
+uint16_t ResolvePort(const Flags& args) {
+  const uint16_t port = args.GetPort("port", 0);
+  if (port != 0) return port;
   const std::string port_file = args.Get("port-file");
   if (!port_file.empty()) {
     std::ifstream in(port_file);
@@ -126,7 +112,7 @@ Result<std::string> SlurpFile(const std::string& path) {
 }
 
 /// Builds the request line for `op`, or an error for bad flag combos.
-Result<std::string> BuildRequest(const std::string& op, const Args& args) {
+Result<std::string> BuildRequest(const std::string& op, const Flags& args) {
   if (op == "raw") {
     const std::string json = args.Get("json");
     if (json.empty()) return Status::InvalidArgument("raw needs --json=");
@@ -194,22 +180,19 @@ Result<std::string> BuildRequest(const std::string& op, const Args& args) {
       request += ",\"table\":" + table;
     }
   } else if (op == "sleep") {
-    request += ",\"seconds\":" + args.Get("seconds", "0.05");
+    const double seconds = args.GetNumber("seconds", 0.05);
+    request += ",\"seconds\":" + Number(seconds);
   } else if (op != "status" && op != "shutdown") {
     return Status::InvalidArgument("unknown op \"" + op + "\"");
   }
 
   if (!options.empty()) request += ",\"options\":" + options;
-  const std::string deadline = args.Get("deadline");
-  if (!deadline.empty()) {
-    const double seconds = std::atof(deadline.c_str());
+  if (args.Find("deadline")) {
+    const double seconds = args.GetNumber("deadline", 0.0);
     if (seconds <= 0.0) {
       return Status::InvalidArgument("--deadline must be a positive number");
     }
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.6g", seconds);
-    request += ",\"deadline_seconds\":";
-    request += buffer;
+    request += ",\"deadline_seconds\":" + Number(seconds);
   }
   return request + "}";
 }
@@ -271,7 +254,7 @@ double RetryAfterSeconds(const std::string& response) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string op = argv[1];
-  const Args args(argc, argv);
+  const Flags args("fdxctl", argc, argv, 2);
 
   Result<std::string> request = BuildRequest(op, args);
   if (!request.ok()) {
@@ -284,16 +267,16 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "fdxctl: need --port=N or --port-file=PATH\n");
     return 2;
   }
-  const double timeout = std::atof(args.Get("timeout", "0").c_str());
+  const double timeout = args.GetNumber("timeout", 0.0);
   if (timeout < 0.0) {
     std::fprintf(stderr, "fdxctl: --timeout must be non-negative\n");
     return 2;
   }
-  const int retries = std::atoi(args.Get("retries", "0").c_str());
-  const double base_ms = std::atof(args.Get("retry-base-ms", "100").c_str());
-  if (retries < 0 || base_ms <= 0.0) {
-    std::fprintf(stderr,
-                 "fdxctl: --retries must be >= 0, --retry-base-ms > 0\n");
+  const int retries =
+      static_cast<int>(args.GetCount("retries", 0, 0, kMaxRetries));
+  const double base_ms = args.GetNumber("retry-base-ms", 100.0);
+  if (base_ms <= 0.0) {
+    std::fprintf(stderr, "fdxctl: --retry-base-ms must be positive\n");
     return 2;
   }
   // Replaying a timed-out open/append could duplicate server state; see

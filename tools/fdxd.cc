@@ -5,16 +5,16 @@
 // Shut it down with `fdxctl shutdown`; the daemon drains in-flight
 // discovery jobs under --drain-seconds and exits.
 //
-// I/O architecture (DESIGN.md §12): the default `--io=epoll` mode runs
-// a fixed set of event-loop threads multiplexing every connection with
-// pipelined request framing; `--io=threads` keeps the legacy
-// thread-per-connection path for baseline comparisons.
+// I/O architecture (DESIGN.md §12): a fixed set of epoll event-loop
+// threads, one per hardware thread unless --io-threads says otherwise,
+// multiplexes every connection with pipelined request framing.
 //
-// Flags (all --key=value):
+// Flags (all --key=value; numeric values are strict: a malformed or
+// out-of-range value exits 2 naming the flag):
 //   --port=N            listen port; 0 (default) picks an ephemeral port
 //   --port-file=PATH    write the bound port to PATH (for scripts/CI)
-//   --io=epoll|threads  I/O mode                            (default epoll)
-//   --io-threads=N      event-loop threads (epoll mode)     (default 1)
+//   --io-threads=N      event-loop threads; 0 = one per hardware thread
+//                       (default 0)
 //   --workers=N         discovery worker threads            (default 2)
 //   --queue-capacity=N  admitted-unfinished job cap         (default 8)
 //   --max-sessions=N    open dataset sessions cap           (default 32)
@@ -56,14 +56,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/server.h"
+#include "util/flags.h"
 
 namespace fdx::daemon {
 namespace {
@@ -71,8 +72,8 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: fdxd [--port=N] [--port-file=PATH]\n"
-               "            [--io=epoll|threads] [--io-threads=N]\n"
-               "            [--workers=N] [--queue-capacity=N]\n"
+               "            [--io-threads=N] [--workers=N]\n"
+               "            [--queue-capacity=N]\n"
                "            [--max-sessions=N] [--session-ttl=SEC]\n"
                "            [--session-shards=N] [--drain-seconds=SEC]\n"
                "            [--cache-capacity=N] [--cache-shards=N]\n"
@@ -99,86 +100,57 @@ void RaiseFdLimit() {
 }
 
 int Main(int argc, char** argv) {
-  ServerOptions options;
-  std::string port_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
-    };
-    if (arg.rfind("--port=", 0) == 0) {
-      options.port = static_cast<uint16_t>(std::atoi(value("--port=").c_str()));
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      port_file = value("--port-file=");
-    } else if (arg.rfind("--io=", 0) == 0) {
-      const std::string mode = value("--io=");
-      if (mode == "epoll") {
-        options.io_mode = IoMode::kEventLoop;
-      } else if (mode == "threads") {
-        options.io_mode = IoMode::kThreadPerConnection;
-      } else {
-        std::fprintf(stderr, "fdxd: --io must be epoll or threads\n");
-        return Usage();
-      }
-    } else if (arg.rfind("--io-threads=", 0) == 0) {
-      options.io_threads =
-          static_cast<size_t>(std::atoi(value("--io-threads=").c_str()));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options.workers =
-          static_cast<size_t>(std::atoi(value("--workers=").c_str()));
-    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      options.queue_capacity =
-          static_cast<size_t>(std::atoi(value("--queue-capacity=").c_str()));
-    } else if (arg.rfind("--max-sessions=", 0) == 0) {
-      options.max_sessions =
-          static_cast<size_t>(std::atoi(value("--max-sessions=").c_str()));
-    } else if (arg.rfind("--session-ttl=", 0) == 0) {
-      options.session_ttl_seconds = std::atof(value("--session-ttl=").c_str());
-    } else if (arg.rfind("--session-shards=", 0) == 0) {
-      options.session_shards =
-          static_cast<size_t>(std::atoi(value("--session-shards=").c_str()));
-    } else if (arg.rfind("--drain-seconds=", 0) == 0) {
-      options.drain_seconds = std::atof(value("--drain-seconds=").c_str());
-    } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-      options.cache_capacity =
-          static_cast<size_t>(std::atoi(value("--cache-capacity=").c_str()));
-    } else if (arg.rfind("--cache-shards=", 0) == 0) {
-      options.cache_shards =
-          static_cast<size_t>(std::atoi(value("--cache-shards=").c_str()));
-    } else if (arg.rfind("--max-pipeline-depth=", 0) == 0) {
-      options.max_pipeline_depth = static_cast<size_t>(
-          std::atoi(value("--max-pipeline-depth=").c_str()));
-    } else if (arg.rfind("--lambda=", 0) == 0) {
-      options.fdx.lambda = std::atof(value("--lambda=").c_str());
-    } else if (arg.rfind("--time-budget=", 0) == 0) {
-      options.fdx.time_budget_seconds =
-          std::atof(value("--time-budget=").c_str());
-    } else if (arg == "--debug-ops") {
-      options.enable_debug_ops = true;
-    } else if (arg.rfind("--state-dir=", 0) == 0) {
-      options.state_dir = value("--state-dir=");
-    } else if (arg.rfind("--snapshot-interval=", 0) == 0) {
-      options.snapshot_interval_seconds =
-          std::atof(value("--snapshot-interval=").c_str());
-    } else if (arg.rfind("--default-deadline=", 0) == 0) {
-      options.default_deadline_seconds =
-          std::atof(value("--default-deadline=").c_str());
-    } else if (arg.rfind("--shed-watermark=", 0) == 0) {
-      options.shed_queue_watermark =
-          std::atof(value("--shed-watermark=").c_str());
-    } else if (arg.rfind("--shed-rss-mb=", 0) == 0) {
-      options.shed_max_rss_mb =
-          static_cast<size_t>(std::atoi(value("--shed-rss-mb=").c_str()));
-    } else if (arg.rfind("--shed-retry-after=", 0) == 0) {
-      options.shed_retry_after_seconds =
-          std::atof(value("--shed-retry-after=").c_str());
-    } else if (arg.rfind("--store-compression=", 0) == 0) {
-      options.store_compression = value("--store-compression=");
-    } else {
-      std::fprintf(stderr, "fdxd: unknown flag %s\n", arg.c_str());
-      return Usage();
-    }
+  const Flags flags("fdxd", argc, argv, 1);
+  const Status known = flags.CheckKnown(
+      {"port=", "port-file=", "io-threads=", "workers=", "queue-capacity=",
+       "max-sessions=", "session-ttl=", "session-shards=", "drain-seconds=",
+       "cache-capacity=", "cache-shards=", "max-pipeline-depth=", "lambda=",
+       "time-budget=", "debug-ops", "state-dir=", "snapshot-interval=",
+       "default-deadline=", "shed-watermark=", "shed-rss-mb=",
+       "shed-retry-after=", "store-compression="});
+  if (!known.ok()) {
+    std::fprintf(stderr, "fdxd: %s\n", known.message().c_str());
+    return Usage();
   }
+  ServerOptions options;
+  options.port = flags.GetPort("port", options.port);
+  options.io_threads =
+      flags.GetCount("io-threads", options.io_threads, 0, kMaxThreadsFlag);
+  options.workers =
+      flags.GetCount("workers", options.workers, 1, kMaxThreadsFlag);
+  options.queue_capacity =
+      flags.GetCount("queue-capacity", options.queue_capacity, 1);
+  options.max_sessions = flags.GetCount("max-sessions", options.max_sessions);
+  options.session_ttl_seconds =
+      flags.GetNumber("session-ttl", options.session_ttl_seconds);
+  options.session_shards = flags.GetCount(
+      "session-shards", options.session_shards, 1, kMaxThreadsFlag);
+  options.drain_seconds =
+      flags.GetNumber("drain-seconds", options.drain_seconds);
+  options.cache_capacity =
+      flags.GetCount("cache-capacity", options.cache_capacity);
+  options.cache_shards =
+      flags.GetCount("cache-shards", options.cache_shards, 1, kMaxThreadsFlag);
+  options.max_pipeline_depth =
+      flags.GetCount("max-pipeline-depth", options.max_pipeline_depth, 1);
+  options.fdx.lambda = flags.GetNumber("lambda", options.fdx.lambda);
+  options.fdx.time_budget_seconds =
+      flags.GetNumber("time-budget", options.fdx.time_budget_seconds);
+  options.enable_debug_ops = flags.Has("debug-ops");
+  options.state_dir = flags.Get("state-dir");
+  options.snapshot_interval_seconds =
+      flags.GetNumber("snapshot-interval", options.snapshot_interval_seconds);
+  options.default_deadline_seconds =
+      flags.GetNumber("default-deadline", options.default_deadline_seconds);
+  options.shed_queue_watermark =
+      flags.GetNumber("shed-watermark", options.shed_queue_watermark);
+  // MiB past this overflow the byte count the RSS check compares with.
+  options.shed_max_rss_mb = flags.GetCount(
+      "shed-rss-mb", options.shed_max_rss_mb, 0, UINT64_MAX >> 20);
+  options.shed_retry_after_seconds =
+      flags.GetNumber("shed-retry-after", options.shed_retry_after_seconds);
+  options.store_compression = flags.Get("store-compression");
+  const std::string port_file = flags.Get("port-file");
 
   RaiseFdLimit();
 
@@ -225,9 +197,8 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("fdxd listening on 127.0.0.1:%u (%s)\n",
-              static_cast<unsigned>(server.port()),
-              server.io_mode() == IoMode::kEventLoop ? "epoll" : "threads");
+  std::printf("fdxd listening on 127.0.0.1:%u (%zu io threads)\n",
+              static_cast<unsigned>(server.port()), server.io_threads());
   std::fflush(stdout);
 
   server.Wait();  // returns once a `shutdown` request or signal drained

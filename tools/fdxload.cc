@@ -15,25 +15,29 @@
 // JSON benchmark file:
 //
 //   { "benchmark": "fdxd_load",
-//     "runs": [ { "label": "epoll", "clients": 1000, ...,
+//     "runs": [ { "label": "depth16", "io_threads": 4, "clients": 64, ...,
 //                 "request_types": { "discover": {"count":..,
 //                   "p50_ms":.., "p95_ms":.., "p99_ms":..}, ... } } ] }
 //
 // Re-running with the same --label replaces that run, so a script can
-// build one file comparing `--label=epoll` vs `--label=threads`.
+// build one file comparing, say, `--pipeline=1 --label=depth1` with
+// `--pipeline=16 --label=depth16`.
 //
-// Flags:
+// Flags (numeric values are strict: a malformed or out-of-range value
+// exits 2 naming the flag):
 //   --port=N | --port-file=PATH  target an already-running daemon
 //   --self-host                  start an in-process FdxServer instead
-//   --io=epoll|threads           self-host I/O mode      (default epoll)
 //   --io-threads=N --workers=N --queue-capacity=N --cache-capacity=N
-//                                self-host server tuning
+//                                self-host server tuning (--io-threads
+//                                defaults to the server's: one event
+//                                loop per hardware thread)
 //   --clients=N                  concurrent connections  (default 64)
 //   --requests=N                 mix requests per client (default 50)
 //   --pipeline=N                 in-flight per connection (default 4)
 //   --discover-pct=P --append-pct=P   traffic mix        (default 60/20;
 //                                remainder is `status`)
-//   --label=STR                  run label in the output (default io mode)
+//   --label=STR                  run label in the output (default
+//                                "self-host" or "external")
 //   --out=PATH                   benchmark file (default BENCH_service.json)
 //
 // Chaos mode (--chaos) turns the harness into a crash-consistency
@@ -59,7 +63,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <functional>
@@ -72,6 +75,7 @@
 #include "util/json_parser.h"
 #include "service/server.h"
 #include "util/epoll.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/socket.h"
 
@@ -107,8 +111,7 @@ struct Config {
   uint16_t port = 0;
   std::string port_file;
   bool self_host = false;
-  IoMode io_mode = IoMode::kEventLoop;
-  size_t io_threads = 1;
+  size_t io_threads = 0;  ///< 0: one event loop per hardware thread
   size_t workers = 2;
   size_t queue_capacity = 64;
   size_t cache_capacity = 256;
@@ -127,7 +130,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: fdxload (--port=N | --port-file=PATH | --self-host)\n"
-      "               [--io=epoll|threads] [--io-threads=N] [--workers=N]\n"
+      "               [--io-threads=N] [--workers=N]\n"
       "               [--queue-capacity=N] [--cache-capacity=N]\n"
       "               [--clients=N] [--requests=N] [--pipeline=N]\n"
       "               [--discover-pct=P] [--append-pct=P]\n"
@@ -593,19 +596,21 @@ double Percentile(std::vector<double>* sorted_ms, double p) {
 
 /// Renders this run's JSON object. `aborted` marks a run that ended
 /// early (daemon vanished, verification failed) — its numbers are the
-/// partial truth, not a completed measurement.
+/// partial truth, not a completed measurement. `io_threads` is the
+/// self-hosted server's event-loop count (0 against an external daemon,
+/// whose count this harness cannot see; the field is then omitted).
 std::string RenderRun(const Config& config, const std::string& label,
-                      LoadEngine* engine, bool aborted) {
+                      size_t io_threads, LoadEngine* engine, bool aborted) {
   JsonWriter json;
   json.BeginObject();
   json.Key("label");
   json.String(label);
   json.Key("aborted");
   json.Bool(aborted);
-  json.Key("io_mode");
-  json.String(config.self_host
-                  ? (config.io_mode == IoMode::kEventLoop ? "epoll" : "threads")
-                  : "external");
+  if (io_threads > 0) {
+    json.Key("io_threads");
+    json.Integer(static_cast<int64_t>(io_threads));
+  }
   json.Key("clients");
   json.Integer(static_cast<int64_t>(config.clients));
   json.Key("pipeline_depth");
@@ -666,7 +671,7 @@ std::string RenderRun(const Config& config, const std::string& label,
 }
 
 /// Merges `run_json` into the benchmark file: same-label runs are
-/// replaced, others preserved, so epoll and threads runs accumulate
+/// replaced, others preserved, so differently labelled runs accumulate
 /// into one comparison file.
 bool WriteBenchFile(const std::string& path, const std::string& label,
                     const std::string& run_json) {
@@ -707,74 +712,41 @@ bool WriteBenchFile(const std::string& path, const std::string& label,
 }
 
 int Main(int argc, char** argv) {
-  Config config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
-    };
-    if (arg.rfind("--port=", 0) == 0) {
-      config.port = static_cast<uint16_t>(std::atoi(value("--port=").c_str()));
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      config.port_file = value("--port-file=");
-    } else if (arg == "--self-host") {
-      config.self_host = true;
-    } else if (arg.rfind("--io=", 0) == 0) {
-      const std::string mode = value("--io=");
-      if (mode == "epoll") {
-        config.io_mode = IoMode::kEventLoop;
-      } else if (mode == "threads") {
-        config.io_mode = IoMode::kThreadPerConnection;
-      } else {
-        std::fprintf(stderr, "fdxload: --io must be epoll or threads\n");
-        return Usage();
-      }
-    } else if (arg.rfind("--io-threads=", 0) == 0) {
-      config.io_threads =
-          static_cast<size_t>(std::atoi(value("--io-threads=").c_str()));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      config.workers =
-          static_cast<size_t>(std::atoi(value("--workers=").c_str()));
-    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      config.queue_capacity =
-          static_cast<size_t>(std::atoi(value("--queue-capacity=").c_str()));
-    } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-      config.cache_capacity =
-          static_cast<size_t>(std::atoi(value("--cache-capacity=").c_str()));
-    } else if (arg.rfind("--clients=", 0) == 0) {
-      config.clients =
-          static_cast<size_t>(std::atoi(value("--clients=").c_str()));
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      config.requests_per_client =
-          static_cast<size_t>(std::atoi(value("--requests=").c_str()));
-    } else if (arg.rfind("--pipeline=", 0) == 0) {
-      config.pipeline =
-          static_cast<size_t>(std::atoi(value("--pipeline=").c_str()));
-    } else if (arg.rfind("--discover-pct=", 0) == 0) {
-      config.discover_pct =
-          static_cast<size_t>(std::atoi(value("--discover-pct=").c_str()));
-    } else if (arg.rfind("--append-pct=", 0) == 0) {
-      config.append_pct =
-          static_cast<size_t>(std::atoi(value("--append-pct=").c_str()));
-    } else if (arg == "--chaos") {
-      config.chaos = true;
-    } else if (arg.rfind("--chaos-kill-every=", 0) == 0) {
-      config.chaos_kill_every = static_cast<size_t>(
-          std::atoi(value("--chaos-kill-every=").c_str()));
-    } else if (arg.rfind("--label=", 0) == 0) {
-      config.label = value("--label=");
-    } else if (arg.rfind("--out=", 0) == 0) {
-      config.out = value("--out=");
-    } else {
-      std::fprintf(stderr, "fdxload: unknown flag %s\n", arg.c_str());
-      return Usage();
-    }
-  }
-  if (config.clients == 0 || config.requests_per_client == 0 ||
-      config.pipeline == 0 ||
-      config.discover_pct + config.append_pct > 100) {
+  const Flags flags("fdxload", argc, argv, 1);
+  const Status known = flags.CheckKnown(
+      {"port=", "port-file=", "self-host", "io-threads=", "workers=",
+       "queue-capacity=", "cache-capacity=", "clients=", "requests=",
+       "pipeline=", "discover-pct=", "append-pct=", "chaos",
+       "chaos-kill-every=", "label=", "out="});
+  if (!known.ok()) {
+    std::fprintf(stderr, "fdxload: %s\n", known.message().c_str());
     return Usage();
   }
+  Config config;
+  config.port = flags.GetPort("port", config.port);
+  config.port_file = flags.Get("port-file");
+  config.self_host = flags.Has("self-host");
+  config.io_threads =
+      flags.GetCount("io-threads", config.io_threads, 0, kMaxThreadsFlag);
+  config.workers =
+      flags.GetCount("workers", config.workers, 1, kMaxThreadsFlag);
+  config.queue_capacity =
+      flags.GetCount("queue-capacity", config.queue_capacity, 1);
+  config.cache_capacity =
+      flags.GetCount("cache-capacity", config.cache_capacity);
+  config.clients = flags.GetCount("clients", config.clients, 1);
+  config.requests_per_client =
+      flags.GetCount("requests", config.requests_per_client, 1);
+  config.pipeline = flags.GetCount("pipeline", config.pipeline, 1);
+  config.discover_pct =
+      flags.GetCount("discover-pct", config.discover_pct, 0, 100);
+  config.append_pct = flags.GetCount("append-pct", config.append_pct, 0, 100);
+  config.chaos = flags.Has("chaos");
+  config.chaos_kill_every =
+      flags.GetCount("chaos-kill-every", config.chaos_kill_every);
+  config.label = flags.Get("label");
+  config.out = flags.Get("out", config.out);
+  if (config.discover_pct + config.append_pct > 100) return Usage();
 
   RaiseFdLimit();
 
@@ -782,7 +754,6 @@ int Main(int argc, char** argv) {
   std::unique_ptr<FdxServer> server;
   if (config.self_host) {
     ServerOptions options;
-    options.io_mode = config.io_mode;
     options.io_threads = config.io_threads;
     options.workers = config.workers;
     options.queue_capacity = config.queue_capacity;
@@ -810,11 +781,8 @@ int Main(int argc, char** argv) {
   }
 
   std::string label = config.label;
-  if (label.empty()) {
-    label = config.self_host
-                ? (config.io_mode == IoMode::kEventLoop ? "epoll" : "threads")
-                : "external";
-  }
+  if (label.empty()) label = config.self_host ? "self-host" : "external";
+  const size_t io_threads = server ? server->io_threads() : 0;
 
   LoadEngine engine(config);
   const bool ok = engine.Run(port);
@@ -822,7 +790,8 @@ int Main(int argc, char** argv) {
 
   // Aborted runs still record their partial results (marked as such) —
   // a crashed daemon should leave evidence, not an empty file.
-  const std::string run_json = RenderRun(config, label, &engine, !ok);
+  const std::string run_json =
+      RenderRun(config, label, io_threads, &engine, !ok);
   if (!WriteBenchFile(config.out, label, run_json)) return 1;
 
   const double throughput =

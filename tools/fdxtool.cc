@@ -27,12 +27,8 @@
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 validation violations, 4 timeout.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 
 #include "core/fdx.h"
@@ -50,6 +46,7 @@
 #include "store/store_discover.h"
 #include "synth/generator.h"
 #include "util/file_io.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/string_util.h"
 
@@ -59,98 +56,6 @@ namespace {
 /// Largest --max-memory-mb whose byte count fits in 64 bits.
 constexpr uint64_t kMaxMemoryMb = UINT64_MAX >> 20;
 
-/// Reports a malformed flag value and exits with the usage code.
-[[noreturn]] void BadFlag(const std::string& name, const std::string& value,
-                          const std::string& expected) {
-  std::fprintf(stderr, "fdxtool: --%s=%s: expected %s\n", name.c_str(),
-               value.c_str(), expected.c_str());
-  std::exit(2);
-}
-
-/// The whole of `value` read as a finite number, or nullopt.
-std::optional<double> ParseFinite(const std::string& value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      !std::isfinite(parsed)) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-/// --key=value / --flag argument reader (positional args excluded).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        flags_.push_back(arg);
-      } else {
-        positional_.push_back(arg);
-      }
-    }
-  }
-
-  /// The value of --name=..., or nullopt when the flag is absent.
-  std::optional<std::string> Find(const std::string& name) const {
-    const std::string prefix = "--" + name + "=";
-    for (const auto& flag : flags_) {
-      if (flag.rfind(prefix, 0) == 0) return flag.substr(prefix.size());
-    }
-    return std::nullopt;
-  }
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    return Find(name).value_or(fallback);
-  }
-
-  /// A numeric flag, or `fallback` when absent. The whole value must
-  /// parse as a finite number; anything else exits 2 naming the flag.
-  double GetDouble(const std::string& name, double fallback) const {
-    const std::optional<std::string> value = Find(name);
-    if (!value) return fallback;
-    const std::optional<double> parsed = ParseFinite(*value);
-    if (!parsed) BadFlag(name, *value, "a finite number");
-    return *parsed;
-  }
-
-  /// A count or size flag, or `fallback` when absent: the whole value
-  /// must parse as an integral number within [min, max]; anything else
-  /// exits 2 naming the flag.
-  uint64_t GetCount(const std::string& name, uint64_t fallback,
-                    uint64_t min = 0, uint64_t max = UINT64_MAX) const {
-    const std::optional<std::string> value = Find(name);
-    if (!value) return fallback;
-    const std::optional<double> parsed = ParseFinite(*value);
-    // 0x1p64 is the first double above UINT64_MAX; converting anything
-    // at or past it (or below zero) to an integer is undefined.
-    if (!parsed || *parsed < 0.0 || *parsed >= 0x1p64 ||
-        *parsed != std::floor(*parsed) ||
-        static_cast<uint64_t>(*parsed) < min ||
-        static_cast<uint64_t>(*parsed) > max) {
-      BadFlag(name, *value,
-              "an integer in [" + std::to_string(min) + ", " +
-                  std::to_string(max) + "]");
-    }
-    return static_cast<uint64_t>(*parsed);
-  }
-
-  bool Has(const std::string& name) const {
-    for (const auto& flag : flags_) {
-      if (flag == "--" + name) return true;
-    }
-    return false;
-  }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
- private:
-  std::vector<std::string> flags_;
-  std::vector<std::string> positional_;
-};
-
 /// Prints a failure status and maps it to the tool's exit code
 /// (4 for timeouts so scripts can distinguish budget expiry).
 int FailWith(const Status& status) {
@@ -158,16 +63,16 @@ int FailWith(const Status& status) {
   return status.code() == StatusCode::kTimeout ? 4 : 1;
 }
 
-FdxOptions OptionsFromArgs(const Args& args) {
+FdxOptions OptionsFromArgs(const Flags& args) {
   FdxOptions options;
-  options.lambda = args.GetDouble("lambda", options.lambda);
+  options.lambda = args.GetNumber("lambda", options.lambda);
   options.time_budget_seconds =
-      args.GetDouble("time-budget", options.time_budget_seconds);
+      args.GetNumber("time-budget", options.time_budget_seconds);
   if (args.Has("no-recovery")) options.recovery.enabled = false;
   options.sparsity_threshold =
-      args.GetDouble("tau", options.sparsity_threshold);
+      args.GetNumber("tau", options.sparsity_threshold);
   options.relative_threshold =
-      args.GetDouble("relative", options.relative_threshold);
+      args.GetNumber("relative", options.relative_threshold);
   options.transform.max_pairs_per_attribute = args.GetCount("max-pairs", 0);
   const std::string ordering = args.Get("ordering");
   if (!ordering.empty()) {
@@ -189,7 +94,7 @@ FdxOptions OptionsFromArgs(const Args& args) {
   return options;
 }
 
-Result<Table> LoadTable(const Args& args, const std::string& path) {
+Result<Table> LoadTable(const Flags& args, const std::string& path) {
   CsvOptions csv;
   const std::string delim = args.Get("delimiter");
   if (!delim.empty()) csv.delimiter = delim[0];
@@ -260,7 +165,7 @@ void EmitFdsText(const Schema& schema, size_t rows, const FdxResult& result,
 /// store, then run the bounded-memory transform + the usual structure
 /// learning under a process-RSS ceiling. Bit-identical results to the
 /// in-memory path (EmitFds* with --stable makes that checkable by cmp).
-int StreamingDiscover(const Args& args, const std::string& path) {
+int StreamingDiscover(const Flags& args, const std::string& path) {
   // Every flag is read before the store directory exists, so a rejected
   // value leaves nothing behind.
   const uint64_t rss_limit =
@@ -314,7 +219,7 @@ int StreamingDiscover(const Args& args, const std::string& path) {
   return 0;
 }
 
-int Discover(const Args& args) {
+int Discover(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: fdxtool discover <csv> [flags]\n");
     return 2;
@@ -340,7 +245,7 @@ int Discover(const Args& args) {
   return 0;
 }
 
-int Profile(const Args& args) {
+int Profile(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: fdxtool profile <csv> [flags]\n");
     return 2;
@@ -379,7 +284,7 @@ int Profile(const Args& args) {
   return 0;
 }
 
-int Validate(const Args& args) {
+int Validate(const Flags& args) {
   if (args.positional().empty() || args.Get("fd").empty()) {
     std::fprintf(stderr,
                  "usage: fdxtool validate <csv> --fd=\"A,B -> C\"\n");
@@ -419,7 +324,7 @@ int Validate(const Args& args) {
   return report->violating_groups == 0 ? 0 : 3;
 }
 
-int Repair(const Args& args) {
+int Repair(const Flags& args) {
   if (args.positional().empty() || args.Get("fd").empty() ||
       args.Get("out").empty()) {
     std::fprintf(
@@ -456,7 +361,7 @@ int Repair(const Args& args) {
   return 0;
 }
 
-int Compare(const Args& args) {
+int Compare(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: fdxtool compare <csv> [--budget=S]\n");
     return 2;
@@ -467,8 +372,8 @@ int Compare(const Args& args) {
     return 1;
   }
   RunnerConfig config;
-  config.time_budget_seconds = args.GetDouble("budget", 30.0);
-  config.expected_error = args.GetDouble("error", 0.01);
+  config.time_budget_seconds = args.GetNumber("budget", 30.0);
+  config.expected_error = args.GetNumber("error", 0.01);
   config.fdx = OptionsFromArgs(args);
   std::printf("time budget: %s s per method\n\n",
               FormatDouble(config.time_budget_seconds, 1).c_str());
@@ -484,7 +389,7 @@ int Compare(const Args& args) {
   return 0;
 }
 
-int Report(const Args& args) {
+int Report(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: fdxtool report <csv>\n");
     return 2;
@@ -502,7 +407,7 @@ int Report(const Args& args) {
   return 0;
 }
 
-int Dc(const Args& args) {
+int Dc(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr,
                  "usage: fdxtool dc <csv> [--max-predicates=K]"
@@ -531,7 +436,7 @@ int Dc(const Args& args) {
   return 0;
 }
 
-int Keys(const Args& args) {
+int Keys(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr,
                  "usage: fdxtool keys <csv> [--error=E] [--max-size=K]\n");
@@ -543,7 +448,7 @@ int Keys(const Args& args) {
     return 1;
   }
   UccOptions options;
-  options.max_error = args.GetDouble("error", 0.0);
+  options.max_error = args.GetNumber("error", 0.0);
   options.max_size = args.GetCount("max-size", 3);
   auto uccs = DiscoverUccs(*table, options);
   if (!uccs.ok()) {
@@ -562,7 +467,7 @@ int Keys(const Args& args) {
   return 0;
 }
 
-int Cfd(const Args& args) {
+int Cfd(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr,
                  "usage: fdxtool cfd <csv> [--support=S] [--confidence=C]"
@@ -575,9 +480,9 @@ int Cfd(const Args& args) {
     return 1;
   }
   CfdOptions options;
-  options.min_support = args.GetDouble("support", options.min_support);
+  options.min_support = args.GetNumber("support", options.min_support);
   options.min_confidence =
-      args.GetDouble("confidence", options.min_confidence);
+      args.GetNumber("confidence", options.min_confidence);
   options.max_lhs_size = args.GetCount("max-lhs", 2);
   auto cfds = DiscoverConstantCfds(*table, options);
   if (!cfds.ok()) {
@@ -596,7 +501,7 @@ int Cfd(const Args& args) {
   return 0;
 }
 
-int Rank(const Args& args) {
+int Rank(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr,
                  "usage: fdxtool rank <csv> [--min-score=S] [--top=N]\n");
@@ -608,7 +513,7 @@ int Rank(const Args& args) {
     return 1;
   }
   AfdRankingOptions options;
-  options.min_reliable_fraction = args.GetDouble("min-score", 0.05);
+  options.min_reliable_fraction = args.GetNumber("min-score", 0.05);
   auto ranked = RankUnaryAfds(*table, options);
   if (!ranked.ok()) {
     std::fprintf(stderr, "%s\n", ranked.status().ToString().c_str());
@@ -629,7 +534,7 @@ int Rank(const Args& args) {
   return 0;
 }
 
-int Generate(const Args& args) {
+int Generate(const Flags& args) {
   if (args.Get("out").empty()) {
     std::fprintf(stderr,
                  "usage: fdxtool generate --out=<csv> [--tuples=N]"
@@ -639,7 +544,7 @@ int Generate(const Args& args) {
   SyntheticConfig config;
   config.num_tuples = args.GetCount("tuples", 1000);
   config.num_attributes = args.GetCount("attributes", 10);
-  config.noise_rate = args.GetDouble("noise", 0.01);
+  config.noise_rate = args.GetNumber("noise", 0.01);
   config.seed = args.GetCount("seed", 42);
   auto ds = GenerateSynthetic(config);
   if (!ds.ok()) {
@@ -700,7 +605,7 @@ int Usage() {
 int main(int argc, char** argv) {
   using namespace fdx::tool;
   if (argc < 2) return Usage();
-  const Args args(argc, argv);
+  const fdx::Flags args("fdxtool", argc, argv, 2);
   const std::string command = argv[1];
   if (command == "discover") return Discover(args);
   if (command == "profile") return Profile(args);
