@@ -207,6 +207,13 @@ Result<FdxResult> FdxDiscoverer::Discover(const Table& table) const {
                       });
 }
 
+Result<FdxResult> FdxDiscoverer::Discover(const EncodedTable& table) const {
+  return DiscoverWith(table.num_rows(), table.num_columns(),
+                      [&table](const TransformOptions& transform) {
+                        return PairTransformMoments(table, transform);
+                      });
+}
+
 Result<FdxResult> FdxDiscoverer::DiscoverWith(
     size_t num_rows, size_t num_columns,
     const TransformStep& transform_step) const {

@@ -214,6 +214,10 @@ class FdxDiscoverer {
   /// Runs the full pipeline on a (possibly noisy) table.
   Result<FdxResult> Discover(const Table& table) const;
 
+  /// Same on an encoded table; bit-identical to Discover(table) when
+  /// `table` is EncodedTable::Encode(table).
+  Result<FdxResult> Discover(const EncodedTable& table) const;
+
   /// Step 1 of the pipeline as a callable: receives the run's effective
   /// transform options (threads and the run's deadline filled in) and
   /// returns the transformed moments.

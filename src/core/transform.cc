@@ -176,23 +176,18 @@ Result<Matrix> PairTransform(const Table& table,
 
 namespace {
 
-/// Runs the resident driver over the table's encoded columns, in place.
-Result<PassMoments> TablePasses(const Table& table,
-                                const TransformOptions& options,
-                                bool pooled) {
-  const size_t k = table.num_columns();
+/// Runs AccumulateResidentPasses over the encoded columns, in place.
+Result<PassMoments> EncodedPasses(const EncodedTable& encoded,
+                                  const TransformOptions& options,
+                                  bool pooled) {
+  const size_t k = encoded.num_columns();
   FDX_ASSIGN_OR_RETURN(
       TransformStreams streams,
-      PrepareTransformStreams(table.num_rows(), k, options.seed));
-  const EncodedTable encoded = EncodedTable::Encode(table);
+      PrepareTransformStreams(encoded.num_rows(), k, options.seed));
   std::vector<const std::vector<int32_t>*> columns(k);
-  std::vector<size_t> cardinalities(k);
-  for (size_t c = 0; c < k; ++c) {
-    columns[c] = &encoded.column_codes(c);
-    cardinalities[c] = encoded.Cardinality(c);
-  }
-  return AccumulateResidentPasses(columns, cardinalities, streams, options,
-                                  pooled);
+  for (size_t c = 0; c < k; ++c) columns[c] = &encoded.column_codes(c);
+  return AccumulateResidentPasses(columns, encoded.cardinalities(), streams,
+                                  options, pooled);
 }
 
 }  // namespace
@@ -200,7 +195,8 @@ Result<PassMoments> TablePasses(const Table& table,
 Result<TransformCounts> PairTransformCounts(const Table& table,
                                             const TransformOptions& options) {
   FDX_ASSIGN_OR_RETURN(PassMoments moments,
-                       TablePasses(table, options, /*pooled=*/false));
+                       EncodedPasses(EncodedTable::Encode(table), options,
+                                     /*pooled=*/false));
   if (moments.sums.num_samples == 0) {
     return Status::InvalidArgument("pair transform produced no samples");
   }
@@ -208,11 +204,16 @@ Result<TransformCounts> PairTransformCounts(const Table& table,
 }
 
 Result<TransformedMoments> PairTransformMoments(
-    const Table& table, const TransformOptions& options) {
+    const EncodedTable& table, const TransformOptions& options) {
   FDX_ASSIGN_OR_RETURN(
       PassMoments moments,
-      TablePasses(table, options, options.pooled_covariance));
+      EncodedPasses(table, options, options.pooled_covariance));
   return FinishMoments(moments);
+}
+
+Result<TransformedMoments> PairTransformMoments(
+    const Table& table, const TransformOptions& options) {
+  return PairTransformMoments(EncodedTable::Encode(table), options);
 }
 
 }  // namespace fdx

@@ -112,6 +112,11 @@ struct TransformedMoments {
 Result<TransformedMoments> PairTransformMoments(
     const Table& table, const TransformOptions& options = {});
 
+/// Same over an already encoded table (the CSV reader's output); the
+/// Table overload is exactly this on EncodedTable::Encode(table).
+Result<TransformedMoments> PairTransformMoments(
+    const EncodedTable& table, const TransformOptions& options = {});
+
 }  // namespace fdx
 
 #endif  // FDX_CORE_TRANSFORM_H_

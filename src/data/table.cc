@@ -1,9 +1,9 @@
 #include "data/table.h"
 
 #include <cassert>
-#include <map>
 #include <numeric>
-#include <unordered_map>
+
+#include "data/dictionary.h"
 
 namespace fdx {
 
@@ -61,42 +61,36 @@ Table Table::SelectColumns(const std::vector<size_t>& cols) const {
 }
 
 EncodedTable EncodedTable::Encode(const Table& table) {
-  EncodedTable out;
-  out.schema_ = table.schema();
-  out.num_rows_ = table.num_rows();
   const size_t k = table.num_columns();
-  out.codes_.resize(k);
-  out.cardinalities_.assign(k, 0);
-  out.null_counts_.assign(k, 0);
+  std::vector<std::vector<int32_t>> codes(k);
+  std::vector<size_t> cardinalities(k);
+  std::vector<size_t> null_counts(k, 0);
   for (size_t c = 0; c < k; ++c) {
-    // Separate dictionaries per payload type: strings hash directly,
-    // numerics key on their double value so 3 == 3.0.
-    std::unordered_map<std::string, int32_t> string_dict;
-    std::map<double, int32_t> numeric_dict;
-    auto& codes = out.codes_[c];
-    codes.reserve(out.num_rows_);
-    int32_t next = 0;
-    for (size_t r = 0; r < out.num_rows_; ++r) {
-      const Value& v = table.cell(r, c);
+    ColumnDictionary dict;
+    codes[c].reserve(table.num_rows());
+    for (const Value& v : table.column(c)) {
       if (v.is_null()) {
-        codes.push_back(kNullCode);
-        ++out.null_counts_[c];
-        continue;
-      }
-      int32_t code;
-      if (v.type() == ValueType::kString) {
-        auto [it, inserted] = string_dict.try_emplace(v.AsString(), next);
-        code = it->second;
-        if (inserted) ++next;
+        codes[c].push_back(kNullCode);
+        ++null_counts[c];
       } else {
-        auto [it, inserted] = numeric_dict.try_emplace(v.ToNumeric(), next);
-        code = it->second;
-        if (inserted) ++next;
+        codes[c].push_back(dict.transform_code(dict.Intern(v)));
       }
-      codes.push_back(code);
     }
-    out.cardinalities_[c] = static_cast<size_t>(next);
+    cardinalities[c] = dict.cardinality();
   }
+  return FromColumns(table.schema(), table.num_rows(), std::move(codes),
+                     std::move(cardinalities), std::move(null_counts));
+}
+
+EncodedTable EncodedTable::FromColumns(
+    Schema schema, size_t num_rows, std::vector<std::vector<int32_t>> codes,
+    std::vector<size_t> cardinalities, std::vector<size_t> null_counts) {
+  EncodedTable out;
+  out.schema_ = std::move(schema);
+  out.num_rows_ = num_rows;
+  out.codes_ = std::move(codes);
+  out.cardinalities_ = std::move(cardinalities);
+  out.null_counts_ = std::move(null_counts);
   return out;
 }
 

@@ -37,6 +37,9 @@ class Table {
   Table() = default;
   explicit Table(Schema schema)
       : schema_(std::move(schema)), columns_(schema_.size()) {}
+  /// Precondition: one column per schema name, all of equal length.
+  Table(Schema schema, std::vector<std::vector<Value>> columns)
+      : schema_(std::move(schema)), columns_(std::move(columns)) {}
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return columns_.empty() ? 0 : columns_[0].size(); }
@@ -89,9 +92,17 @@ class EncodedTable {
  public:
   static constexpr int32_t kNullCode = -1;
 
-  /// Encodes `table`. Value order inside each dictionary follows first
-  /// appearance; codes are stable for a fixed table.
+  /// Encodes `table` under the ColumnDictionary transform-code rule
+  /// (data/dictionary.h): codes follow first appearance, numerics merge
+  /// on their double value, and every NaN shares one code.
   static EncodedTable Encode(const Table& table);
+
+  /// Assembles an encoded table from columns that already honour the
+  /// contract above (the CSV reader's output).
+  static EncodedTable FromColumns(Schema schema, size_t num_rows,
+                                  std::vector<std::vector<int32_t>> codes,
+                                  std::vector<size_t> cardinalities,
+                                  std::vector<size_t> null_counts);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }

@@ -130,12 +130,6 @@ Result<Value> ParseCellJson(const JsonValue& cell) {
   return Status::IOError("store: unknown cell tag '" + tag + "'");
 }
 
-uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
 /// Decompresses one column payload, with the `store.decompress` fault
 /// point in front (no fallback — a chunk that won't decode is corrupt).
 Status DecodeCompressedColumn(const ChunkCodec& codec, const char* data,
@@ -236,6 +230,8 @@ Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
   table.schema_ = schema;
   table.dir_ = std::move(dir);
   table.dicts_.resize(schema.size());
+  table.committed_.assign(schema.size(), 0);
+  table.null_counts_.assign(schema.size(), 0);
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(codec));
   table.codec_name_ = table.codec_ == nullptr ? "none" : table.codec_->name();
   table.io_mode_ = DefaultStoreIo();
@@ -244,59 +240,6 @@ Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
     FDX_RETURN_IF_ERROR(table.WriteManifest());
   }
   return table;
-}
-
-int32_t ChunkedTable::EncodeCell(const Value& v, size_t col,
-                                 std::vector<Value>* fresh) {
-  ColumnDictionary& dict = dicts_[col];
-  if (v.is_null()) {
-    ++dict.null_count;
-    return EncodedTable::kNullCode;
-  }
-  const int32_t next_storage = static_cast<int32_t>(dict.values.size());
-  int32_t storage;
-  switch (v.type()) {
-    case ValueType::kString: {
-      auto [it, inserted] = dict.by_string.try_emplace(v.AsString(),
-                                                       next_storage);
-      storage = it->second;
-      if (!inserted) return storage;
-      break;
-    }
-    case ValueType::kInt: {
-      auto [it, inserted] = dict.by_int.try_emplace(v.AsInt(), next_storage);
-      storage = it->second;
-      if (!inserted) return storage;
-      break;
-    }
-    default: {
-      auto [it, inserted] =
-          dict.by_double_bits.try_emplace(DoubleBits(v.AsDouble()),
-                                          next_storage);
-      storage = it->second;
-      if (!inserted) return storage;
-      break;
-    }
-  }
-  // First appearance of this exact value: record it and assign (or
-  // share) the transform code — numerics merge on their double value,
-  // matching EncodedTable::Encode.
-  dict.values.push_back(v);
-  if (fresh != nullptr) fresh->push_back(v);
-  int32_t transform;
-  if (v.type() == ValueType::kString) {
-    auto [it, inserted] =
-        dict.t_string.try_emplace(v.AsString(), dict.next_transform);
-    transform = it->second;
-    if (inserted) ++dict.next_transform;
-  } else {
-    auto [it, inserted] =
-        dict.t_numeric.try_emplace(v.ToNumeric(), dict.next_transform);
-    transform = it->second;
-    if (inserted) ++dict.next_transform;
-  }
-  dict.to_transform.push_back(transform);
-  return storage;
 }
 
 std::string ChunkedTable::SerializeChunk(
@@ -314,8 +257,8 @@ std::string ChunkedTable::SerializeChunk(
     json.Integer(static_cast<int64_t>(dict_starts[c]));
     json.Key("values");
     json.BeginArray();
-    for (size_t s = dict_starts[c]; s < dicts_[c].values.size(); ++s) {
-      WriteCellJson(&json, dicts_[c].values[s]);
+    for (size_t s = dict_starts[c]; s < committed_[c]; ++s) {
+      WriteCellJson(&json, dicts_[c].value(static_cast<int32_t>(s)));
     }
     json.EndArray();
     json.EndObject();
@@ -385,18 +328,47 @@ Status ChunkedTable::AppendBatch(const Table& batch) {
   if (batch.num_rows() == 0) {
     return Status::InvalidArgument("store: batch has no rows");
   }
-  std::vector<size_t> dict_starts(k);
-  for (size_t c = 0; c < k; ++c) dict_starts[c] = dicts_[c].values.size();
-
-  StoredChunk chunk;
-  chunk.rows = batch.num_rows();
-  chunk.codes.resize(k);
+  std::vector<std::vector<int32_t>> codes(k);
   for (size_t c = 0; c < k; ++c) {
-    chunk.codes[c].reserve(chunk.rows);
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      chunk.codes[c].push_back(EncodeCell(batch.cell(r, c), c, nullptr));
+    codes[c].reserve(batch.num_rows());
+    for (const Value& v : batch.column(c)) {
+      codes[c].push_back(v.is_null() ? EncodedTable::kNullCode
+                                     : dicts_[c].Intern(v));
     }
   }
+  return AppendChunk(std::move(codes), batch.num_rows());
+}
+
+Status ChunkedTable::AppendCsv(CsvReader* reader, size_t chunk_rows) {
+  const size_t k = schema_.size();
+  if (reader->schema().size() != k) {
+    return Status::InvalidArgument(
+        "store: CSV has " + std::to_string(reader->schema().size()) +
+        " columns; expected " + std::to_string(k));
+  }
+  return reader->ReadChunks(
+      &dicts_, chunk_rows,
+      [this](std::vector<std::vector<int32_t>>&& codes, size_t rows) {
+        return AppendChunk(std::move(codes), rows);
+      });
+}
+
+Status ChunkedTable::AppendChunk(std::vector<std::vector<int32_t>> codes,
+                                 size_t rows) {
+  const size_t k = schema_.size();
+  const std::vector<size_t> dict_starts = committed_;
+  for (size_t c = 0; c < k; ++c) {
+    for (int32_t code : codes[c]) {
+      if (code == EncodedTable::kNullCode) {
+        ++null_counts_[c];
+      } else if (static_cast<size_t>(code) >= committed_[c]) {
+        committed_[c] = static_cast<size_t>(code) + 1;
+      }
+    }
+  }
+  StoredChunk chunk;
+  chunk.rows = rows;
+  chunk.codes = std::move(codes);
 
   // The fingerprint always covers the uncompressed serialization, so
   // raw and compressed stores of the same data fingerprint identically.
@@ -651,6 +623,7 @@ Status ChunkedTable::ReadSpilledColumn(size_t index, size_t col,
 Status ChunkedTable::ReadColumnCodes(size_t col,
                                      std::vector<int32_t>* out) const {
   const ColumnDictionary& dict = dicts_[col];
+  const int32_t dict_size = static_cast<int32_t>(dict.size());
   out->clear();
   out->reserve(total_rows_);
   std::vector<int32_t> storage_codes;
@@ -659,7 +632,7 @@ Status ChunkedTable::ReadColumnCodes(size_t col,
     if (!chunk.codes.empty()) {
       for (int32_t storage : chunk.codes[col]) {
         out->push_back(storage < 0 ? EncodedTable::kNullCode
-                                   : dict.to_transform[storage]);
+                                   : dict.transform_code(storage));
       }
       continue;
     }
@@ -667,15 +640,14 @@ Status ChunkedTable::ReadColumnCodes(size_t col,
     FDX_RETURN_IF_ERROR(ReadSpilledColumn(i, col, &storage_codes));
     for (size_t r = 0; r < chunk.rows; ++r) {
       const int32_t storage = storage_codes[r];
-      if (storage < EncodedTable::kNullCode ||
-          storage >= static_cast<int32_t>(dict.to_transform.size())) {
+      if (storage < EncodedTable::kNullCode || storage >= dict_size) {
         return Status::IOError("store: chunk '" + chunk.file +
                                "' column " + std::to_string(col) +
                                " has out-of-range code " +
                                std::to_string(storage));
       }
       out->push_back(storage < 0 ? EncodedTable::kNullCode
-                                 : dict.to_transform[storage]);
+                                 : dict.transform_code(storage));
     }
   }
   return Status::OK();
@@ -693,13 +665,13 @@ Result<Table> ChunkedTable::ReadChunkValues(size_t index) const {
   const auto decode_cell = [&](size_t col, int32_t storage) -> Result<Value> {
     if (storage == EncodedTable::kNullCode) return Value::Null();
     if (storage < 0 ||
-        storage >= static_cast<int32_t>(dicts_[col].values.size())) {
+        storage >= static_cast<int32_t>(dicts_[col].size())) {
       return Status::IOError("store: chunk " + std::to_string(index) +
                              " column " + std::to_string(col) +
                              " has out-of-range code " +
                              std::to_string(storage));
     }
-    return dicts_[col].values[storage];
+    return dicts_[col].value(storage);
   };
 
   if (!chunk.codes.empty()) {
@@ -769,6 +741,8 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   table.schema_ = Schema(std::move(names));
   table.dir_ = std::move(dir);
   table.dicts_.resize(table.schema_.size());
+  table.committed_.assign(table.schema_.size(), 0);
+  table.null_counts_.assign(table.schema_.size(), 0);
   table.io_mode_ = DefaultStoreIo();
   table.codec_name_ = root.StringOr("codec", "none");
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(table.codec_name_));
@@ -811,7 +785,7 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     for (size_t c = 0; c < k; ++c) {
       const JsonValue& col = cols->array()[c];
       const size_t start = static_cast<size_t>(col.NumberOr("start", 0));
-      if (start != table.dicts_[c].values.size()) {
+      if (start != table.dicts_[c].size()) {
         return Status::IOError("store: chunk '" + chunk.file +
                                "' dictionary delta is out of sequence");
       }
@@ -822,27 +796,27 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
       }
       for (const JsonValue& cell : values->array()) {
         FDX_ASSIGN_OR_RETURN(Value v, ParseCellJson(cell));
-        // Re-encode through the normal path; a fresh value must land on
+        // Re-intern through the normal path; a fresh value must land on
         // the exact storage code the delta implies.
-        std::vector<Value> fresh;
-        const size_t before = table.dicts_[c].values.size();
-        table.EncodeCell(v, c, &fresh);
-        if (table.dicts_[c].values.size() != before + 1) {
+        const size_t before = table.dicts_[c].size();
+        table.dicts_[c].Intern(v);
+        if (table.dicts_[c].size() != before + 1) {
           return Status::IOError("store: chunk '" + chunk.file +
                                  "' dictionary delta repeats a value");
         }
       }
     }
-    // Null counts come from the codes themselves (EncodeCell above
-    // counted nothing: dictionary values are never null).
+    // Null counts come from the codes themselves (dictionary values are
+    // never null).
     const char* codes = payload.data() + kChunkHeaderBytes;
     for (size_t c = 0; c < k; ++c) {
+      table.committed_[c] = table.dicts_[c].size();
       const int32_t dict_size =
-          static_cast<int32_t>(table.dicts_[c].values.size());
+          static_cast<int32_t>(table.dicts_[c].size());
       for (size_t r = 0; r < chunk.rows; ++r) {
         const int32_t storage = ReadI32(codes + (c * chunk.rows + r) * 4);
         if (storage == EncodedTable::kNullCode) {
-          ++table.dicts_[c].null_count;
+          ++table.null_counts_[c];
         } else if (storage < 0 || storage >= dict_size) {
           return Status::IOError("store: chunk '" + chunk.file +
                                  "' column " + std::to_string(c) +

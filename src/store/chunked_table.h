@@ -2,13 +2,13 @@
 #define FDX_STORE_CHUNKED_TABLE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "data/csv_reader.h"
+#include "data/dictionary.h"
 #include "data/table.h"
 #include "util/status.h"
 
@@ -46,17 +46,21 @@ StoreIo DefaultStoreIo();
 /// table itself can be far larger than RAM; without one, chunks stay in
 /// memory (same code paths, useful for tests and small inputs).
 ///
-/// Two code spaces per column:
+/// Each column's dictionary is a ColumnDictionary (data/dictionary.h),
+/// the same type and rule as EncodedTable::Encode and the CSV reader,
+/// with its two code spaces:
 ///
 ///  * storage codes — exact values. int 3, double 3.0, and string "3"
 ///    get distinct codes, so chunks round-trip losslessly through
 ///    ReadChunkValues (the service replays them through fingerprinted
 ///    appends, which must reproduce the original bytes).
-///  * transform codes — the EncodedTable contract: numerics merge on
-///    their double value (3 == 3.0), first appearance in row order
-///    assigns the next dense code. ReadColumnCodes emits these, which
-///    is what makes the streaming transform bit-identical to
-///    EncodedTable::Encode of the concatenated table.
+///  * transform codes — the EncodedTable contract. ReadColumnCodes emits
+///    these, which is what makes the streaming transform bit-identical
+///    to EncodedTable::Encode of the concatenated table.
+///
+/// Rows arrive either as Tables (AppendBatch) or as the CSV reader's
+/// code batches (AppendCsv), which intern straight into the store's
+/// dictionaries with no Value per cell. Both write the same bytes.
 ///
 /// Durable layout under `dir`:
 ///
@@ -116,6 +120,19 @@ class ChunkedTable {
   /// plus the O(#chunks) manifest rewrite.
   Status AppendBatch(const Table& batch);
 
+  /// Appends every remaining row of `reader` as chunks of `chunk_rows`
+  /// rows (0 = one chunk), interning the reader's code batches straight
+  /// into the store's dictionaries. Chunk files and manifest are
+  /// byte-identical to AppendBatch of the same rows decoded into Tables
+  /// of `chunk_rows` rows. The reader's schema must have the store's
+  /// column count. An error voids the store: the reader interns a whole
+  /// window at a time, so the dictionaries may already hold values of
+  /// rows that were never appended (a bad line's window, or the rest of
+  /// a window after a failed chunk write). Cardinality(), DictionarySize()
+  /// and the next chunk's dictionary delta would count them; discard the
+  /// store instead of appending to it or reading from it.
+  Status AppendCsv(CsvReader* reader, size_t chunk_rows);
+
   const Schema& schema() const { return schema_; }
   const std::string& dir() const { return dir_; }
   bool spilled() const { return !dir_.empty(); }
@@ -138,12 +155,10 @@ class ChunkedTable {
 
   /// Transform-code cardinality of a column (numerics merged), i.e.
   /// exactly EncodedTable::Encode(concatenated table).Cardinality(col).
-  size_t Cardinality(size_t col) const {
-    return static_cast<size_t>(dicts_[col].next_transform);
-  }
-  size_t NullCount(size_t col) const { return dicts_[col].null_count; }
+  size_t Cardinality(size_t col) const { return dicts_[col].cardinality(); }
+  size_t NullCount(size_t col) const { return null_counts_[col]; }
   /// Distinct exact values seen in a column (storage codes).
-  size_t DictionarySize(size_t col) const { return dicts_[col].values.size(); }
+  size_t DictionarySize(size_t col) const { return dicts_[col].size(); }
 
   /// Streams one column's transform codes (kNullCode for nulls) across
   /// all chunks into `out` — the streaming transform's input. Spilled
@@ -164,23 +179,6 @@ class ChunkedTable {
   uint64_t MappedResidentBytes() const;
 
  private:
-  /// Per-column incremental dictionary; see the class comment for the
-  /// two code spaces.
-  struct ColumnDictionary {
-    std::vector<Value> values;  ///< by storage code
-    std::unordered_map<std::string, int32_t> by_string;
-    std::unordered_map<int64_t, int32_t> by_int;
-    /// Doubles key on their bit pattern (distinguishes -0.0 from 0.0 for
-    /// exact round-trip; the transform map below still merges them).
-    std::unordered_map<uint64_t, int32_t> by_double_bits;
-    /// Transform-code assignment, mirroring EncodedTable::Encode.
-    std::unordered_map<std::string, int32_t> t_string;
-    std::map<double, int32_t> t_numeric;
-    std::vector<int32_t> to_transform;  ///< storage code -> transform code
-    int32_t next_transform = 0;
-    size_t null_count = 0;
-  };
-
   /// Cached per-chunk read state, established on first access: the open
   /// map (or a plain fd as the fallback), the per-column payload offset
   /// index (parsed once — column reads never re-touch header/manifest
@@ -197,7 +195,11 @@ class ChunkedTable {
     mutable std::unique_ptr<ChunkIo> io;
   };
 
-  int32_t EncodeCell(const Value& v, size_t col, std::vector<Value>* fresh);
+  /// Appends one chunk of storage codes. The values first seen in it are
+  /// the storage codes from the committed dictionary size up to its
+  /// largest code (codes count up in order of first appearance); they
+  /// become the chunk's dictionary delta.
+  Status AppendChunk(std::vector<std::vector<int32_t>> codes, size_t rows);
   std::string SerializeChunk(const StoredChunk& chunk,
                              const std::vector<size_t>& dict_starts) const;
   std::string EncodeManifest() const;
@@ -216,6 +218,11 @@ class ChunkedTable {
   StoreIo io_mode_ = StoreIo::kMmap;
   size_t total_rows_ = 0;
   std::vector<ColumnDictionary> dicts_;
+  /// Per column: dictionary entries already written in chunk deltas.
+  /// AppendCsv interns a whole reader window before cutting it into
+  /// chunks, so the dictionary may run ahead of this until the read ends.
+  std::vector<size_t> committed_;
+  std::vector<size_t> null_counts_;
   std::vector<StoredChunk> chunks_;
   /// Guards lazy ChunkIo creation and the fallback counter (the table
   /// is movable, hence the indirection).

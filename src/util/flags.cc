@@ -65,6 +65,12 @@ Result<uint16_t> ParsePortFlag(const std::string& name,
   return static_cast<uint16_t>(port);
 }
 
+Result<char> ParseByteFlag(const std::string& name,
+                           const std::string& value) {
+  if (value.size() != 1) return BadFlag(name, value, "a single byte");
+  return value[0];
+}
+
 Flags::Flags(std::string tool, int argc, char** argv, int first)
     : tool_(std::move(tool)) {
   for (int i = first; i < argc; ++i) {
@@ -107,6 +113,11 @@ uint64_t Flags::GetCount(const std::string& name, uint64_t fallback,
 uint16_t Flags::GetPort(const std::string& name, uint16_t fallback) const {
   const std::optional<std::string> value = Find(name);
   return value ? ValueOrExit(tool_, ParsePortFlag(name, *value)) : fallback;
+}
+
+char Flags::GetByte(const std::string& name, char fallback) const {
+  const std::optional<std::string> value = Find(name);
+  return value ? ValueOrExit(tool_, ParseByteFlag(name, *value)) : fallback;
 }
 
 Status Flags::CheckKnown(const std::vector<std::string>& known) const {

@@ -13,7 +13,8 @@ namespace fdx {
 /// Command-line flags of the fdx tools (fdxtool, fdxd, fdxctl, fdxload),
 /// read strictly. A flag is `--name=value` or a bare `--name`; any other
 /// argument is positional. A numeric value must be the whole string, a
-/// finite number, and in range. Anything else is an InvalidArgument that
+/// finite number, and in range; a one-byte value must be exactly one
+/// byte. Anything else is an InvalidArgument that
 /// names the flag (`--port=70000: expected an integer in [0, 65535]`),
 /// so a typo stops the tool instead of running with 0, a default, or a
 /// wrapped-around count.
@@ -34,6 +35,9 @@ Result<uint64_t> ParseCountFlag(const std::string& name,
 /// The whole of `value` as a TCP port: an integer in [0, 65535].
 Result<uint16_t> ParsePortFlag(const std::string& name,
                                const std::string& value);
+
+/// The whole of `value` as one byte.
+Result<char> ParseByteFlag(const std::string& name, const std::string& value);
 
 class Flags {
  public:
@@ -61,6 +65,8 @@ class Flags {
   uint64_t GetCount(const std::string& name, uint64_t fallback,
                     uint64_t min = 0, uint64_t max = UINT64_MAX) const;
   uint16_t GetPort(const std::string& name, uint16_t fallback) const;
+  /// A one-byte flag (a delimiter), read by ParseByteFlag.
+  char GetByte(const std::string& name, char fallback) const;
 
   /// OK when every argument is one of `known`, else an InvalidArgument
   /// naming the first that is not. A known name ending in '=' takes a

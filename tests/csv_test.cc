@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "csv_test_util.h"
 #include "data/csv.h"
 
 namespace fdx {
@@ -194,22 +195,6 @@ Result<Table> ReassembleChunks(const std::string& text,
   return out;
 }
 
-void ExpectTablesIdentical(const Table& a, const Table& b) {
-  ASSERT_EQ(a.schema().names(), b.schema().names());
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      const Value& x = a.cell(r, c);
-      const Value& y = b.cell(r, c);
-      ASSERT_EQ(static_cast<int>(x.type()), static_cast<int>(y.type()))
-          << "row " << r << " col " << c;
-      if (!x.is_null()) {
-        EXPECT_TRUE(x.EqualsStrict(y)) << "row " << r << " col " << c;
-      }
-    }
-  }
-}
-
 TEST(CsvChunkedTest, ChunksReassembleToTheWholeFileRead) {
   std::string text = "a,b,c\n";
   for (int r = 0; r < 53; ++r) {
@@ -222,7 +207,7 @@ TEST(CsvChunkedTest, ChunksReassembleToTheWholeFileRead) {
     size_t num_chunks = 0;
     auto chunked = ReassembleChunks(text, {}, chunk_rows, &num_chunks);
     ASSERT_TRUE(chunked.ok()) << chunk_rows;
-    ExpectTablesIdentical(whole.value(), chunked.value());
+    testing_csv::ExpectSameTable(whole.value(), chunked.value());
     EXPECT_EQ(num_chunks, (53 + chunk_rows - 1) / chunk_rows);
   }
 }

@@ -144,6 +144,54 @@ TEST(ChunkedTableTest, NumericMergeSharesTransformCodeNotStorageCode) {
   EXPECT_EQ(codes, (std::vector<int32_t>{0, 0, 1}));
 }
 
+// Every NaN cell shares one transform code apart from every number, at
+// any chunk size and after a reopen; storage codes keep each NaN's exact
+// bits, so ReadChunkValues returns them unchanged.
+TEST(ChunkedTableTest, NanCellsGetOneTransformCodeAndKeepTheirBits) {
+  const double nan = std::nan("");
+  const double negative_nan = -std::nan("");
+  Table table{Schema({"a", "b"})};
+  table.AppendRow({Value(int64_t{1}), Value(nan)});
+  table.AppendRow({Value(nan), Value(int64_t{1})});
+  table.AppendRow({Value(int64_t{2}), Value(negative_nan)});
+  table.AppendRow({Value(negative_nan), Value(int64_t{2})});
+  table.AppendRow({Value(int64_t{1}), Value(int64_t{2})});
+  for (size_t chunk_rows : {size_t{1}, size_t{2}, size_t{5}}) {
+    const std::string dir = FreshDir("nan" + std::to_string(chunk_rows));
+    {
+      auto store = ChunkedTable::Create(table.schema(), dir);
+      ASSERT_TRUE(store.ok());
+      AppendInChunks(table, chunk_rows, &store.value());
+    }
+    auto store = ChunkedTable::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    std::vector<int32_t> codes;
+    ASSERT_TRUE(store->ReadColumnCodes(0, &codes).ok());
+    EXPECT_EQ(codes, (std::vector<int32_t>{0, 1, 2, 1, 0}));
+    EXPECT_EQ(store->Cardinality(0), 3u);
+    ASSERT_TRUE(store->ReadColumnCodes(1, &codes).ok());
+    EXPECT_EQ(codes, (std::vector<int32_t>{0, 1, 0, 2, 2}));
+    EXPECT_EQ(store->Cardinality(1), 3u);
+    EXPECT_EQ(store->DictionarySize(1), 4u);
+    size_t row = 0;
+    for (size_t chunk = 0; chunk < store->num_chunks(); ++chunk) {
+      auto values = store->ReadChunkValues(chunk);
+      ASSERT_TRUE(values.ok());
+      for (size_t r = 0; r < values->num_rows(); ++r, ++row) {
+        const Value& got = values->cell(r, 0);
+        const Value& want = table.cell(row, 0);
+        ASSERT_EQ(got.type(), want.type());
+        if (want.type() == ValueType::kDouble) {
+          EXPECT_TRUE(std::isnan(got.AsDouble()));
+          EXPECT_EQ(std::signbit(got.AsDouble()),
+                    std::signbit(want.AsDouble()));
+        }
+      }
+    }
+    (void)RemoveDirectoryRecursive(dir);
+  }
+}
+
 TEST(ChunkedTableTest, SpillReopenPreservesEverything) {
   const std::string dir = FreshDir("reopen");
   const Table table = MixedTable(120);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/table.h"
 
@@ -88,6 +91,39 @@ TEST(EncodedTableTest, NumericCrossTypeShareCodes) {
   EncodedTable e = EncodedTable::Encode(t);
   EXPECT_EQ(e.code(0, 0), e.code(1, 0));
   EXPECT_EQ(e.Cardinality(0), 1u);
+}
+
+/// A one-column table of ints and doubles, "nan" as a NaN double.
+Table NumericColumn(const std::vector<std::string>& cells) {
+  Table t{Schema({"x"})};
+  for (const std::string& cell : cells) {
+    t.AppendRow({cell == "nan" ? Value(std::nan(""))
+                               : Value(int64_t{std::stoi(cell)})});
+  }
+  return t;
+}
+
+// Every NaN shares one code that no number has. std::map<double> keyed
+// the old dictionaries; NaN broke its ordering, so NaN took 1's code in
+// the first column and the second collapsed to a single code.
+TEST(EncodedTableTest, NanCellsGetOneCodeDistinctFromNumbers) {
+  EncodedTable first =
+      EncodedTable::Encode(NumericColumn({"1", "nan", "2", "nan", "1"}));
+  EXPECT_EQ(first.column_codes(0), (std::vector<int32_t>{0, 1, 2, 1, 0}));
+  EXPECT_EQ(first.Cardinality(0), 3u);
+  EncodedTable second =
+      EncodedTable::Encode(NumericColumn({"nan", "1", "nan", "2"}));
+  EXPECT_EQ(second.column_codes(0), (std::vector<int32_t>{0, 1, 0, 2}));
+  EXPECT_EQ(second.Cardinality(0), 3u);
+}
+
+TEST(EncodedTableTest, SignedZerosShareACode) {
+  Table t{Schema({"x"})};
+  t.AppendRow({Value(-0.0)});
+  t.AppendRow({Value(int64_t{0})});
+  t.AppendRow({Value(0.0)});
+  EncodedTable e = EncodedTable::Encode(t);
+  EXPECT_EQ(e.column_codes(0), (std::vector<int32_t>{0, 0, 0}));
 }
 
 TEST(EncodedTableTest, EmptyTable) {

@@ -253,6 +253,20 @@ TEST(FlagsTest, PortIsACountUpTo65535) {
   EXPECT_EQ(flags.GetPort("absent", 7), 7);
 }
 
+TEST(FlagsTest, ByteIsExactlyOneByte) {
+  const Result<char> word = ParseByteFlag("delimiter", "tab");
+  ASSERT_FALSE(word.ok());
+  EXPECT_EQ(word.status().message(),
+            "--delimiter=tab: expected a single byte");
+  for (const char* value : {"", ";;", "\\t"}) {
+    EXPECT_FALSE(ParseByteFlag("delimiter", value).ok()) << value;
+  }
+  EXPECT_EQ(ParseByteFlag("delimiter", "\t").value(), '\t');
+  const Flags flags = ParseArgs({"tool", "--delimiter=;"});
+  EXPECT_EQ(flags.GetByte("delimiter", ','), ';');
+  EXPECT_EQ(flags.GetByte("absent", ','), ',');
+}
+
 TEST(FlagsTest, LastValueWinsAndBareFlagsArePresence) {
   const Flags flags = ParseArgs({"tool", "sub", "--workers=2", "data.csv",
                                  "--workers=4", "--debug-ops"},

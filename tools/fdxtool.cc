@@ -13,7 +13,8 @@
 // Common flags: --format=text|json, --lambda=, --tau=, --ordering=,
 // --budget=, --tuples=, --attributes=, --noise=, --seed=, --max-pairs=,
 // --time-budget= (wall-clock seconds; expired runs exit 4 with a
-// Timeout status), --no-recovery (fail fast instead of retrying).
+// Timeout status), --no-recovery (fail fast instead of retrying),
+// --delimiter= (one byte other than '"', CR and LF; default ',').
 //
 // Beyond-RAM discovery (discover only): --max-memory-mb=N streams the
 // CSV through a spillable chunk store and runs the bounded-memory
@@ -29,10 +30,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "core/fdx.h"
 #include "data/csv.h"
+#include "data/csv_reader.h"
 #include "datasets/real_world.h"
 #include "eval/report.h"
 #include "eval/afd_ranking.h"
@@ -94,11 +97,22 @@ FdxOptions OptionsFromArgs(const Flags& args) {
   return options;
 }
 
-Result<Table> LoadTable(const Flags& args, const std::string& path) {
+/// --delimiter: exactly one byte that CheckCsvDelimiter accepts. A bad
+/// value exits 2 naming the flag, as every malformed flag does.
+CsvOptions CsvOptionsFromArgs(const Flags& args) {
   CsvOptions csv;
-  const std::string delim = args.Get("delimiter");
-  if (!delim.empty()) csv.delimiter = delim[0];
-  return ReadCsv(path, csv);
+  csv.delimiter = args.GetByte("delimiter", csv.delimiter);
+  const Status delimiter = CheckCsvDelimiter(csv.delimiter);
+  if (!delimiter.ok()) {
+    std::fprintf(stderr, "fdxtool: --delimiter=%c: %s\n", csv.delimiter,
+                 delimiter.message().c_str());
+    std::exit(2);
+  }
+  return csv;
+}
+
+Result<Table> LoadTable(const Flags& args, const std::string& path) {
+  return ReadCsv(path, CsvOptionsFromArgs(args));
 }
 
 /// `stable` drops every timing-derived field (transform/learning
@@ -161,16 +175,18 @@ void EmitFdsText(const Schema& schema, size_t rows, const FdxResult& result,
   if (!diagnostics.empty()) std::printf("\n%s", diagnostics.c_str());
 }
 
-/// The beyond-RAM discover path: stream the CSV into a spillable chunk
-/// store, then run the bounded-memory transform + the usual structure
-/// learning under a process-RSS ceiling. Bit-identical results to the
-/// in-memory path (EmitFds* with --stable makes that checkable by cmp).
+/// The beyond-RAM discover path: stream the CSV's code batches into a
+/// spillable chunk store, then run the bounded-memory transform + the
+/// usual structure learning under a process-RSS ceiling. Bit-identical
+/// results to the in-memory path (EmitFds* with --stable makes that
+/// checkable by cmp).
 int StreamingDiscover(const Flags& args, const std::string& path) {
   // Every flag is read before the store directory exists, so a rejected
   // value leaves nothing behind.
   const uint64_t rss_limit =
       args.GetCount("max-memory-mb", 0, 0, kMaxMemoryMb) << 20;
   const size_t chunk_rows = args.GetCount("chunk-rows", 65536, /*min=*/1);
+  const CsvOptions csv = CsvOptionsFromArgs(args);
   StoreDiscoverOptions options;
   options.fdx = OptionsFromArgs(args);
   options.rss_limit_bytes = rss_limit;
@@ -183,23 +199,20 @@ int StreamingDiscover(const Flags& args, const std::string& path) {
     store_dir = path + ".fdxstore";
     (void)RemoveDirectoryRecursive(store_dir);  // stale leftovers
   }
-  CsvOptions csv;
-  const std::string delim = args.Get("delimiter");
-  if (!delim.empty()) csv.delimiter = delim[0];
 
   const std::string codec = args.Get("store-compression");
   ChunkedTable store;
-  bool created = false;
-  Status read =
-      ReadCsvChunked(path, csv, chunk_rows, [&](Table&& chunk) -> Status {
-        if (!created) {
-          FDX_ASSIGN_OR_RETURN(
-              store, ChunkedTable::Create(chunk.schema(), store_dir, codec));
-          created = true;
-        }
-        if (chunk.num_rows() == 0) return Status::OK();
-        return store.AppendBatch(chunk);
-      });
+  const auto ingest = [&]() -> Status {
+    // The reader's working set is a few times its window, so a window of
+    // a sixteenth of the ceiling keeps ingest to a fraction of it at any
+    // thread count.
+    FDX_ASSIGN_OR_RETURN(CsvReader reader,
+                         CsvReader::Open(path, csv, rss_limit / 16));
+    FDX_ASSIGN_OR_RETURN(store, ChunkedTable::Create(reader.schema(),
+                                                     store_dir, codec));
+    return store.AppendCsv(&reader, chunk_rows);
+  };
+  const Status read = ingest();
   if (!read.ok()) {
     if (temp_store) (void)RemoveDirectoryRecursive(store_dir);
     std::fprintf(stderr, "%s\n", read.ToString().c_str());
@@ -219,6 +232,9 @@ int StreamingDiscover(const Flags& args, const std::string& path) {
   return 0;
 }
 
+/// discover: the CSV goes straight to dictionary codes (ReadCsvEncoded in
+/// memory, ChunkedTable::AppendCsv under --max-memory-mb); neither path
+/// builds a Table.
 int Discover(const Flags& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: fdxtool discover <csv> [flags]\n");
@@ -227,7 +243,7 @@ int Discover(const Flags& args) {
   if (args.GetCount("max-memory-mb", 0, 0, kMaxMemoryMb) > 0) {
     return StreamingDiscover(args, args.positional()[0]);
   }
-  auto table = LoadTable(args, args.positional()[0]);
+  auto table = ReadCsvEncoded(args.positional()[0], CsvOptionsFromArgs(args));
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
