@@ -4,29 +4,31 @@
 
 namespace fdx {
 
-void StableSortByCodes(const std::vector<int32_t>& codes, size_t cardinality,
+void StableSortByCodes(CodeView codes, size_t cardinality,
                        const std::vector<uint32_t>& shuffled,
                        std::vector<uint32_t>* order,
                        std::vector<uint32_t>* buckets) {
   const size_t n = shuffled.size();
   order->resize(n);
-  // Key = code + 1, so kNullCode (-1) lands in bucket 0 and sorts first,
-  // exactly like the comparator `codes[a] < codes[b]`.
   buckets->assign(cardinality + 2, 0);
   std::vector<uint32_t>& b = *buckets;
-  for (uint32_t r : shuffled) {
-    ++b[static_cast<size_t>(codes[r] + 1) + 1];
-  }
-  for (size_t i = 1; i < b.size(); ++i) b[i] += b[i - 1];
-  // Placing elements in shuffle order keeps the shuffle as the tie
-  // breaker inside equal keys (counting sort is stable).
-  for (uint32_t r : shuffled) {
-    (*order)[b[static_cast<size_t>(codes[r] + 1)]++] = r;
-  }
+  DispatchCodeWidth(codes.width, [&](auto zero) {
+    using T = decltype(zero);
+    // Key = code + 1 in T's arithmetic, so the all-ones null code wraps
+    // to bucket 0 and sorts first, exactly like the comparator
+    // `codes[a] < codes[b]` on int32 codes with kNullCode = -1.
+    const auto key = [&](uint32_t r) -> size_t {
+      return static_cast<T>(LoadCode<T>(codes.data, r) + 1);
+    };
+    for (uint32_t r : shuffled) ++b[key(r) + 1];
+    for (size_t i = 1; i < b.size(); ++i) b[i] += b[i - 1];
+    // Placing elements in shuffle order keeps the shuffle as the tie
+    // breaker inside equal keys (counting sort is stable).
+    for (uint32_t r : shuffled) (*order)[b[key(r)]++] = r;
+  });
 }
 
-void AttributePass::Reset(const std::vector<int32_t>& codes,
-                          size_t cardinality,
+void AttributePass::Reset(CodeView codes, size_t cardinality,
                           const std::vector<uint32_t>& shuffled,
                           size_t max_pairs, uint64_t attr_seed) {
   StableSortByCodes(codes, cardinality, shuffled, &order_, &buckets_);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "data/code_column.h"
 #include "data/table.h"
 #include "util/rng.h"
 
@@ -11,17 +12,20 @@ namespace fdx {
 
 /// Stable counting sort of `shuffled` by the dictionary codes of one
 /// column: `order` receives the permutation that std::stable_sort with
-/// key `codes[r]` would produce (kNullCode first, then codes ascending,
-/// ties kept in shuffle order). Codes are dense in [0, cardinality)
-/// (see EncodedTable), so cardinality + 1 buckets cover every key and
-/// the sort is O(n + cardinality) with no comparator calls. `buckets`
-/// is caller-owned scratch, reused across calls.
+/// key `codes[r]` would produce (the null code first, then codes
+/// ascending, ties kept in shuffle order). Codes are dense in
+/// [0, cardinality) (see EncodedTable), so cardinality + 1 buckets cover
+/// every key and the sort is O(n + cardinality) with no comparator
+/// calls. The key is `code + 1` modulo 2^(8·width), so the width's
+/// all-ones null code lands in bucket 0 at every width (see
+/// data/code_column.h) and the order is the same at 1, 2 or 4 bytes.
+/// `buckets` is caller-owned scratch, reused across calls.
 ///
 /// Row indices are uint32 throughout the pair layer: the order arrays
 /// are the hottest streamed data of the transform (every pass walks one
 /// per column), and 4-byte indices halve that bandwidth.
 /// PrepareTransformStreams rejects tables with more than UINT32_MAX rows.
-void StableSortByCodes(const std::vector<int32_t>& codes, size_t cardinality,
+void StableSortByCodes(CodeView codes, size_t cardinality,
                        const std::vector<uint32_t>& shuffled,
                        std::vector<uint32_t>* order,
                        std::vector<uint32_t>* buckets);
@@ -38,7 +42,8 @@ void StableSortByCodes(const std::vector<int32_t>& codes, size_t cardinality,
 class AttributePass {
  public:
   /// Sorts rows by one attribute's dictionary codes (dense in
-  /// [0, cardinality), kNullCode for nulls). With max_pairs in (0, n)
+  /// [0, cardinality), the width's null code for nulls). With max_pairs
+  /// in (0, n)
   /// the pass emits max_pairs sampled positions chosen by a seeded
   /// reservoir over the sorted positions (the sampled variant of the
   /// transform, §5.4), emitted in ascending position order; otherwise all
@@ -46,7 +51,7 @@ class AttributePass {
   /// selection is a pure function of (n, max_pairs, attr_seed) —
   /// independent of how the rows were chunked — which is what lets the
   /// out-of-core path reproduce the in-memory sample exactly.
-  void Reset(const std::vector<int32_t>& codes, size_t cardinality,
+  void Reset(CodeView codes, size_t cardinality,
              const std::vector<uint32_t>& shuffled, size_t max_pairs,
              uint64_t attr_seed);
 

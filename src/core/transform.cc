@@ -47,16 +47,21 @@ Result<TransformStreams> PrepareTransformStreams(size_t n, size_t k,
 }
 
 Result<PassMoments> AccumulateResidentPasses(
-    const std::vector<const std::vector<int32_t>*>& columns,
+    const std::vector<CodeView>& columns,
     const std::vector<size_t>& cardinalities,
     const TransformStreams& streams, const TransformOptions& options,
-    bool pooled) {
+    bool pooled, const ResidentSchedule& schedule) {
   const size_t k = columns.size();
-  const size_t num_chunks =
-      std::min(ResolveThreadCount(options.threads), k);
+  size_t num_chunks = std::min(ResolveThreadCount(options.threads), k);
+  if (schedule.max_passes != 0) {
+    num_chunks = std::min(num_chunks, schedule.max_passes);
+  }
   std::vector<PassMoments> parts(num_chunks, PassMoments(k, pooled));
   std::atomic<bool> expired{false};
   std::mutex profile_mu;
+  std::mutex stop_mu;
+  Status stop = Status::OK();
+  std::atomic<bool> stopped{false};
 
   ParallelForChunks(
       0, k, num_chunks, options.threads,
@@ -70,8 +75,18 @@ Result<PassMoments> AccumulateResidentPasses(
         std::vector<uint64_t> pass_co_counts(k * k, 0);
         for (size_t attr = lo; attr < hi; ++attr) {
           if (CheckDeadline(options, &expired)) break;
+          if (stopped.load(std::memory_order_relaxed)) break;
+          if (schedule.between_passes) {
+            Status status = schedule.between_passes();
+            if (!status.ok()) {
+              std::lock_guard<std::mutex> lock(stop_mu);
+              if (stop.ok()) stop = std::move(status);
+              stopped.store(true, std::memory_order_relaxed);
+              break;
+            }
+          }
           watch.Reset();
-          pass.Reset(*columns[attr], cardinalities[attr], streams.shuffled,
+          pass.Reset(columns[attr], cardinalities[attr], streams.shuffled,
                      options.max_pairs_per_attribute,
                      streams.attr_seeds[attr]);
           local.sort += watch.ElapsedSeconds();
@@ -79,7 +94,7 @@ Result<PassMoments> AccumulateResidentPasses(
           bits.Reset(pass.num_pairs(), k);
           for (size_t col = 0; col < k; ++col) {
             ColumnBitWriter writer(bits.column_words(col));
-            AppendPassColumnBits(*columns[col], pass, &writer, &scratch);
+            AppendPassColumnBits(columns[col], pass, &writer, &scratch);
             writer.Flush();
           }
           local.pack += watch.ElapsedSeconds();
@@ -97,6 +112,7 @@ Result<PassMoments> AccumulateResidentPasses(
   if (expired.load(std::memory_order_relaxed)) {
     return Status::Timeout("pair transform: time budget exhausted");
   }
+  FDX_RETURN_IF_ERROR(stop);
   for (size_t chunk = 1; chunk < num_chunks; ++chunk) {
     parts[0].Merge(std::move(parts[chunk]));
   }
@@ -184,8 +200,8 @@ Result<PassMoments> EncodedPasses(const EncodedTable& encoded,
   FDX_ASSIGN_OR_RETURN(
       TransformStreams streams,
       PrepareTransformStreams(encoded.num_rows(), k, options.seed));
-  std::vector<const std::vector<int32_t>*> columns(k);
-  for (size_t c = 0; c < k; ++c) columns[c] = &encoded.column_codes(c);
+  std::vector<CodeView> columns(k);
+  for (size_t c = 0; c < k; ++c) columns[c] = encoded.column_codes(c);
   return AccumulateResidentPasses(columns, encoded.cardinalities(), streams,
                                   options, pooled);
 }

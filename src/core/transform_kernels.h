@@ -1,13 +1,16 @@
 #ifndef FDX_CORE_TRANSFORM_KERNELS_H_
 #define FDX_CORE_TRANSFORM_KERNELS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "core/pairs.h"
 #include "core/transform.h"
+#include "data/code_column.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "util/rng.h"
@@ -24,8 +27,11 @@
 namespace fdx {
 
 /// Equality indicator with strict null semantics: a null matches nothing.
-inline uint64_t EqualCodes(int32_t a, int32_t b) {
-  return (a != EncodedTable::kNullCode && a == b) ? 1 : 0;
+/// Codes are compared at their column's width, where the null code is
+/// the all-ones value.
+template <typename T>
+inline uint64_t EqualCodes(T a, T b) {
+  return (a != static_cast<T>(~T{0}) && a == b) ? 1 : 0;
 }
 
 /// Number of pairs one attribute pass emits for an n-row table.
@@ -118,63 +124,72 @@ class ColumnBitWriter {
   unsigned shift_ = 0;
 };
 
-/// Reusable buffers for the vectorized pack path: the gathered code
-/// stream and the word-aligned bit buffer the SIMD compare fills before
-/// the writer splices it in at the current bit offset. One instance per
-/// packing thread, reused across (column, pass) iterations.
+/// Codes per gather-and-pack block: a multiple of 64, so every block
+/// but a pass's last packs whole words, and small enough that a block's
+/// gathered codes and words stay in L1/L2.
+inline constexpr size_t kPackBlock = 4096;
+
+/// Fixed buffers of the pack path: one block of gathered codes (plus the
+/// next block's first, for the pair that straddles them) and the words
+/// the SIMD compare fills before the writer splices them in at the
+/// current bit offset. One instance per packing thread, reused across
+/// (column, pass) iterations; its size does not grow with the table.
 struct PackScratch {
-  std::vector<int32_t> gathered;
-  std::vector<uint64_t> words;
+  int32_t gathered[kPackBlock + 1];
+  uint64_t words[kPackBlock / 64];
 };
 
 /// Appends one pass's equality bits for the column with dictionary codes
-/// `codes` to `writer`. The full (uncapped) variant gathers the column's
-/// codes into sorted order and packs the adjacent-equality bits through
-/// the runtime-dispatched SIMD kernels (scalar fallback included); both
+/// `codes` to `writer`. The full (uncapped) variant walks the sorted
+/// order a block at a time: it gathers the block's codes widened to
+/// int32 and packs their adjacent-equality bits through the
+/// runtime-dispatched SIMD kernels (scalar fallback included). Both
 /// produce the exact integer bit stream, so the output is bit-identical
-/// at every dispatch level. The sampled variant stays scalar: its pair
-/// positions are a sparse subset, not an adjacent sweep. `scratch` may
-/// be null (e.g. one-off callers), which forces the carried-load scalar
-/// loop.
-inline void AppendPassColumnBits(const std::vector<int32_t>& codes,
-                                 const AttributePass& pass,
+/// at every dispatch level and code width. The sampled variant stays
+/// scalar: its pair positions are a sparse subset, not an adjacent
+/// sweep.
+inline void AppendPassColumnBits(CodeView codes, const AttributePass& pass,
                                  ColumnBitWriter* writer,
-                                 PackScratch* scratch = nullptr) {
-  if (!pass.sampled()) {
-    const std::vector<uint32_t>& order = pass.order();
-    const size_t n = order.size();
-    if (n < 2) return;
-    if (scratch != nullptr && n >= 128) {
-      const SimdOps& ops = ActiveSimdOps();
-      scratch->gathered.resize(n);
-      int32_t* g = scratch->gathered.data();
-      ops.gather_codes(codes.data(), order.data(), n, g);
-      scratch->words.resize((n - 1) / 64 + 1);
-      const size_t packed = ops.pack_adjacent_equal(
-          g, n, EncodedTable::kNullCode, scratch->words.data());
-      for (size_t w = 0; w < packed / 64; ++w) {
-        writer->AppendWord(scratch->words[w], 64);
-      }
-      for (size_t j = packed; j + 1 < n; ++j) {
-        writer->Append(EqualCodes(g[j], g[j + 1]));
-      }
-      // The wrap pair (order[n-1], order[0]).
-      writer->Append(EqualCodes(g[n - 1], g[0]));
-      return;
-    }
-    int32_t prev = codes[order[0]];
-    for (size_t j = 0; j + 1 < n; ++j) {
-      const int32_t cur = codes[order[j + 1]];
-      writer->Append(EqualCodes(prev, cur));
-      prev = cur;
-    }
-    // The wrap pair (order[n-1], order[0]); prev holds codes[order[n-1]].
-    writer->Append(EqualCodes(prev, codes[order[0]]));
+                                 PackScratch* scratch) {
+  if (pass.sampled()) {
+    DispatchCodeWidth(codes.width, [&](auto zero) {
+      using T = decltype(zero);
+      pass.ForEachPair([&](size_t, size_t a, size_t b) {
+        writer->Append(EqualCodes(LoadCode<T>(codes.data, a),
+                                  LoadCode<T>(codes.data, b)));
+      });
+    });
     return;
   }
-  pass.ForEachPair([&](size_t, size_t a, size_t b) {
-    writer->Append(EqualCodes(codes[a], codes[b]));
-  });
+  const std::vector<uint32_t>& order = pass.order();
+  const size_t n = order.size();
+  if (n < 2) return;
+  const SimdOps& ops = ActiveSimdOps();
+  const SimdOps::GatherFn gather = ops.gather(codes.width);
+  const int32_t null_code = NullCodeAt(codes.width);
+  const auto equal = [null_code](int32_t a, int32_t b) -> uint64_t {
+    return (a != null_code && a == b) ? 1 : 0;
+  };
+  int32_t* g = scratch->gathered;
+  // Pairs (j, j + 1) for j in [lo, lo + len): the block gathers len + 1
+  // codes, the last of which starts the next block.
+  for (size_t lo = 0; lo + 1 < n; lo += kPackBlock) {
+    const size_t len = std::min(kPackBlock, n - 1 - lo);
+    gather(codes.data, order.data() + lo, len + 1, g);
+    const size_t packed =
+        ops.pack_adjacent_equal(g, len + 1, null_code, scratch->words);
+    for (size_t w = 0; w < packed / 64; ++w) {
+      writer->AppendWord(scratch->words[w], 64);
+    }
+    for (size_t j = packed; j < len; ++j) {
+      writer->Append(equal(g[j], g[j + 1]));
+    }
+  }
+  // The wrap pair (order[n-1], order[0]).
+  int32_t ends[2];
+  gather(codes.data, order.data() + n - 1, 1, &ends[0]);
+  gather(codes.data, order.data(), 1, &ends[1]);
+  writer->Append(equal(ends[0], ends[1]));
 }
 
 /// Pass-local covariance from one pass's integer moments. Used by the
@@ -305,19 +320,29 @@ inline Result<TransformedMoments> FinishMoments(const PassMoments& moments) {
   return out;
 }
 
+/// Bounds on the resident pass driver. `max_passes` caps the passes in
+/// flight (each holds its sort order and bit matrix; 0 = one per
+/// thread). `between_passes`, when set, runs before every pass; an error
+/// stops the remaining passes and is returned (the streaming transform
+/// polls its memory ceiling here).
+struct ResidentSchedule {
+  size_t max_passes = 0;
+  std::function<Status()> between_passes;
+};
+
 /// The resident pass driver: every attribute pass of Algorithm 2 (sort,
 /// pack, popcount) over columns that are all in memory, the passes fanned
 /// out over `options.threads` with one pass of bits per thread alive at a
-/// time. `columns[c]` points at column c's dense codes (kNullCode for
-/// nulls) and `cardinalities[c]` bounds them; nothing is copied. Keeps
-/// per-pass covariances when `pooled`. Polls `options.deadline` between
-/// passes and returns Timeout on expiry. Bit-identical at any thread
-/// count.
+/// time. `columns[c]` views column c's dense codes at its width and
+/// `cardinalities[c]` bounds them; nothing is copied. Keeps per-pass
+/// covariances when `pooled`. Polls `options.deadline` between passes
+/// and returns Timeout on expiry. Bit-identical at any thread count and
+/// code width.
 Result<PassMoments> AccumulateResidentPasses(
-    const std::vector<const std::vector<int32_t>*>& columns,
+    const std::vector<CodeView>& columns,
     const std::vector<size_t>& cardinalities,
     const TransformStreams& streams, const TransformOptions& options,
-    bool pooled);
+    bool pooled, const ResidentSchedule& schedule = {});
 
 }  // namespace fdx
 

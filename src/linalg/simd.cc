@@ -12,9 +12,15 @@ uint64_t Popcount(uint64_t word) {
   return static_cast<uint64_t>(__builtin_popcountll(word));
 }
 
-void GatherCodesScalar(const int32_t* codes, const uint32_t* order, size_t n,
+template <typename T>
+void GatherCodesScalar(const uint8_t* codes, const uint32_t* order, size_t n,
                        int32_t* g) {
-  for (size_t i = 0; i < n; ++i) g[i] = codes[order[i]];
+  for (size_t i = 0; i < n; ++i) {
+    T code;
+    std::memcpy(&code, codes + static_cast<size_t>(order[i]) * sizeof(T),
+                sizeof(T));
+    g[i] = static_cast<int32_t>(code);
+  }
 }
 
 size_t PackAdjacentEqualScalar(const int32_t* g, size_t n, int32_t null_code,
@@ -104,7 +110,9 @@ const SimdOps& ScalarOps() {
   static const SimdOps ops = [] {
     SimdOps table;
     table.level = SimdLevel::kScalar;
-    table.gather_codes = GatherCodesScalar;
+    table.gather_u8 = GatherCodesScalar<uint8_t>;
+    table.gather_u16 = GatherCodesScalar<uint16_t>;
+    table.gather_u32 = GatherCodesScalar<uint32_t>;
     table.pack_adjacent_equal = PackAdjacentEqualScalar;
     table.popcount_words = PopcountWordsScalar;
     table.popcount_and_words = PopcountAndWordsScalar;

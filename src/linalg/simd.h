@@ -5,15 +5,15 @@
 #include <cstdint>
 
 /// Runtime-dispatched SIMD kernels for the two integer hot loops of the
-/// pipeline: the pair-transform bit-pack (gather + adjacent-equality
-/// compare) and the AND+popcount Gram block of BitMatrix. Every kernel
-/// computes exact integer results, so the scalar fallback and the
-/// vector paths are bit-identical by construction — dispatch changes
-/// speed, never bytes. The scalar path is always built; the AVX2 and
-/// AVX-512 translation units are compiled only where the compiler
-/// accepts the flags (mirroring the -mpopcnt gate in the top-level
-/// CMakeLists) and selected only after __builtin_cpu_supports agrees at
-/// runtime.
+/// pipeline: the pair-transform bit-pack (gather at code width 1, 2 or
+/// 4 + adjacent-equality compare) and the AND+popcount Gram block of
+/// BitMatrix. Every kernel computes exact integer results, so the scalar
+/// fallback and the vector paths are bit-identical by construction —
+/// dispatch changes speed, never bytes. The scalar path is always built;
+/// the AVX2 and AVX-512 translation units are compiled only where the
+/// compiler accepts the flags (mirroring the -mpopcnt gate in the
+/// top-level CMakeLists) and selected only after __builtin_cpu_supports
+/// agrees at runtime.
 namespace fdx {
 
 enum class SimdLevel : int {
@@ -27,10 +27,21 @@ enum class SimdLevel : int {
 struct SimdOps {
   SimdLevel level = SimdLevel::kScalar;
 
-  /// g[i] = codes[order[i]] for i in [0, n): the sorted-order gather that
-  /// feeds the pack compare.
-  void (*gather_codes)(const int32_t* codes, const uint32_t* order, size_t n,
-                       int32_t* g) = nullptr;
+  /// g[i] = codes[order[i]] for i in [0, n), widened to int32: the
+  /// sorted-order gather that feeds the pack compare. `codes` holds codes
+  /// of 1, 2 or 4 bytes (gather_u8, gather_u16, gather_u32; any
+  /// alignment). Narrow codes are zero-extended, so their all-ones null
+  /// code reads 255 or 65535 in `g` (see data/code_column.h).
+  using GatherFn = void (*)(const uint8_t* codes, const uint32_t* order,
+                            size_t n, int32_t* g);
+  GatherFn gather_u8 = nullptr;
+  GatherFn gather_u16 = nullptr;
+  GatherFn gather_u32 = nullptr;
+
+  /// The gather for codes of `width` bytes (1, 2 or 4).
+  GatherFn gather(unsigned width) const {
+    return width == 1 ? gather_u8 : width == 2 ? gather_u16 : gather_u32;
+  }
 
   /// Packs the adjacent-equality bits of a contiguous code stream:
   /// bit j = (g[j] != null_code && g[j] == g[j+1]) for j in [0, n-1),

@@ -6,26 +6,57 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "linalg/simd.h"
 
 namespace fdx {
 namespace {
 
-void GatherCodesAvx2(const int32_t* codes, const uint32_t* order, size_t n,
+/// Code `row` of a column of T-wide codes, widened (the scalar lanes).
+template <typename T>
+inline int32_t LoadWidened(const uint8_t* codes, uint32_t row) {
+  T code;
+  std::memcpy(&code, codes + static_cast<size_t>(row) * sizeof(T),
+              sizeof(T));
+  return static_cast<int32_t>(code);
+}
+
+/// VPGATHERDD at every code width. Each lane loads the 4 bytes that end
+/// at its code (a T-wide code sits in the window's top bytes; at width 4
+/// the window is the code) and a shift drops the bytes below it. Row ids
+/// are signed 32-bit gather indices, so a lane is masked out of the
+/// gather and read scalar when its window would start before the column
+/// (the first 4 / sizeof(T) - 1 rows) or its row id is 2^31 or more; no
+/// load touches memory outside the column.
+template <typename T>
+void GatherCodesAvx2(const uint8_t* codes, const uint32_t* order, size_t n,
                      int32_t* g) {
+  constexpr uint32_t kBack = 4 - sizeof(T);
+  // Lanes with a row id above this are gathered.
+  constexpr int kLastUnsafe =
+      static_cast<int>((kBack + sizeof(T) - 1) / sizeof(T)) - 1;
+  const __m256i last_unsafe = _mm256_set1_epi32(kLastUnsafe);
+  // The window base as an address, not pointer arithmetic: it may lie
+  // before the column, and only unmasked lanes are ever loaded.
+  const int* base = reinterpret_cast<const int*>(
+      reinterpret_cast<uintptr_t>(codes) - kBack);
   size_t i = 0;
-  // VPGATHERDD indices are signed 32-bit; fall back to scalar for the
-  // (hypothetical) > 2^31-row tail where an index would go negative.
-  if (n <= static_cast<size_t>(INT32_MAX)) {
-    for (; i + 8 <= n; i += 8) {
-      const __m256i idx =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(order + i));
-      const __m256i v = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(codes), idx, 4);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i), v);
+  for (; i + 8 <= n; i += 8) {
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(order + i));
+    const __m256i safe = _mm256_cmpgt_epi32(idx, last_unsafe);
+    const __m256i v = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), base, idx, safe, sizeof(T));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i),
+                        _mm256_srli_epi32(v, 8 * kBack));
+    if (_mm256_movemask_ps(_mm256_castsi256_ps(safe)) != 0xFF) {
+      for (size_t j = i; j < i + 8; ++j) {
+        g[j] = LoadWidened<T>(codes, order[j]);
+      }
     }
   }
-  for (; i < n; ++i) g[i] = codes[order[i]];
+  for (; i < n; ++i) g[i] = LoadWidened<T>(codes, order[i]);
 }
 
 size_t PackAdjacentEqualAvx2(const int32_t* g, size_t n, int32_t null_code,
@@ -117,7 +148,9 @@ const SimdOps& Avx2Ops() {
   static const SimdOps ops = [] {
     SimdOps table;
     table.level = SimdLevel::kAvx2;
-    table.gather_codes = GatherCodesAvx2;
+    table.gather_u8 = GatherCodesAvx2<uint8_t>;
+    table.gather_u16 = GatherCodesAvx2<uint16_t>;
+    table.gather_u32 = GatherCodesAvx2<uint32_t>;
     table.pack_adjacent_equal = PackAdjacentEqualAvx2;
     table.popcount_words = PopcountWordsAvx2;
     table.popcount_and_words = PopcountAndWordsAvx2;

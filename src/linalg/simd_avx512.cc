@@ -5,25 +5,39 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "linalg/simd.h"
 
 namespace fdx {
 namespace {
 
-void GatherCodesAvx512(const int32_t* codes, const uint32_t* order, size_t n,
+/// VPGATHERDD at width 4. Row ids are signed 32-bit gather indices, so
+/// lanes with a row id of 2^31 or more are masked out of the gather and
+/// read scalar. Narrow widths use the scalar gathers: the AVX2 narrow
+/// gathers beat scalar on an AVX2 machine, but no AVX-512 machine has
+/// measured these.
+void GatherCodesAvx512(const uint8_t* codes, const uint32_t* order, size_t n,
                        int32_t* g) {
+  const auto load = [codes](uint32_t row) {
+    int32_t code;
+    std::memcpy(&code, codes + static_cast<size_t>(row) * 4, 4);
+    return code;
+  };
   size_t i = 0;
-  // Gather indices are signed 32-bit; see the AVX2 variant.
-  if (n <= static_cast<size_t>(INT32_MAX)) {
-    for (; i + 16 <= n; i += 16) {
-      const __m512i idx =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(order + i));
-      const __m512i v = _mm512_i32gather_epi32(
-          idx, reinterpret_cast<const void*>(codes), 4);
-      _mm512_storeu_si512(reinterpret_cast<void*>(g + i), v);
+  for (; i + 16 <= n; i += 16) {
+    const __m512i idx =
+        _mm512_loadu_si512(reinterpret_cast<const void*>(order + i));
+    const __mmask16 safe = _mm512_cmpge_epi32_mask(idx, _mm512_setzero_si512());
+    const __m512i v = _mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), safe, idx,
+        reinterpret_cast<const void*>(codes), 4);
+    _mm512_storeu_si512(reinterpret_cast<void*>(g + i), v);
+    if (safe != 0xFFFF) {
+      for (size_t j = i; j < i + 16; ++j) g[j] = load(order[j]);
     }
   }
-  for (; i < n; ++i) g[i] = codes[order[i]];
+  for (; i < n; ++i) g[i] = load(order[i]);
 }
 
 size_t PackAdjacentEqualAvx512(const int32_t* g, size_t n, int32_t null_code,
@@ -91,7 +105,9 @@ const SimdOps& Avx512Ops() {
   static const SimdOps ops = [] {
     SimdOps table;
     table.level = SimdLevel::kAvx512;
-    table.gather_codes = GatherCodesAvx512;
+    table.gather_u8 = ScalarOps().gather_u8;
+    table.gather_u16 = ScalarOps().gather_u16;
+    table.gather_u32 = GatherCodesAvx512;
     table.pack_adjacent_equal = PackAdjacentEqualAvx512;
     table.popcount_words = PopcountWordsAvx512;
     table.popcount_and_words = PopcountAndWordsAvx512;

@@ -6,6 +6,7 @@
 #include "core/ordering.h"
 #include "eval/report.h"
 #include "util/fingerprint.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 
 namespace fdx {
@@ -18,6 +19,19 @@ std::string ExactDouble(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
+}
+
+/// Request option `key` as an integer in [0, max]: InvalidArgument
+/// naming the option for a negative, fractional or out-of-range number.
+Result<uint64_t> OptionCount(const std::string& key, const JsonValue& value,
+                             uint64_t max) {
+  const std::optional<uint64_t> count = value.CountValue(max);
+  if (!count) {
+    return Status::InvalidArgument("options." + key +
+                                   " must be an integer in [0, " +
+                                   std::to_string(max) + "]");
+  }
+  return *count;
 }
 
 }  // namespace
@@ -54,17 +68,18 @@ Result<FdxOptions> ParseOptionsJson(const JsonValue& json,
       FDX_ASSIGN_OR_RETURN(options.ordering,
                            ParseOrderingMethod(value.string_value()));
     } else if (key == "seed" && value.is_number()) {
-      options.transform.seed =
-          static_cast<uint64_t>(value.number_value());
+      FDX_ASSIGN_OR_RETURN(options.transform.seed,
+                           OptionCount(key, value, UINT64_MAX));
     } else if (key == "max_pairs" && value.is_number()) {
-      options.transform.max_pairs_per_attribute =
-          static_cast<size_t>(value.number_value());
+      FDX_ASSIGN_OR_RETURN(options.transform.max_pairs_per_attribute,
+                           OptionCount(key, value, SIZE_MAX));
     } else if (key == "pooled_covariance" && value.is_bool()) {
       options.transform.pooled_covariance = value.bool_value();
     } else if (key == "time_budget_seconds" && value.is_number()) {
       options.time_budget_seconds = value.number_value();
     } else if (key == "threads" && value.is_number()) {
-      options.threads = static_cast<size_t>(value.number_value());
+      FDX_ASSIGN_OR_RETURN(options.threads,
+                           OptionCount(key, value, kMaxThreadsFlag));
     } else if (key == "recovery" && value.is_bool()) {
       options.recovery.enabled = value.bool_value();
     } else if (key == "warm_start" && value.is_bool()) {

@@ -3,12 +3,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <utility>
 
+#include "data/code_column.h"
 #include "store/chunk_codec.h"
 #include "util/fault_injection.h"
 #include "util/file_io.h"
@@ -20,12 +24,34 @@
 namespace fdx {
 namespace {
 
+/// Chunk files, by magic. Each starts with the magic and u64 rows, cols
+/// and dict_bytes, and ends with the JSON dictionary delta. Every
+/// chunk's fingerprint covers an uncompressed serialization, and the
+/// magic says which one:
+///
+///  FDXCHNK1  raw: each column's storage codes as int32, column after
+///            column. Its fingerprint covers the file.
+///  FDXCHNK2  compressed: a u64 compressed size per column, then the
+///            codec payloads. Fingerprint over its FDXCHNK1 form.
+///  FDXCHNK3  raw narrow: one width byte per column, then each column's
+///            codes at that width (1, 2 or 4 bytes; null = all-ones, see
+///            data/code_column.h). Its fingerprint covers the file.
+///  FDXCHNK4  compressed narrow: FDXCHNK3's width bytes, then a u64
+///            compressed size per column and the codec payloads.
+///            Fingerprint over its FDXCHNK3 form.
+///
+/// Writers emit FDXCHNK3 and FDXCHNK4; FDXCHNK1 and FDXCHNK2 are read so
+/// older stores open unchanged. Integers are little-endian.
 constexpr char kChunkMagic[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '1'};
-/// Compressed chunk: same u64 header, then a u64 per-column
-/// compressed-size table, then the codec payloads, then the dict delta.
 constexpr char kChunkMagicV2[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '2'};
+constexpr char kChunkMagicV3[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '3'};
+constexpr char kChunkMagicV4[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '4'};
 constexpr size_t kChunkHeaderBytes = 8 + 3 * 8;  // magic + rows/cols/dict_bytes
 constexpr int kManifestVersion = 1;
+
+// Narrow codes are stored with memcpy, i.e. in host byte order.
+static_assert(std::endian::native == std::endian::little,
+              "the chunk format is little-endian");
 
 void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -39,17 +65,54 @@ uint64_t ReadU64(const char* p) {
   return v;
 }
 
-void AppendI32(std::string* out, int32_t v) {
-  const uint32_t u = static_cast<uint32_t>(v);
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(u >> (8 * i)));
+/// The header of an uncompressed (FDXCHNK1 or FDXCHNK3) serialization.
+void AppendChunkHeader(std::string* out, const std::vector<uint8_t>& widths,
+                       bool narrow, uint64_t rows, uint64_t dict_bytes) {
+  out->append(narrow ? kChunkMagicV3 : kChunkMagic, sizeof(kChunkMagic));
+  AppendU64(out, rows);
+  AppendU64(out, widths.size());
+  AppendU64(out, dict_bytes);
+  if (narrow) out->append(widths.begin(), widths.end());
 }
 
-int32_t ReadI32(const char* p) {
-  uint32_t u = 0;
-  for (int i = 0; i < 4; ++i) {
-    u |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+/// Appends `codes[0..n)` (kNullCode for nulls) at `width` bytes each,
+/// nulls as the width's all-ones code.
+void AppendCodesAtWidth(unsigned width, const int32_t* codes, size_t n,
+                        std::string* out) {
+  const size_t at = out->size();
+  out->resize(at + n * width);
+  uint8_t* dst = reinterpret_cast<uint8_t*>(out->data() + at);
+  DispatchCodeWidth(width, [&](auto zero) {
+    using T = decltype(zero);
+    for (size_t i = 0; i < n; ++i) {
+      StoreCode<T>(dst, i, static_cast<T>(codes[i]));
+    }
+  });
+}
+
+/// `result`, with a failure turned into IOError (prefixed by `context`):
+/// whatever is wrong inside a store's files makes the store corrupt.
+template <typename T>
+Result<T> AsIOError(Result<T> result, const std::string& context) {
+  if (result.ok() || result.status().code() == StatusCode::kIOError) {
+    return result;
   }
-  return static_cast<int32_t>(u);
+  return Status::IOError(context + result.status().message());
+}
+
+/// Store JSON field `key` of `object` as an integer in [0, max]; IOError
+/// for a missing, negative, fractional or out-of-range value.
+Result<uint64_t> JsonCount(const JsonValue& object, const char* key,
+                           uint64_t max = UINT64_MAX) {
+  const JsonValue* value = object.Find(key);
+  const std::optional<uint64_t> count =
+      value == nullptr ? std::nullopt : value->CountValue(max);
+  if (!count) {
+    return Status::IOError(std::string("store: field '") + key +
+                           "' must be an integer in [0, " +
+                           std::to_string(max) + "]");
+  }
+  return *count;
 }
 
 std::string ChunkFileName(size_t index) {
@@ -148,20 +211,27 @@ Status DecodeCompressedColumn(const ChunkCodec& codec, const char* data,
 
 }  // namespace
 
-/// Cached per-chunk read state. Established once under the table's I/O
-/// mutex; immutable afterwards, so concurrent column reads share it
-/// without further locking (mapped reads and pread are both safe).
+/// Per-chunk read state: the chunk file's bytes (mapped, read whole, or
+/// reached by pread on an open fd) and its parsed layout. Immutable once
+/// built, so concurrent column reads share it without further locking
+/// (mapped reads and pread are both safe).
 struct ChunkedTable::ChunkIo {
-  MmapFile map;        ///< valid when use_mmap
-  int fd = -1;         ///< pread fallback, kept open across column reads
+  MmapFile map;          ///< valid when use_mmap
+  std::string contents;  ///< the whole file, when read in one go
+  /// The whole file when it is addressable (mapped or read whole);
+  /// nullptr on the pread path.
+  const char* bytes = nullptr;
+  int fd = -1;           ///< pread path, kept open across column reads
   bool use_mmap = false;
-  bool compressed = false;  ///< file is FDXCHNK2
+  bool compressed = false;  ///< FDXCHNK2 or FDXCHNK4
+  bool narrow = false;      ///< FDXCHNK3 or FDXCHNK4: width bytes present
   uint64_t file_size = 0;
   uint64_t dict_offset = 0;
   uint64_t dict_bytes = 0;
-  /// Per-column payload byte ranges, parsed once from the header (and,
-  /// for compressed chunks, the size table) — column reads never touch
-  /// header state again.
+  /// Per column: code width (4 in FDXCHNK1/2) and payload byte range,
+  /// parsed once from the header, so column reads never touch header
+  /// state again.
+  std::vector<uint8_t> widths;
   std::vector<uint64_t> col_offsets;
   std::vector<uint64_t> col_sizes;
 
@@ -173,15 +243,15 @@ struct ChunkedTable::ChunkIo {
   }
 
   /// Copies `[offset, offset+len)` of the chunk file into `dst`, from
-  /// the map or via pread on the cached fd.
+  /// its bytes or via pread on the cached fd.
   Status ReadAt(uint64_t offset, size_t len, char* dst,
                 const std::string& path) const {
-    if (offset + len > file_size) {
+    if (offset > file_size || len > file_size - offset) {
       return Status::IOError("store: chunk '" + path +
                              "' is shorter than its header promises");
     }
-    if (use_mmap) {
-      std::memcpy(dst, map.data() + offset, len);
+    if (bytes != nullptr) {
+      std::memcpy(dst, bytes + offset, len);
       return Status::OK();
     }
     size_t done = 0;
@@ -206,6 +276,76 @@ struct ChunkedTable::ChunkIo {
   /// a streaming scan never accumulates mapped pages.
   void DropRange(uint64_t offset, size_t len) const {
     if (use_mmap) map.AdviseDontNeed(offset, len);
+  }
+
+  /// Parses the header into the layout fields, checking it against the
+  /// manifest's row count and the schema's column count. Offsets are
+  /// checked against the file size as they accumulate, so no header can
+  /// make them overflow or point past the end.
+  Status ParseLayout(uint64_t expected_rows, size_t k, bool have_codec,
+                     const std::string& path) {
+    const Status bad_header =
+        Status::IOError("store: chunk '" + path + "' has a bad header");
+    const Status bad_shape = Status::IOError(
+        "store: chunk '" + path + "' shape disagrees with the manifest");
+    char header[kChunkHeaderBytes];
+    if (file_size < kChunkHeaderBytes) return bad_header;
+    FDX_RETURN_IF_ERROR(ReadAt(0, kChunkHeaderBytes, header, path));
+    const auto is = [&](const char* magic) {
+      return std::memcmp(header, magic, sizeof(kChunkMagic)) == 0;
+    };
+    if (!is(kChunkMagic) && !is(kChunkMagicV2) && !is(kChunkMagicV3) &&
+        !is(kChunkMagicV4)) {
+      return bad_header;
+    }
+    compressed = is(kChunkMagicV2) || is(kChunkMagicV4);
+    narrow = is(kChunkMagicV3) || is(kChunkMagicV4);
+    const uint64_t rows = ReadU64(header + 8);
+    const uint64_t cols = ReadU64(header + 16);
+    dict_bytes = ReadU64(header + 24);
+    if (rows != expected_rows || cols != k) return bad_shape;
+    // Every format spends at least a byte per code, so a file holds no
+    // more rows than bytes. This bounds every buffer a reader sizes by
+    // rows, and keeps rows * width below from overflowing.
+    if (k != 0 && rows > file_size) return bad_shape;
+    if (compressed && !have_codec) {
+      return Status::IOError("store: chunk '" + path +
+                             "' is compressed but the manifest names no "
+                             "codec");
+    }
+    uint64_t offset = kChunkHeaderBytes;
+    widths.assign(k, 4);
+    if (narrow) {
+      if (file_size - offset < k) return bad_header;
+      FDX_RETURN_IF_ERROR(ReadAt(offset, k,
+                                 reinterpret_cast<char*>(widths.data()),
+                                 path));
+      for (uint8_t width : widths) {
+        if (width != 1 && width != 2 && width != 4) return bad_header;
+      }
+      offset += k;
+    }
+    col_sizes.resize(k);
+    if (compressed) {
+      if ((file_size - offset) / 8 < k) return bad_header;
+      std::string table(k * 8, '\0');
+      FDX_RETURN_IF_ERROR(ReadAt(offset, k * 8, table.data(), path));
+      for (size_t c = 0; c < k; ++c) {
+        col_sizes[c] = ReadU64(table.data() + c * 8);
+      }
+      offset += k * 8;
+    } else {
+      for (size_t c = 0; c < k; ++c) col_sizes[c] = rows * widths[c];
+    }
+    col_offsets.resize(k);
+    for (size_t c = 0; c < k; ++c) {
+      if (col_sizes[c] > file_size - offset) return bad_shape;
+      col_offsets[c] = offset;
+      offset += col_sizes[c];
+    }
+    dict_offset = offset;
+    if (dict_bytes != file_size - offset) return bad_shape;
+    return Status::OK();
   }
 };
 
@@ -243,7 +383,8 @@ Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
 }
 
 std::string ChunkedTable::SerializeChunk(
-    const StoredChunk& chunk, const std::vector<size_t>& dict_starts) const {
+    const StoredChunk& chunk, const std::vector<size_t>& dict_starts,
+    const std::vector<uint8_t>& widths) const {
   const size_t k = schema_.size();
   // Dictionary delta: per column, the storage codes [start, end) this
   // chunk introduced and their exact values.
@@ -268,13 +409,13 @@ std::string ChunkedTable::SerializeChunk(
   const std::string dict_json = json.TakeString();
 
   std::string out;
-  out.reserve(kChunkHeaderBytes + chunk.rows * k * 4 + dict_json.size());
-  out.append(kChunkMagic, sizeof(kChunkMagic));
-  AppendU64(&out, chunk.rows);
-  AppendU64(&out, k);
-  AppendU64(&out, dict_json.size());
+  size_t code_bytes = 0;
+  for (uint8_t width : widths) code_bytes += chunk.rows * width;
+  out.reserve(kChunkHeaderBytes + k + code_bytes + dict_json.size());
+  AppendChunkHeader(&out, widths, /*narrow=*/true, chunk.rows,
+                    dict_json.size());
   for (size_t c = 0; c < k; ++c) {
-    for (int32_t code : chunk.codes[c]) AppendI32(&out, code);
+    AppendCodesAtWidth(widths[c], chunk.codes[c].data(), chunk.rows, &out);
   }
   out += dict_json;
   return out;
@@ -369,23 +510,24 @@ Status ChunkedTable::AppendChunk(std::vector<std::vector<int32_t>> codes,
   StoredChunk chunk;
   chunk.rows = rows;
   chunk.codes = std::move(codes);
+  // Each column's codes at the width of the dictionary committed so far.
+  std::vector<uint8_t> widths(k);
+  for (size_t c = 0; c < k; ++c) widths[c] = CodeWidthFor(committed_[c]);
 
   // The fingerprint always covers the uncompressed serialization, so
   // raw and compressed stores of the same data fingerprint identically.
-  const std::string payload = SerializeChunk(chunk, dict_starts);
+  const std::string payload = SerializeChunk(chunk, dict_starts, widths);
   chunk.fingerprint_hex = FingerprintHexOf(payload);
   if (!dir_.empty()) {
     chunk.file = ChunkFileName(chunks_.size());
     if (codec_ != nullptr) {
-      // Re-frame as FDXCHNK2: header, per-column compressed sizes,
-      // codec payloads, then the same dictionary delta tail.
-      const size_t dict_bytes =
-          payload.size() - kChunkHeaderBytes - chunk.rows * k * 4;
+      // Re-frame as FDXCHNK4: header and width bytes, per-column
+      // compressed sizes, codec payloads, then the same dictionary tail.
+      const size_t dict_bytes = ReadU64(payload.data() + 24);
       std::string packed;
-      packed.append(kChunkMagicV2, sizeof(kChunkMagicV2));
-      AppendU64(&packed, chunk.rows);
-      AppendU64(&packed, k);
-      AppendU64(&packed, dict_bytes);
+      packed.append(kChunkMagicV4, sizeof(kChunkMagicV4));
+      packed.append(payload, sizeof(kChunkMagicV4),
+                    kChunkHeaderBytes - sizeof(kChunkMagicV4) + k);
       std::string columns;
       for (size_t c = 0; c < k; ++c) {
         const size_t before = columns.size();
@@ -422,6 +564,7 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
     if (mapped.ok()) {
       io->map = std::move(mapped).value();
       io->use_mmap = true;
+      io->bytes = io->map.data();
       io->file_size = io->map.size();
     } else {
       ++mmap_fallbacks_;
@@ -442,80 +585,18 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
     }
     io->file_size = static_cast<uint64_t>(size);
   }
-
   // Parse the header once; every later column read goes straight to its
   // precomputed byte range.
-  char header[kChunkHeaderBytes];
-  if (io->file_size < kChunkHeaderBytes) {
-    return Status::IOError("store: chunk '" + path + "' has a bad header");
-  }
-  FDX_RETURN_IF_ERROR(io->ReadAt(0, kChunkHeaderBytes, header, path));
-  const bool v1 = std::memcmp(header, kChunkMagic, sizeof(kChunkMagic)) == 0;
-  const bool v2 =
-      std::memcmp(header, kChunkMagicV2, sizeof(kChunkMagicV2)) == 0;
-  if (!v1 && !v2) {
-    return Status::IOError("store: chunk '" + path + "' has a bad header");
-  }
-  const uint64_t rows = ReadU64(header + 8);
-  const uint64_t cols = ReadU64(header + 16);
-  io->dict_bytes = ReadU64(header + 24);
-  const size_t k = schema_.size();
-  if (rows != chunk.rows || cols != k) {
-    return Status::IOError("store: chunk '" + path +
-                           "' shape disagrees with the manifest");
-  }
-  io->compressed = v2;
-  io->col_offsets.resize(k);
-  io->col_sizes.resize(k);
-  if (v1) {
-    for (size_t c = 0; c < k; ++c) {
-      io->col_offsets[c] = kChunkHeaderBytes + c * rows * 4;
-      io->col_sizes[c] = rows * 4;
-    }
-    io->dict_offset = kChunkHeaderBytes + rows * k * 4;
-  } else {
-    if (codec_ == nullptr) {
-      return Status::IOError("store: chunk '" + path +
-                             "' is compressed but the manifest names no "
-                             "codec");
-    }
-    std::string table(k * 8, '\0');
-    if (io->file_size < kChunkHeaderBytes + k * 8) {
-      return Status::IOError("store: chunk '" + path + "' has a bad header");
-    }
-    FDX_RETURN_IF_ERROR(
-        io->ReadAt(kChunkHeaderBytes, k * 8, table.data(), path));
-    uint64_t offset = kChunkHeaderBytes + k * 8;
-    for (size_t c = 0; c < k; ++c) {
-      io->col_offsets[c] = offset;
-      io->col_sizes[c] = ReadU64(table.data() + c * 8);
-      offset += io->col_sizes[c];
-    }
-    io->dict_offset = offset;
-  }
-  if (io->file_size != io->dict_offset + io->dict_bytes) {
-    return Status::IOError("store: chunk '" + path +
-                           "' shape disagrees with the manifest");
-  }
+  FDX_RETURN_IF_ERROR(
+      io->ParseLayout(chunk.rows, schema_.size(), codec_ != nullptr, path));
 
   // First-touch verification (mmap mode): fingerprint the uncompressed
   // serialization before trusting any mapped bytes, then drop the pages
-  // the check touched. The pread fallback keeps the original contract —
+  // the check touched. The pread path keeps the original contract —
   // full verification on ReadChunkValues/Open, range checks on column
   // reads.
   if (io->use_mmap) {
-    std::string actual;
-    if (io->compressed) {
-      std::string v1_payload;
-      FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, &v1_payload));
-      actual = FingerprintHexOf(v1_payload);
-    } else {
-      actual = FingerprintHexOf(io->map.data(), io->map.size());
-    }
-    if (actual != chunk.fingerprint_hex) {
-      return Status::IOError("store: chunk '" + path +
-                             "' fingerprint mismatch (corrupt store)");
-    }
+    FDX_RETURN_IF_ERROR(VerifyChunk(index, *io));
     io->map.AdviseDontNeed(0, io->map.size());
   }
 
@@ -523,132 +604,145 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   return chunk.io.get();
 }
 
-/// Rebuilds the uncompressed (FDXCHNK1) serialization of a compressed
-/// chunk from its established I/O state: decode every column, then copy
-/// the dictionary tail. Fingerprints and the replay path both operate
-/// on this reconstruction, so they are codec-independent.
+Result<std::unique_ptr<ChunkedTable::ChunkIo>> ChunkedTable::LoadChunk(
+    size_t index) const {
+  const StoredChunk& chunk = chunks_[index];
+  const std::string path = dir_ + "/" + chunk.file;
+  auto io = std::make_unique<ChunkIo>();
+  // A chunk the manifest names is part of the store: missing or
+  // unreadable, the store is corrupt.
+  FDX_ASSIGN_OR_RETURN(io->contents,
+                       AsIOError(ReadFileToString(path), "store: "));
+  io->bytes = io->contents.data();
+  io->file_size = io->contents.size();
+  FDX_RETURN_IF_ERROR(
+      io->ParseLayout(chunk.rows, schema_.size(), codec_ != nullptr, path));
+  FDX_RETURN_IF_ERROR(VerifyChunk(index, *io));
+  return io;
+}
+
+Status ChunkedTable::VerifyChunk(size_t index, const ChunkIo& io) const {
+  const StoredChunk& chunk = chunks_[index];
+  std::string actual;
+  if (io.compressed) {
+    std::string raw;
+    FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, io, &raw));
+    actual = FingerprintHexOf(raw);
+  } else if (io.bytes != nullptr) {
+    actual = FingerprintHexOf(io.bytes, io.file_size);
+  } else {
+    std::string raw(io.file_size, '\0');
+    FDX_RETURN_IF_ERROR(
+        io.ReadAt(0, io.file_size, raw.data(), dir_ + "/" + chunk.file));
+    actual = FingerprintHexOf(raw);
+  }
+  if (actual != chunk.fingerprint_hex) {
+    return Status::IOError("store: chunk '" + dir_ + "/" + chunk.file +
+                           "' fingerprint mismatch (corrupt store)");
+  }
+  return Status::OK();
+}
+
+/// The one slice decoder: column `col` of a spilled chunk, raw at its
+/// width or through the codec, into int32 storage codes (kNullCode for
+/// nulls).
+Status ChunkedTable::ReadSlice(size_t index, const ChunkIo& io, size_t col,
+                               int32_t* out) const {
+  const StoredChunk& chunk = chunks_[index];
+  const uint64_t offset = io.col_offsets[col];
+  const uint64_t size = io.col_sizes[col];
+  std::string buffer;
+  const char* data = nullptr;
+  if (io.bytes != nullptr) {
+    data = io.bytes + offset;
+  } else {
+    buffer.resize(size);
+    FDX_RETURN_IF_ERROR(
+        io.ReadAt(offset, size, buffer.data(), dir_ + "/" + chunk.file));
+    data = buffer.data();
+  }
+  Status status = Status::OK();
+  if (io.compressed) {
+    status = DecodeCompressedColumn(*codec_, data, size, chunk.rows, out,
+                                    chunk.file);
+  } else {
+    const uint8_t* codes = reinterpret_cast<const uint8_t*>(data);
+    DispatchCodeWidth(io.widths[col], [&](auto zero) {
+      using T = decltype(zero);
+      const T null = static_cast<T>(~T{0});
+      for (size_t r = 0; r < chunk.rows; ++r) {
+        const T code = LoadCode<T>(codes, r);
+        out[r] = code == null ? EncodedTable::kNullCode
+                              : static_cast<int32_t>(code);
+      }
+    });
+  }
+  // The slice has been copied out as codes; its pages are dead weight.
+  io.DropRange(offset, size);
+  return status;
+}
+
+/// Rebuilds the uncompressed serialization (FDXCHNK1 or FDXCHNK3) of a
+/// compressed chunk: decode every column, then copy the dictionary tail.
+/// Fingerprints operate on this reconstruction, so they are
+/// codec-independent.
 Status ChunkedTable::ReconstructRawPayload(size_t index, const ChunkIo& io,
                                            std::string* out) const {
   const StoredChunk& chunk = chunks_[index];
   const size_t k = schema_.size();
   out->clear();
-  out->reserve(kChunkHeaderBytes + chunk.rows * k * 4 +
-               static_cast<size_t>(io.dict_bytes));
-  out->append(kChunkMagic, sizeof(kChunkMagic));
-  AppendU64(out, chunk.rows);
-  AppendU64(out, k);
-  AppendU64(out, io.dict_bytes);
+  AppendChunkHeader(out, io.widths, io.narrow, chunk.rows, io.dict_bytes);
   std::vector<int32_t> codes(chunk.rows);
-  std::string column;
   for (size_t c = 0; c < k; ++c) {
-    column.resize(io.col_sizes[c]);
-    FDX_RETURN_IF_ERROR(io.ReadAt(io.col_offsets[c], io.col_sizes[c],
-                                  column.data(), dir_ + "/" + chunk.file));
-    FDX_RETURN_IF_ERROR(DecodeCompressedColumn(*codec_, column.data(),
-                                               column.size(), chunk.rows,
-                                               codes.data(), chunk.file));
-    for (int32_t code : codes) AppendI32(out, code);
+    FDX_RETURN_IF_ERROR(ReadSlice(index, io, c, codes.data()));
+    AppendCodesAtWidth(io.widths[c], codes.data(), chunk.rows, out);
   }
-  std::string dict(io.dict_bytes, '\0');
-  FDX_RETURN_IF_ERROR(io.ReadAt(io.dict_offset, io.dict_bytes, dict.data(),
-                                dir_ + "/" + chunk.file));
-  *out += dict;
-  return Status::OK();
+  const size_t dict_at = out->size();
+  out->resize(dict_at + io.dict_bytes);
+  return io.ReadAt(io.dict_offset, io.dict_bytes, out->data() + dict_at,
+                   dir_ + "/" + chunk.file);
 }
 
-Status ChunkedTable::LoadChunkPayload(size_t index,
-                                      std::string* contents) const {
-  const StoredChunk& chunk = chunks_[index];
-  const std::string path = dir_ + "/" + chunk.file;
-  FDX_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(path));
-  if (raw.size() >= sizeof(kChunkMagicV2) &&
-      std::memcmp(raw.data(), kChunkMagicV2, sizeof(kChunkMagicV2)) == 0) {
-    // Compressed: rebuild the uncompressed serialization, which is what
-    // the fingerprint covers and what the callers parse.
-    FDX_ASSIGN_OR_RETURN(ChunkIo * io, GetChunkIo(index));
-    FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, contents));
-  } else {
-    *contents = std::move(raw);
-  }
-  if (FingerprintHexOf(*contents) != chunk.fingerprint_hex) {
-    return Status::IOError("store: chunk '" + path +
-                           "' fingerprint mismatch (corrupt store)");
-  }
-  const size_t k = schema_.size();
-  if (contents->size() < kChunkHeaderBytes ||
-      std::memcmp(contents->data(), kChunkMagic, sizeof(kChunkMagic)) != 0) {
-    return Status::IOError("store: chunk '" + path + "' has a bad header");
-  }
-  const uint64_t rows = ReadU64(contents->data() + 8);
-  const uint64_t cols = ReadU64(contents->data() + 16);
-  const uint64_t dict_bytes = ReadU64(contents->data() + 24);
-  if (rows != chunk.rows || cols != k ||
-      contents->size() != kChunkHeaderBytes + rows * cols * 4 + dict_bytes) {
-    return Status::IOError("store: chunk '" + path +
-                           "' shape disagrees with the manifest");
-  }
-  return Status::OK();
-}
-
-Status ChunkedTable::ReadSpilledColumn(size_t index, size_t col,
-                                       std::vector<int32_t>* codes) const {
-  const StoredChunk& chunk = chunks_[index];
-  FDX_ASSIGN_OR_RETURN(ChunkIo * io, GetChunkIo(index));
-  codes->resize(chunk.rows);
-  if (io->compressed) {
-    std::string column(io->col_sizes[col], '\0');
-    FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
-                                   column.data(), dir_ + "/" + chunk.file));
-    FDX_RETURN_IF_ERROR(DecodeCompressedColumn(*codec_, column.data(),
-                                               column.size(), chunk.rows,
-                                               codes->data(), chunk.file));
-  } else if (io->use_mmap) {
-    const char* slice = io->map.data() + io->col_offsets[col];
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      (*codes)[r] = ReadI32(slice + r * 4);
-    }
-  } else {
-    std::string slice(io->col_sizes[col], '\0');
-    FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
-                                   slice.data(), dir_ + "/" + chunk.file));
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      (*codes)[r] = ReadI32(slice.data() + r * 4);
-    }
-  }
-  // The slice has been copied out as codes; its pages are dead weight.
-  io->DropRange(io->col_offsets[col], io->col_sizes[col]);
-  return Status::OK();
-}
-
-Status ChunkedTable::ReadColumnCodes(size_t col,
-                                     std::vector<int32_t>* out) const {
+Status ChunkedTable::ReadColumnCodes(size_t col, CodeColumn* out) const {
   const ColumnDictionary& dict = dicts_[col];
   const int32_t dict_size = static_cast<int32_t>(dict.size());
-  out->clear();
-  out->reserve(total_rows_);
-  std::vector<int32_t> storage_codes;
+  out->Reset(CodeWidthFor(dict.cardinality()), total_rows_);
+  std::vector<int32_t> spilled;
+  size_t row = 0;
   for (size_t i = 0; i < chunks_.size(); ++i) {
     const StoredChunk& chunk = chunks_[i];
+    const int32_t* storage = nullptr;
     if (!chunk.codes.empty()) {
-      for (int32_t storage : chunk.codes[col]) {
-        out->push_back(storage < 0 ? EncodedTable::kNullCode
-                                   : dict.transform_code(storage));
-      }
-      continue;
+      storage = chunk.codes[col].data();
+    } else {
+      // Spilled: the column is one contiguous slice of the chunk file.
+      FDX_ASSIGN_OR_RETURN(ChunkIo * io, GetChunkIo(i));
+      spilled.resize(chunk.rows);
+      FDX_RETURN_IF_ERROR(ReadSlice(i, *io, col, spilled.data()));
+      storage = spilled.data();
     }
-    // Spilled: the column is one contiguous slice of the chunk file.
-    FDX_RETURN_IF_ERROR(ReadSpilledColumn(i, col, &storage_codes));
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      const int32_t storage = storage_codes[r];
-      if (storage < EncodedTable::kNullCode || storage >= dict_size) {
-        return Status::IOError("store: chunk '" + chunk.file +
-                               "' column " + std::to_string(col) +
-                               " has out-of-range code " +
-                               std::to_string(storage));
+    // Storage codes to transform codes at the column's width; a chunk
+    // written while the dictionary was smaller is widened here.
+    Status status = Status::OK();
+    DispatchCodeWidth(out->width(), [&](auto zero) {
+      using T = decltype(zero);
+      uint8_t* dst = out->mutable_data();
+      for (size_t r = 0; r < chunk.rows; ++r) {
+        const int32_t code = storage[r];
+        if (code < EncodedTable::kNullCode || code >= dict_size) {
+          status = Status::IOError("store: chunk '" + chunk.file +
+                                   "' column " + std::to_string(col) +
+                                   " has out-of-range code " +
+                                   std::to_string(code));
+          return;
+        }
+        StoreCode<T>(dst, row + r,
+                     code < 0 ? static_cast<T>(~T{0})
+                              : static_cast<T>(dict.transform_code(code)));
       }
-      out->push_back(storage < 0 ? EncodedTable::kNullCode
-                                 : dict.transform_code(storage));
-    }
+    });
+    FDX_RETURN_IF_ERROR(status);
+    row += chunk.rows;
   }
   return Status::OK();
 }
@@ -659,37 +753,35 @@ Result<Table> ChunkedTable::ReadChunkValues(size_t index) const {
   }
   const StoredChunk& chunk = chunks_[index];
   const size_t k = schema_.size();
+  // Spilled chunks are fingerprint-verified and decoded to storage codes
+  // first; resident ones already are storage codes.
+  std::vector<std::vector<int32_t>> spilled;
+  const std::vector<std::vector<int32_t>>* codes = &chunk.codes;
+  if (chunk.codes.empty()) {
+    FDX_ASSIGN_OR_RETURN(std::unique_ptr<ChunkIo> io, LoadChunk(index));
+    spilled.assign(k, std::vector<int32_t>(chunk.rows));
+    for (size_t c = 0; c < k; ++c) {
+      FDX_RETURN_IF_ERROR(ReadSlice(index, *io, c, spilled[c].data()));
+    }
+    codes = &spilled;
+  }
   Table out{schema_};
   std::vector<Value> row(k);
-
-  const auto decode_cell = [&](size_t col, int32_t storage) -> Result<Value> {
-    if (storage == EncodedTable::kNullCode) return Value::Null();
-    if (storage < 0 ||
-        storage >= static_cast<int32_t>(dicts_[col].size())) {
-      return Status::IOError("store: chunk " + std::to_string(index) +
-                             " column " + std::to_string(col) +
-                             " has out-of-range code " +
-                             std::to_string(storage));
-    }
-    return dicts_[col].value(storage);
-  };
-
-  if (!chunk.codes.empty()) {
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      for (size_t c = 0; c < k; ++c) {
-        FDX_ASSIGN_OR_RETURN(row[c], decode_cell(c, chunk.codes[c][r]));
-      }
-      out.AppendRow(row);
-    }
-    return out;
-  }
-  std::string payload;
-  FDX_RETURN_IF_ERROR(LoadChunkPayload(index, &payload));
-  const char* codes = payload.data() + kChunkHeaderBytes;
   for (size_t r = 0; r < chunk.rows; ++r) {
     for (size_t c = 0; c < k; ++c) {
-      const int32_t storage = ReadI32(codes + (c * chunk.rows + r) * 4);
-      FDX_ASSIGN_OR_RETURN(row[c], decode_cell(c, storage));
+      const int32_t storage = (*codes)[c][r];
+      if (storage == EncodedTable::kNullCode) {
+        row[c] = Value::Null();
+        continue;
+      }
+      if (storage < 0 ||
+          storage >= static_cast<int32_t>(dicts_[c].size())) {
+        return Status::IOError("store: chunk " + std::to_string(index) +
+                               " column " + std::to_string(c) +
+                               " has out-of-range code " +
+                               std::to_string(storage));
+      }
+      row[c] = dicts_[c].value(storage);
     }
     out.AppendRow(row);
   }
@@ -715,11 +807,13 @@ uint64_t ChunkedTable::mmap_fallbacks() const {
 Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   FDX_ASSIGN_OR_RETURN(std::string manifest_text,
                        ReadFileToString(dir + "/manifest.json"));
-  FDX_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(manifest_text));
+  FDX_ASSIGN_OR_RETURN(JsonValue root,
+                       AsIOError(JsonValue::Parse(manifest_text),
+                                 "store: manifest: "));
   if (!root.is_object()) {
     return Status::IOError("store: manifest must be an object");
   }
-  const int64_t version = static_cast<int64_t>(root.NumberOr("version", 0));
+  FDX_ASSIGN_OR_RETURN(const uint64_t version, JsonCount(root, "version"));
   if (version != kManifestVersion) {
     return Status::IOError("store: unsupported manifest version " +
                            std::to_string(version));
@@ -745,7 +839,8 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   table.null_counts_.assign(table.schema_.size(), 0);
   table.io_mode_ = DefaultStoreIo();
   table.codec_name_ = root.StringOr("codec", "none");
-  FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(table.codec_name_));
+  FDX_ASSIGN_OR_RETURN(table.codec_,
+                       AsIOError(FindChunkCodec(table.codec_name_), ""));
   const size_t k = table.schema_.size();
 
   const JsonValue* chunks_json = root.Find("chunks");
@@ -758,7 +853,7 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     }
     StoredChunk chunk;
     chunk.file = entry.StringOr("file", "");
-    chunk.rows = static_cast<size_t>(entry.NumberOr("rows", 0));
+    FDX_ASSIGN_OR_RETURN(chunk.rows, JsonCount(entry, "rows", SIZE_MAX));
     chunk.fingerprint_hex = entry.StringOr("fingerprint", "");
     if (chunk.file.empty() || chunk.rows == 0 ||
         chunk.fingerprint_hex.empty()) {
@@ -769,14 +864,15 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
 
   // Replay each chunk in order: verify its fingerprint, extend the
   // dictionaries with its delta, and recount nulls from its codes.
+  std::vector<int32_t> codes;
   for (size_t i = 0; i < table.chunks_.size(); ++i) {
     StoredChunk& chunk = table.chunks_[i];
-    std::string payload;
-    FDX_RETURN_IF_ERROR(table.LoadChunkPayload(i, &payload));
-    const uint64_t dict_bytes = ReadU64(payload.data() + 24);
-    const size_t codes_end = kChunkHeaderBytes + chunk.rows * k * 4;
-    const std::string dict_json = payload.substr(codes_end, dict_bytes);
-    FDX_ASSIGN_OR_RETURN(JsonValue dict_root, JsonValue::Parse(dict_json));
+    FDX_ASSIGN_OR_RETURN(std::unique_ptr<ChunkIo> io, table.LoadChunk(i));
+    const std::string dict_json(io->bytes + io->dict_offset, io->dict_bytes);
+    FDX_ASSIGN_OR_RETURN(
+        JsonValue dict_root,
+        AsIOError(JsonValue::Parse(dict_json),
+                  "store: chunk '" + chunk.file + "' dictionary delta: "));
     const JsonValue* cols = dict_root.Find("cols");
     if (cols == nullptr || !cols->is_array() || cols->array().size() != k) {
       return Status::IOError("store: chunk '" + chunk.file +
@@ -784,7 +880,7 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     }
     for (size_t c = 0; c < k; ++c) {
       const JsonValue& col = cols->array()[c];
-      const size_t start = static_cast<size_t>(col.NumberOr("start", 0));
+      FDX_ASSIGN_OR_RETURN(const uint64_t start, JsonCount(col, "start"));
       if (start != table.dicts_[c].size()) {
         return Status::IOError("store: chunk '" + chunk.file +
                                "' dictionary delta is out of sequence");
@@ -808,16 +904,20 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     }
     // Null counts come from the codes themselves (dictionary values are
     // never null).
-    const char* codes = payload.data() + kChunkHeaderBytes;
+    codes.resize(chunk.rows);
     for (size_t c = 0; c < k; ++c) {
-      table.committed_[c] = table.dicts_[c].size();
-      const int32_t dict_size =
-          static_cast<int32_t>(table.dicts_[c].size());
-      for (size_t r = 0; r < chunk.rows; ++r) {
-        const int32_t storage = ReadI32(codes + (c * chunk.rows + r) * 4);
+      const size_t dict_size = table.dicts_[c].size();
+      table.committed_[c] = dict_size;
+      if (io->narrow && io->widths[c] != CodeWidthFor(dict_size)) {
+        return Status::IOError("store: chunk '" + chunk.file + "' column " +
+                               std::to_string(c) +
+                               " width disagrees with its dictionary");
+      }
+      FDX_RETURN_IF_ERROR(table.ReadSlice(i, *io, c, codes.data()));
+      for (const int32_t storage : codes) {
         if (storage == EncodedTable::kNullCode) {
           ++table.null_counts_[c];
-        } else if (storage < 0 || storage >= dict_size) {
+        } else if (storage < 0 || static_cast<size_t>(storage) >= dict_size) {
           return Status::IOError("store: chunk '" + chunk.file +
                                  "' column " + std::to_string(c) +
                                  " has out-of-range code " +
@@ -828,8 +928,8 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     table.total_rows_ += chunk.rows;
   }
 
-  const uint64_t manifest_rows =
-      static_cast<uint64_t>(root.NumberOr("total_rows", 0));
+  FDX_ASSIGN_OR_RETURN(const uint64_t manifest_rows,
+                       JsonCount(root, "total_rows"));
   if (manifest_rows != table.total_rows_) {
     return Status::IOError("store: manifest row count " +
                            std::to_string(manifest_rows) +

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "data/code_column.h"
 #include "data/csv_reader.h"
 #include "data/dictionary.h"
 #include "data/table.h"
@@ -67,17 +68,26 @@ StoreIo DefaultStoreIo();
 ///   manifest.json    — schema, total rows, codec, per-chunk {file,
 ///                      rows, fingerprint}; rewritten atomically per
 ///                      append (O(#chunks), chunk payloads immutable)
-///   chunk-NNNNNN.bin — raw format: magic FDXCHNK1; u64 rows, cols,
-///                      dict_bytes; column-major i32 storage codes (one
-///                      column = one contiguous slice); then a JSON
-///                      dictionary *delta* — only the values first seen
-///                      in this chunk. Compressed format (codec !=
-///                      none): magic FDXCHNK2, same u64 header, a u64
-///                      per-column compressed-size table, the per-column
-///                      codec payloads, then the dictionary delta.
-///                      Fingerprints always cover the *uncompressed*
-///                      serialization, so raw and compressed stores of
-///                      the same data fingerprint identically.
+///   chunk-NNNNNN.bin — raw format: magic FDXCHNK3; u64 rows, cols,
+///                      dict_bytes; one width byte per column; each
+///                      column's storage codes at its width (one column =
+///                      one contiguous slice); then a JSON dictionary
+///                      *delta* — only the values first seen in this
+///                      chunk. A column's width is the narrowest of 1, 2
+///                      or 4 bytes that holds the dictionary committed at
+///                      that chunk plus the null code (all-ones; see
+///                      data/code_column.h). Compressed format (codec !=
+///                      none): magic FDXCHNK4, the same header and width
+///                      bytes, a u64 per-column compressed-size table,
+///                      the per-column codec payloads, then the
+///                      dictionary delta. Fingerprints always cover the
+///                      *uncompressed* serialization, so raw and
+///                      compressed stores of the same data fingerprint
+///                      identically. Chunks written before code widths
+///                      existed (FDXCHNK1 raw int32, FDXCHNK2 compressed
+///                      over it) are still read, bit for bit; a column
+///                      whose dictionary later outgrew a chunk's width is
+///                      widened on read.
 ///
 /// Open() replays the dictionary deltas in chunk order and verifies
 /// every chunk's fingerprint, so a reopened store either matches the
@@ -160,11 +170,13 @@ class ChunkedTable {
   /// Distinct exact values seen in a column (storage codes).
   size_t DictionarySize(size_t col) const { return dicts_[col].size(); }
 
-  /// Streams one column's transform codes (kNullCode for nulls) across
-  /// all chunks into `out` — the streaming transform's input. Spilled
-  /// chunks cost one mapped-slice decode (or one pread) of the column's
-  /// contiguous payload each. Thread-safe against concurrent reads.
-  Status ReadColumnCodes(size_t col, std::vector<int32_t>* out) const;
+  /// Streams one column's transform codes across all chunks into `out`,
+  /// at the width its transform cardinality needs (CodeWidthFor of
+  /// Cardinality(col); nulls are that width's all-ones code) — the
+  /// streaming transform's input. Spilled chunks cost one mapped-slice
+  /// decode (or one pread) of the column's contiguous payload each.
+  /// Thread-safe against concurrent reads.
+  Status ReadColumnCodes(size_t col, CodeColumn* out) const;
 
   /// Exact value round-trip of one chunk (the service's replay path).
   /// Spilled chunks are fingerprint-verified before decoding, so a
@@ -200,16 +212,26 @@ class ChunkedTable {
   /// largest code (codes count up in order of first appearance); they
   /// become the chunk's dictionary delta.
   Status AppendChunk(std::vector<std::vector<int32_t>> codes, size_t rows);
+  /// The chunk's uncompressed (FDXCHNK3) serialization at `widths`.
   std::string SerializeChunk(const StoredChunk& chunk,
-                             const std::vector<size_t>& dict_starts) const;
+                             const std::vector<size_t>& dict_starts,
+                             const std::vector<uint8_t>& widths) const;
   std::string EncodeManifest() const;
   Status WriteManifest() const;
-  Status LoadChunkPayload(size_t chunk, std::string* contents) const;
+  /// The cached read state of a spilled chunk (mapped, or an fd for
+  /// pread), fingerprint-verified on creation when mapped.
+  Result<ChunkIo*> GetChunkIo(size_t chunk) const;
+  /// The whole chunk file read into memory, parsed and verified; not
+  /// cached (Open and ReadChunkValues read each chunk once).
+  Result<std::unique_ptr<ChunkIo>> LoadChunk(size_t chunk) const;
+  /// Checks the fingerprint of the chunk's uncompressed serialization.
+  Status VerifyChunk(size_t chunk, const ChunkIo& io) const;
+  /// Decodes column `col` of a spilled chunk into `out[0..rows)` as
+  /// storage codes: every read of a chunk payload goes through here.
+  Status ReadSlice(size_t chunk, const ChunkIo& io, size_t col,
+                   int32_t* out) const;
   Status ReconstructRawPayload(size_t chunk, const ChunkIo& io,
                                std::string* out) const;
-  Result<ChunkIo*> GetChunkIo(size_t chunk) const;
-  Status ReadSpilledColumn(size_t chunk, size_t col,
-                           std::vector<int32_t>* storage_codes) const;
 
   Schema schema_;
   std::string dir_;

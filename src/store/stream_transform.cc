@@ -17,14 +17,6 @@
 namespace fdx {
 namespace {
 
-/// Whether every decoded column fits the cache budget at once (4 bytes
-/// per row and column); 0 means unbounded.
-bool ColumnsFit(const StreamTransformOptions& options, size_t n, size_t k) {
-  return options.column_cache_bytes == 0 ||
-         static_cast<uint64_t>(n) * k * sizeof(int32_t) <=
-             options.column_cache_bytes;
-}
-
 Status CheckRssCeiling(const StreamTransformOptions& options,
                        const ChunkedTable& table) {
   if (options.rss_limit_bytes == 0) return Status::OK();
@@ -60,8 +52,8 @@ class ColumnStream {
 
   /// Decodes `col` (or adopts its finished prefetch) and kicks off the
   /// decode of `next_col` (kNoColumn: nothing follows). The returned
-  /// pointer stays valid until the next call.
-  Result<const std::vector<int32_t>*> Next(size_t col, size_t next_col) {
+  /// view stays valid until the next call.
+  Result<CodeView> Next(size_t col, size_t next_col) {
     Status status = Status::OK();
     if (pending_ && pending_col_ == col) {
       status = pending_status_.get();
@@ -80,13 +72,13 @@ class ColumnStream {
       pending_status_ = done->get_future();
       pending_col_ = next_col;
       pending_ = true;
-      std::vector<int32_t>* dst = &buf_[front_ ^ 1];
+      CodeColumn* dst = &buf_[front_ ^ 1];
       const ChunkedTable* table = table_;
       ThreadPool::Shared().Submit([table, next_col, dst, done] {
         done->set_value(table->ReadColumnCodes(next_col, dst));
       });
     }
-    return &buf_[front_];
+    return buf_[front_].view();
   }
 
  private:
@@ -96,29 +88,68 @@ class ColumnStream {
   bool pending_ = false;
   size_t pending_col_ = 0;
   std::future<Status> pending_status_;
-  std::vector<int32_t> buf_[2];
+  CodeColumn buf_[2];
 };
 
-/// Attribute passes per wave under the cache budget. A resident pass
-/// costs its pair-order array, its k-column bit matrix, and its integer
-/// accumulators; two decoded columns (streamed + decode-ahead) are
-/// reserved off the top. At least one pass always runs — a budget too
-/// small for even that degrades to wave size one rather than failing.
-size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k) {
-  const uint64_t pairs = static_cast<uint64_t>(
-      PairsPerAttribute(n, options.transform.max_pairs_per_attribute));
+/// Bytes one attribute pass holds while it runs, on either schedule: its
+/// sort order and counting-sort buckets, its bit matrix, its integer
+/// accumulators, and one pack scratch.
+uint64_t PassBytes(const ChunkedTable& table,
+                   const StreamTransformOptions& options) {
+  const uint64_t n = table.num_rows();
+  const uint64_t k = table.num_columns();
+  size_t max_cardinality = 0;
+  for (size_t c = 0; c < k; ++c) {
+    max_cardinality = std::max(max_cardinality, table.Cardinality(c));
+  }
+  const uint64_t pairs =
+      PairsPerAttribute(n, options.transform.max_pairs_per_attribute);
+  const uint64_t order_bytes = n * 4;
+  const uint64_t bucket_bytes = (max_cardinality + 2) * 4;
   const uint64_t bits_bytes = (pairs + 63) / 64 * 8 * k;
-  const uint64_t order_bytes = static_cast<uint64_t>(n) * 4;
-  const uint64_t accum_bytes = (static_cast<uint64_t>(k) * k + k) * 8;
-  const uint64_t per_pass = bits_bytes + order_bytes + accum_bytes;
-  const uint64_t column_bytes = static_cast<uint64_t>(n) * 4;
-  const uint64_t reserved = 2 * column_bytes;
+  const uint64_t accum_bytes = (k * k + k) * 8;
+  return order_bytes + bucket_bytes + bits_bytes + accum_bytes +
+         sizeof(PackScratch);
+}
+
+/// Attribute passes per wave under the cache budget: what the budget
+/// leaves after two decoded columns (streamed + decode-ahead, at the
+/// widest column's width), at PassBytes each. At least one pass always
+/// runs — a budget too small for even that degrades to wave size one
+/// rather than failing.
+size_t WaveSize(const ChunkedTable& table,
+                const StreamTransformOptions& options) {
+  const size_t k = table.num_columns();
+  unsigned widest = 1;
+  for (size_t c = 0; c < k; ++c) {
+    widest = std::max(widest, CodeWidthFor(table.Cardinality(c)));
+  }
+  const uint64_t reserved =
+      2 * static_cast<uint64_t>(table.num_rows()) * widest;
   const uint64_t budget = options.column_cache_bytes > reserved
                               ? options.column_cache_bytes - reserved
                               : 0;
-  const uint64_t fit = per_pass == 0 ? k : budget / per_pass;
+  const uint64_t fit = budget / PassBytes(table, options);
   return static_cast<size_t>(
       std::min<uint64_t>(k, std::max<uint64_t>(1, fit)));
+}
+
+/// Passes the resident schedule may hold at once: unbounded (0) without
+/// a memory ceiling; under one, what rss_limit_bytes leaves after the
+/// column budget and an equal reserve for the rest of the process (the
+/// shuffled row permutation, dictionaries, allocator slack), at
+/// PassBytes each, and at least one.
+size_t ResidentPassLimit(const ChunkedTable& table,
+                         const StreamTransformOptions& options) {
+  if (options.rss_limit_bytes == 0) return 0;
+  const uint64_t reserved = options.column_cache_bytes >= UINT64_MAX / 2
+                                ? UINT64_MAX
+                                : 2 * options.column_cache_bytes;
+  const uint64_t budget = options.rss_limit_bytes > reserved
+                              ? options.rss_limit_bytes - reserved
+                              : 0;
+  return static_cast<size_t>(
+      std::max<uint64_t>(1, budget / PassBytes(table, options)));
 }
 
 /// The wave schedule of the memory-bounded path. Passes are grouped
@@ -142,8 +173,7 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
                                     const StreamTransformOptions& options,
                                     const TransformStreams& streams) {
   const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  const size_t wave = WaveSize(options, n, k);
+  const size_t wave = WaveSize(table, options);
   const size_t threads = ResolveThreadCount(options.transform.threads);
   const bool async = threads > 1 && ThreadPool::Shared().size() > 0;
   const Deadline* deadline = options.transform.deadline;
@@ -173,9 +203,8 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
       const size_t attr = wave_lo + i;
       // After the last sort column, the first pack column (0) follows.
       const size_t next = i + 1 < w ? attr + 1 : 0;
-      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes,
-                           stream.Next(attr, next));
-      passes[i].Reset(*codes, table.Cardinality(attr), streams.shuffled,
+      FDX_ASSIGN_OR_RETURN(const CodeView codes, stream.Next(attr, next));
+      passes[i].Reset(codes, table.Cardinality(attr), streams.shuffled,
                       options.transform.max_pairs_per_attribute,
                       streams.attr_seeds[attr]);
       bits[i].Reset(passes[i].num_pairs(), k);
@@ -191,13 +220,12 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
       const size_t next = col + 1 < k
                               ? col + 1
                               : (wave_hi < k ? wave_hi : kNoColumn);
-      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes,
-                           stream.Next(col, next));
+      FDX_ASSIGN_OR_RETURN(const CodeView codes, stream.Next(col, next));
       ParallelForChunks(0, w, std::min(threads, w), threads,
                         [&](size_t chunk, size_t lo, size_t hi) {
                           for (size_t i = lo; i < hi; ++i) {
                             ColumnBitWriter writer(bits[i].column_words(col));
-                            AppendPassColumnBits(*codes, passes[i], &writer,
+                            AppendPassColumnBits(codes, passes[i], &writer,
                                                  &scratch[chunk]);
                             writer.Flush();
                           }
@@ -231,6 +259,21 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
 
 }  // namespace
 
+uint64_t DecodedColumnBytes(const ChunkedTable& table) {
+  uint64_t bytes = 0;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    bytes += static_cast<uint64_t>(table.num_rows()) *
+             CodeWidthFor(table.Cardinality(c));
+  }
+  return bytes;
+}
+
+bool TransformRunsResident(const ChunkedTable& table,
+                           const StreamTransformOptions& options) {
+  return options.column_cache_bytes == 0 ||
+         DecodedColumnBytes(table) <= options.column_cache_bytes;
+}
+
 Result<TransformedMoments> StreamTransformMoments(
     const ChunkedTable& table, const StreamTransformOptions& options) {
   const size_t k = table.num_columns();
@@ -238,27 +281,38 @@ Result<TransformedMoments> StreamTransformMoments(
   FDX_ASSIGN_OR_RETURN(
       TransformStreams streams,
       PrepareTransformStreams(n, k, options.transform.seed));
-  if (!ColumnsFit(options, n, k)) {
+  if (!TransformRunsResident(table, options)) {
     FDX_ASSIGN_OR_RETURN(PassMoments moments,
                          AccumulateWaves(table, options, streams));
     return FinishMoments(moments);
   }
-  // Everything fits: decode each column once and hand the columns to the
-  // in-memory engine's resident driver.
-  std::vector<std::vector<int32_t>> decoded(k);
-  std::vector<const std::vector<int32_t>*> columns(k);
+  // Everything fits: decode each column once, in parallel, and hand the
+  // columns to the in-memory engine's resident driver.
+  std::vector<CodeColumn> decoded(k);
+  std::vector<Status> decode_status(k, Status::OK());
+  ParallelFor(0, k, options.transform.threads, [&](size_t lo, size_t hi) {
+    for (size_t c = lo; c < hi; ++c) {
+      decode_status[c] = table.ReadColumnCodes(c, &decoded[c]);
+    }
+  });
+  std::vector<CodeView> columns(k);
   std::vector<size_t> cardinalities(k);
   for (size_t c = 0; c < k; ++c) {
-    FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &decoded[c]));
-    columns[c] = &decoded[c];
+    FDX_RETURN_IF_ERROR(decode_status[c]);
+    columns[c] = decoded[c].view();
     cardinalities[c] = table.Cardinality(c);
   }
-  FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
+  ResidentSchedule schedule;
+  schedule.max_passes = ResidentPassLimit(table, options);
+  if (options.rss_limit_bytes != 0) {
+    schedule.between_passes = [&] { return CheckRssCeiling(options, table); };
+  }
   FDX_ASSIGN_OR_RETURN(
       PassMoments moments,
       AccumulateResidentPasses(columns, cardinalities, streams,
                                options.transform,
-                               options.transform.pooled_covariance));
+                               options.transform.pooled_covariance,
+                               schedule));
   return FinishMoments(moments);
 }
 

@@ -271,6 +271,18 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
+std::optional<uint64_t> JsonValue::CountValue(uint64_t max) const {
+  // 2^64 as a double; every double below it converts exactly.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!is_number() || !(number_ >= 0.0) || number_ >= kTwoTo64 ||
+      number_ != std::floor(number_)) {
+    return std::nullopt;
+  }
+  const uint64_t count = static_cast<uint64_t>(number_);
+  if (count > max) return std::nullopt;
+  return count;
+}
+
 double JsonValue::NumberOr(const std::string& key, double fallback) const {
   const JsonValue* value = Find(key);
   return value != nullptr && value->is_number() ? value->number_value()

@@ -2,6 +2,7 @@
 #define FDX_UTIL_JSON_PARSER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,12 @@ class JsonValue {
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
     return members_;
   }
+
+  /// The number as an integer in [0, max]; nullopt for a non-number, a
+  /// fraction, a negative value, or one above `max`. Callers read JSON
+  /// integers through this, never through a cast of number_value(),
+  /// which wraps negatives and is undefined past the integer's range.
+  std::optional<uint64_t> CountValue(uint64_t max = UINT64_MAX) const;
 
   /// Object member lookup; null for non-objects and missing keys.
   const JsonValue* Find(const std::string& key) const;

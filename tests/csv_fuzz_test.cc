@@ -1,6 +1,7 @@
 // Differential fuzz test of the parallel CSV reader against the line
-// parser it replaced (csv_oracle.h). A seeded mutator (bit flips,
-// truncation, splicing, and a dictionary of CSV-significant tokens) turns
+// parser it replaced (csv_oracle.h). The shared seeded mutator
+// (fuzz_mutator.h: bit flips, truncation, splicing, and here a
+// dictionary of CSV-significant tokens) turns
 // a few seed files into cases; every case runs through every reader
 // entry point at FDX_THREADS 1, 2, 3 and 8 with the block size forced
 // small, so block and window edges land everywhere, including between a
@@ -23,6 +24,7 @@
 
 #include "csv_oracle.h"
 #include "csv_test_util.h"
+#include "fuzz_mutator.h"
 #include "data/csv.h"
 #include "data/csv_reader.h"
 #include "util/file_io.h"
@@ -60,32 +62,8 @@ const std::vector<std::string>& Tokens() {
   return tokens;
 }
 
-std::string Mutate(std::string text, Rng* rng) {
-  const size_t steps = 1 + rng->NextUint64(4);
-  for (size_t s = 0; s < steps; ++s) {
-    const size_t pos = text.empty() ? 0 : rng->NextUint64(text.size() + 1);
-    switch (rng->NextUint64(5)) {
-      case 0:  // bit flip
-        if (!text.empty()) {
-          text[rng->NextUint64(text.size())] ^=
-              static_cast<char>(1 << rng->NextUint64(8));
-        }
-        break;
-      case 1:  // truncation
-        text.resize(pos);
-        break;
-      case 2: {  // splice with another seed
-        const std::string& other = Seeds()[rng->NextUint64(Seeds().size())];
-        text = text.substr(0, pos) +
-               other.substr(rng->NextUint64(other.size()));
-        break;
-      }
-      default:  // dictionary token
-        text.insert(pos, Tokens()[rng->NextUint64(Tokens().size())]);
-        break;
-    }
-  }
-  return text;
+std::string Mutate(const std::string& text, Rng* rng) {
+  return testing_fuzz::Mutate(text, Seeds(), Tokens(), rng);
 }
 
 /// The chunks a chunked read delivers, then its final status.

@@ -265,11 +265,11 @@ TEST(CsvReaderTest, StoreKeepsNanBitsAndTransformsThemToOneCode) {
     auto store = ChunkedTable::Create(reader->schema(), "");
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->AppendCsv(&*reader, chunk_rows).ok());
-    std::vector<int32_t> codes;
+    CodeColumn codes;
     ASSERT_TRUE(store->ReadColumnCodes(0, &codes).ok());
-    EXPECT_EQ(codes, (std::vector<int32_t>{0, 1, 2, 1, 0}));
+    EXPECT_EQ(codes.ToInt32(), (std::vector<int32_t>{0, 1, 2, 1, 0}));
     ASSERT_TRUE(store->ReadColumnCodes(1, &codes).ok());
-    EXPECT_EQ(codes, (std::vector<int32_t>{0, 1, 0, 2, 1}));
+    EXPECT_EQ(codes.ToInt32(), (std::vector<int32_t>{0, 1, 0, 2, 1}));
     EXPECT_EQ(store->Cardinality(1), 3u);
     EXPECT_EQ(store->DictionarySize(1), 4u);  // nan and -nan kept apart
   }

@@ -242,6 +242,64 @@ TEST(ParseOptionsJsonTest, RejectsUnknownAndMistypedKeys) {
   EXPECT_FALSE(ParseOptionsJson(*not_object, FdxOptions{}).ok());
 }
 
+TEST(ParseOptionsJsonTest, RejectsIntegersThatDoNotFit) {
+  // seed, max_pairs and threads are integers: a negative, fractional or
+  // out-of-range number is an InvalidArgument naming the option, never a
+  // wrapped or truncated cast. Parsing starts no thread.
+  const struct {
+    const char* json;
+    const char* option;
+  } cases[] = {
+      {R"({"max_pairs":-1})", "max_pairs"},
+      {R"({"max_pairs":1e30})", "max_pairs"},
+      {R"({"max_pairs":2.5})", "max_pairs"},
+      {R"({"seed":-1})", "seed"},
+      {R"({"seed":18446744073709551616})", "seed"},
+      {R"({"seed":0.5})", "seed"},
+      {R"({"threads":-3})", "threads"},
+      {R"({"threads":1e12})", "threads"},
+      {R"({"threads":1025})", "threads"},
+  };
+  for (const auto& c : cases) {
+    auto json = JsonValue::Parse(c.json);
+    ASSERT_TRUE(json.ok()) << c.json;
+    auto options = ParseOptionsJson(*json, FdxOptions{});
+    ASSERT_FALSE(options.ok()) << c.json;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument)
+        << c.json;
+    EXPECT_NE(options.status().message().find(std::string("options.") +
+                                              c.option),
+              std::string::npos)
+        << c.json << ": " << options.status().message();
+  }
+  // The largest values that fit are kept exactly.
+  auto edge = JsonValue::Parse(
+      R"({"max_pairs":0,"seed":9007199254740992,"threads":1024})");
+  ASSERT_TRUE(edge.ok());
+  auto options = ParseOptionsJson(*edge, FdxOptions{});
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->transform.max_pairs_per_attribute, 0u);
+  EXPECT_EQ(options->transform.seed, uint64_t{9007199254740992});
+  EXPECT_EQ(options->threads, 1024u);
+}
+
+TEST(JsonParserTest, CountValueRejectsWhatDoesNotFit) {
+  const auto count = [](const char* text, uint64_t max = UINT64_MAX) {
+    return JsonValue::Parse(text).value().CountValue(max);
+  };
+  EXPECT_EQ(count("0"), 0u);
+  EXPECT_EQ(count("7", 7), 7u);
+  EXPECT_EQ(count("1e3"), 1000u);
+  EXPECT_EQ(count("-0"), 0u);
+  EXPECT_FALSE(count("8", 7).has_value());
+  EXPECT_FALSE(count("-1").has_value());
+  EXPECT_FALSE(count("2.5").has_value());
+  EXPECT_FALSE(count("18446744073709551616").has_value());
+  EXPECT_FALSE(count("1e300").has_value());
+  EXPECT_FALSE(count("\"3\"").has_value());
+  EXPECT_FALSE(count("true").has_value());
+}
+
 TEST(JsonCellToValueTest, MapsKinds) {
   auto integral = JsonCellToValue(JsonValue::MakeNumber(42.0));
   ASSERT_TRUE(integral.ok());

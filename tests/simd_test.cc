@@ -1,5 +1,6 @@
 // Bit-identity of the runtime-dispatched SIMD kernels: every level's
-// gather / pack / popcount output must equal the scalar fallback's
+// gather (at code widths 1, 2 and 4) / pack / popcount output must equal
+// the scalar fallback's
 // exactly (integer kernels, so "close" is not a thing — bytes or bust),
 // and the full transform pipeline must produce identical packed bits
 // and moments at every dispatch level.
@@ -7,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/pairs.h"
 #include "core/transform.h"
+#include "core/transform_kernels.h"
+#include "data/code_column.h"
 #include "data/table.h"
 #include "linalg/bitmatrix.h"
 #include "linalg/simd.h"
@@ -74,7 +79,9 @@ TEST_F(SimdTest, DetectionAndOverrideAreConsistent) {
   for (SimdLevel level : LevelsToTest()) {
     const SimdOps& ops = SimdOpsForLevel(level);
     EXPECT_EQ(ops.level, level) << SimdLevelName(level);
-    EXPECT_NE(ops.gather_codes, nullptr);
+    EXPECT_NE(ops.gather_u8, nullptr);
+    EXPECT_NE(ops.gather_u16, nullptr);
+    EXPECT_NE(ops.gather_u32, nullptr);
     EXPECT_NE(ops.pack_adjacent_equal, nullptr);
     EXPECT_NE(ops.popcount_words, nullptr);
     EXPECT_NE(ops.popcount_and_words, nullptr);
@@ -82,21 +89,90 @@ TEST_F(SimdTest, DetectionAndOverrideAreConsistent) {
 }
 
 TEST_F(SimdTest, GatherMatchesScalarBitwise) {
-  const SimdOps& scalar = SimdOpsForLevel(SimdLevel::kScalar);
-  for (size_t n : kSizes) {
-    const std::vector<int32_t> codes = RandomCodes(n, 11 + n);
-    // A permutation with structure a stride-1 gather would not see.
-    Rng rng(5 + n);
-    std::vector<uint32_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-    rng.Shuffle(&order);
-    std::vector<int32_t> want(n);
-    scalar.gather_codes(codes.data(), order.data(), n, want.data());
-    for (SimdLevel level : LevelsToTest()) {
-      const SimdOps& ops = SimdOpsForLevel(level);
-      std::vector<int32_t> got(n, -7);
-      ops.gather_codes(codes.data(), order.data(), n, got.data());
-      EXPECT_EQ(got, want) << SimdLevelName(level) << " n=" << n;
+  // Every level (scalar included) against first principles, at every
+  // code width. Random bytes hit every code value of every width, the
+  // all-ones null included; the buffer is exactly n codes long, so a
+  // kernel that reads past the last code trips the sanitizers. Narrow
+  // codes widen by zero extension, 4-byte codes keep their int32 bits.
+  for (unsigned width : {1u, 2u, 4u}) {
+    for (size_t n : kSizes) {
+      Rng rng(11 + n + width);
+      std::vector<uint8_t> codes(n * width);
+      for (uint8_t& byte : codes) {
+        byte = static_cast<uint8_t>(rng.engine()());
+      }
+      // A permutation with structure a stride-1 gather would not see.
+      std::vector<uint32_t> order(n);
+      for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+      rng.Shuffle(&order);
+      std::vector<int32_t> want(n);
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t code = 0;
+        std::memcpy(&code, codes.data() + order[i] * width, width);
+        want[i] = static_cast<int32_t>(code);
+      }
+      for (SimdLevel level : LevelsToTest()) {
+        const SimdOps& ops = SimdOpsForLevel(level);
+        std::vector<int32_t> got(n, -7);
+        ops.gather(width)(codes.data(), order.data(), n, got.data());
+        EXPECT_EQ(got, want)
+            << SimdLevelName(level) << " width=" << width << " n=" << n;
+      }
+    }
+  }
+}
+
+/// `codes` (int32, kNullCode for nulls) stored at `width` bytes.
+CodeColumn AtWidth(const std::vector<int32_t>& codes, unsigned width) {
+  CodeColumn column;
+  column.Reset(width, codes.size());
+  DispatchCodeWidth(width, [&](auto zero) {
+    using T = decltype(zero);
+    for (size_t i = 0; i < codes.size(); ++i) {
+      StoreCode<T>(column.mutable_data(), i, static_cast<T>(codes[i]));
+    }
+  });
+  return column;
+}
+
+TEST_F(SimdTest, PassBitsIdenticalAtEveryWidthAndLevel) {
+  // One pass's sort order and packed equality bits from the same codes
+  // viewed at 1, 2 and 4 bytes, at every dispatch level, must equal the
+  // scalar int32 run — across word and pack-block boundaries, with
+  // nulls, in the exact and the sampled regimes.
+  for (size_t rows : {size_t{2}, size_t{63}, size_t{65}, size_t{4097},
+                      size_t{9000}}) {
+    const std::vector<int32_t> codes = RandomCodes(rows, 300 + rows);
+    Rng rng(rows);
+    std::vector<uint32_t> shuffled(rows);
+    for (size_t i = 0; i < rows; ++i) shuffled[i] = static_cast<uint32_t>(i);
+    rng.Shuffle(&shuffled);
+    for (size_t max_pairs : {size_t{0}, size_t{40}}) {
+      const auto pack = [&](CodeView view, const AttributePass& pass) {
+        BitMatrix bits(pass.num_pairs(), 1);
+        auto scratch = std::make_unique<PackScratch>();
+        ColumnBitWriter writer(bits.column_words(0));
+        AppendPassColumnBits(view, pass, &writer, scratch.get());
+        writer.Flush();
+        return bits;
+      };
+      SetSimdLevel(SimdLevel::kScalar);
+      AttributePass want_pass;
+      want_pass.Reset(codes, 5, shuffled, max_pairs, 9);
+      const BitMatrix want = pack(codes, want_pass);
+      for (unsigned width : {1u, 2u, 4u}) {
+        const CodeColumn column = AtWidth(codes, width);
+        for (SimdLevel level : LevelsToTest()) {
+          SetSimdLevel(level);
+          AttributePass pass;
+          pass.Reset(column.view(), 5, shuffled, max_pairs, 9);
+          EXPECT_EQ(pass.order(), want_pass.order())
+              << "width=" << width << " rows=" << rows;
+          EXPECT_TRUE(pack(column.view(), pass).IdenticalTo(want))
+              << SimdLevelName(level) << " width=" << width
+              << " rows=" << rows << " max_pairs=" << max_pairs;
+        }
+      }
     }
   }
 }

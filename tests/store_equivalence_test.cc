@@ -4,13 +4,20 @@
 // moments and DiscoverFromStore must reproduce the in-memory results
 // exactly — same doubles, same FDs, same matrices. Equality here is
 // operator== on doubles, i.e. bit-identity of the computed values.
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "core/fdx.h"
 #include "core/transform.h"
+#include "data/code_column.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "store/chunked_table.h"
@@ -55,6 +62,28 @@ void AppendInChunks(const Table& table, size_t chunk_rows,
     }
     ASSERT_TRUE(store->AppendBatch(batch).ok());
   }
+}
+
+/// A budget of `columns` decoded columns of `store` at its widest code
+/// width (data/code_column.h): short of the full column set, it forces
+/// the wave schedule.
+uint64_t ColumnBudget(const ChunkedTable& store, size_t columns) {
+  unsigned widest = 1;
+  for (size_t c = 0; c < store.num_columns(); ++c) {
+    widest = std::max(widest, CodeWidthFor(store.Cardinality(c)));
+  }
+  return columns * store.num_rows() * widest;
+}
+
+/// Stream options with `budget`, asserted (through the predicate the
+/// transform itself uses) to select the schedule the caller expects.
+StreamTransformOptions WithBudget(const ChunkedTable& store, uint64_t budget,
+                                  bool resident) {
+  StreamTransformOptions stream;
+  stream.column_cache_bytes = budget;
+  EXPECT_EQ(TransformRunsResident(store, stream), resident)
+      << "budget " << budget << " of " << DecodedColumnBytes(store);
+  return stream;
 }
 
 void ExpectMatrixIdentical(const Matrix& a, const Matrix& b) {
@@ -108,8 +137,8 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
   AppendInChunks(table, 57, &store.value());
   // A 2-column cache leaves no room beyond the two streamed columns, so
   // every wave holds a single pass and each column is re-read per pass.
-  StreamTransformOptions stream;
-  stream.column_cache_bytes = 2 * 400 * sizeof(int32_t);
+  const StreamTransformOptions stream = WithBudget(
+      store.value(), ColumnBudget(store.value(), 2), /*resident=*/false);
   auto streamed = StreamTransformMoments(store.value(), stream);
   ASSERT_TRUE(streamed.ok());
   ExpectMomentsIdentical(memory.value(), streamed.value());
@@ -168,9 +197,10 @@ Table TableOfWidth(size_t rows, size_t k) {
 }
 
 TEST(StoreEquivalenceTest, ResidencyBoundaryGridIdentical) {
-  // A column cache of exactly n*k*4 bytes holds every decoded column, so
-  // the passes run resident; one byte less runs the wave schedule (at
-  // k = 5, several waves). Both sides must match the in-memory transform
+  // A column cache of exactly the decoded column bytes (n*k at one byte
+  // per code here) holds every decoded column, so the passes run
+  // resident; one byte less runs the wave schedule (at k = 5, several
+  // waves). Both sides must match the in-memory transform
   // bit for bit at every thread count, including k <= 2, where a budget
   // short of the full column set must still take the wave path.
   const size_t rows = 400;
@@ -179,16 +209,16 @@ TEST(StoreEquivalenceTest, ResidencyBoundaryGridIdentical) {
     auto store = ChunkedTable::Create(table.schema(), "");
     ASSERT_TRUE(store.ok());
     AppendInChunks(table, 57, &store.value());
-    const uint64_t resident = rows * k * sizeof(int32_t);
+    const uint64_t resident = DecodedColumnBytes(store.value());
     for (size_t threads : {size_t{1}, size_t{4}}) {
       TransformOptions transform;
       transform.threads = threads;
       auto memory = PairTransformMoments(table, transform);
       ASSERT_TRUE(memory.ok());
       for (uint64_t budget : {resident, resident - 1}) {
-        StreamTransformOptions stream;
+        StreamTransformOptions stream =
+            WithBudget(store.value(), budget, budget == resident);
         stream.transform = transform;
-        stream.column_cache_bytes = budget;
         auto streamed = StreamTransformMoments(store.value(), stream);
         ASSERT_TRUE(streamed.ok())
             << k << "x" << threads << "@" << budget << ": "
@@ -199,10 +229,13 @@ TEST(StoreEquivalenceTest, ResidencyBoundaryGridIdentical) {
   }
 }
 
-/// Column-cache budgets that select each schedule for an n-row FdTable
-/// store: unbounded (resident) and three of its four columns (waves).
-std::vector<uint64_t> ScheduleBudgets(size_t n) {
-  return {0, 3 * n * sizeof(int32_t)};
+/// Column-cache budgets that select each schedule for an FdTable store:
+/// unbounded (resident) and three of its four columns (waves).
+std::vector<uint64_t> ScheduleBudgets(const ChunkedTable& store) {
+  const std::vector<uint64_t> budgets = {0, ColumnBudget(store, 3)};
+  WithBudget(store, budgets[0], /*resident=*/true);
+  WithBudget(store, budgets[1], /*resident=*/false);
+  return budgets;
 }
 
 TEST(StoreEquivalenceTest, ExpiredDeadlineTimesOutOnEverySchedule) {
@@ -219,7 +252,7 @@ TEST(StoreEquivalenceTest, ExpiredDeadlineTimesOutOnEverySchedule) {
   auto store = ChunkedTable::Create(table.schema(), "");
   ASSERT_TRUE(store.ok());
   AppendInChunks(table, 57, &store.value());
-  for (uint64_t budget : ScheduleBudgets(table.num_rows())) {
+  for (uint64_t budget : ScheduleBudgets(store.value())) {
     StreamTransformOptions stream;
     stream.transform = transform;
     stream.column_cache_bytes = budget;
@@ -235,7 +268,7 @@ TEST(StoreEquivalenceTest, RssCeilingBreachIsUnavailableOnEverySchedule) {
   auto store = ChunkedTable::Create(table.schema(), "");
   ASSERT_TRUE(store.ok());
   AppendInChunks(table, 57, &store.value());
-  for (uint64_t budget : ScheduleBudgets(table.num_rows())) {
+  for (uint64_t budget : ScheduleBudgets(store.value())) {
     StreamTransformOptions stream;
     stream.column_cache_bytes = budget;
     stream.rss_limit_bytes = 1;
@@ -327,7 +360,9 @@ TEST(StoreEquivalenceTest, SpilledStoreDiscoverIdentical) {
   auto reopened = ChunkedTable::Open(dir);
   ASSERT_TRUE(reopened.ok());
   StoreDiscoverOptions store_options;
-  store_options.column_cache_bytes = 2 * 500 * sizeof(int32_t);
+  store_options.column_cache_bytes = ColumnBudget(reopened.value(), 2);
+  WithBudget(reopened.value(), store_options.column_cache_bytes,
+             /*resident=*/false);
   auto streamed = DiscoverFromStore(reopened.value(), store_options);
   ASSERT_TRUE(streamed.ok());
   ExpectResultsIdentical(memory.value(), streamed.value());
@@ -357,7 +392,9 @@ TEST(StoreEquivalenceTest, CompressedSpilledBoundedDiscoverIdentical) {
   EXPECT_EQ(reopened.value().codec(), "varint");
   StoreDiscoverOptions store_options;
   store_options.fdx = options;
-  store_options.column_cache_bytes = 3 * 500 * sizeof(int32_t);
+  store_options.column_cache_bytes = ColumnBudget(reopened.value(), 3);
+  WithBudget(reopened.value(), store_options.column_cache_bytes,
+             /*resident=*/false);
   auto streamed = DiscoverFromStore(reopened.value(), store_options);
   ASSERT_TRUE(streamed.ok()) << streamed.status().message();
   ExpectResultsIdentical(memory.value(), streamed.value());
@@ -397,6 +434,116 @@ TEST(StoreEquivalenceTest, HeaderlessCsvAppendIdentical) {
   ASSERT_TRUE(streamed.ok());
   ExpectResultsIdentical(memory.value(), streamed.value());
 }
+
+/// Columns at the code-width boundaries for `boundary` = 255 or 65535
+/// (the largest cardinality a 1- or 2-byte code holds):
+///   at:       exactly `boundary` distinct values (narrow width);
+///   past:     boundary + 1 (the next width);
+///   nulls:    `boundary` values plus nulls (still narrow);
+///   nans:     boundary - 1 ints plus NaN and -NaN: one transform code
+///             (`boundary`, narrow) but two storage codes, so chunk
+///             payloads take the next width while decoded codes do not;
+///   crossing: fewer than `boundary` values in the first `split` rows,
+///             more after, so later chunks are written wider than
+///             earlier ones and the earlier ones are widened on read.
+Table WidthBoundaryTable(size_t boundary, size_t rows, size_t split) {
+  Table table{Schema({"at", "past", "nulls", "nans", "crossing"})};
+  const size_t period = boundary + 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t v = r % period;
+    std::vector<Value> row(5);
+    row[0] = Value(static_cast<int64_t>(r % boundary));
+    row[1] = Value(static_cast<int64_t>(v));
+    row[2] = v == boundary ? Value::Null() : Value(static_cast<int64_t>(v));
+    row[3] = v == boundary       ? Value(-nan)
+             : v == boundary - 1 ? Value(nan)
+                                 : Value(static_cast<int64_t>(v));
+    const size_t early = boundary - 100;
+    row[4] = Value(static_cast<int64_t>(r < split ? r % early
+                                                  : early + (r - split)));
+    table.AppendRow(std::move(row));
+  }
+  return table;
+}
+
+/// (boundary, chunk_rows): one ctest per cell of the width grid.
+class WidthBoundaryTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(WidthBoundaryTest, GridIdentical) {
+  // Every storage and schedule combination over columns at and across
+  // the 1/2- and 2/4-byte code boundaries must reproduce the in-memory
+  // moments bit for bit. A one-row-per-chunk spilled store of the
+  // 65,535 table would rewrite its manifest ~66,000 times, so that cell
+  // runs on an in-memory store.
+  const auto [boundary, chunk_rows] = GetParam();
+  const size_t rows = boundary == 255 ? 400 : 65736;
+  const size_t split = boundary == 255 ? 260 : 65536;
+  const Table table = WidthBoundaryTable(boundary, rows, split);
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  const unsigned narrow = CodeWidthFor(boundary);
+  ASSERT_EQ(CodeWidthFor(encoded.Cardinality(0)), narrow);
+  ASSERT_EQ(CodeWidthFor(encoded.Cardinality(1)), 2 * narrow);
+  ASSERT_EQ(CodeWidthFor(encoded.Cardinality(2)), narrow);
+  ASSERT_EQ(CodeWidthFor(encoded.Cardinality(3)), narrow);
+  ASSERT_EQ(CodeWidthFor(encoded.Cardinality(4)), 2 * narrow);
+  std::vector<TransformedMoments> memory;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TransformOptions transform;
+    transform.threads = threads;
+    auto moments = PairTransformMoments(table, transform);
+    ASSERT_TRUE(moments.ok());
+    memory.push_back(std::move(moments).value());
+  }
+  const bool spill = chunk_rows * 1000 >= rows;
+  for (const char* codec : {"", "varint"}) {
+    if (!spill && codec[0] != '\0') continue;
+    const std::string dir =
+        spill ? ::testing::TempDir() + "fdx_store_equiv_width_" +
+                    std::to_string(::getpid()) + "_" +
+                    std::to_string(boundary) + "_" +
+                    std::to_string(chunk_rows) +
+                    (codec[0] == '\0' ? "_raw" : "_varint")
+              : "";
+    if (spill) (void)RemoveDirectoryRecursive(dir);
+    auto written = ChunkedTable::Create(table.schema(), dir, codec);
+    ASSERT_TRUE(written.ok());
+    AppendInChunks(table, chunk_rows, &written.value());
+    for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
+      if (!spill && io == StoreIo::kRead) continue;
+      auto reopened = spill ? ChunkedTable::Open(dir)
+                            : Result<ChunkedTable>(std::move(written));
+      ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+      ChunkedTable& store = reopened.value();
+      store.set_io_mode(io);
+      for (size_t t = 0; t < 2; ++t) {
+        for (bool resident : {true, false}) {
+          SCOPED_TRACE(std::string("codec=") + codec + " io=" +
+                       (io == StoreIo::kMmap ? "mmap" : "read") +
+                       " threads=" + std::to_string(t == 0 ? 1 : 4) +
+                       (resident ? " resident" : " waves"));
+          const uint64_t budget =
+              resident ? 0 : DecodedColumnBytes(store) - 1;
+          StreamTransformOptions stream = WithBudget(store, budget, resident);
+          stream.transform.threads = t == 0 ? 1 : 4;
+          auto streamed = StreamTransformMoments(store, stream);
+          ASSERT_TRUE(streamed.ok()) << streamed.status().message();
+          ExpectMomentsIdentical(memory[t], streamed.value());
+        }
+      }
+    }
+    if (spill) {
+      ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, WidthBoundaryTest,
+    ::testing::Combine(::testing::Values(size_t{255}, size_t{65535}),
+                       ::testing::Values(size_t{1}, size_t{97},
+                                         size_t{65536})));
 
 TEST(StoreEquivalenceTest, DegenerateShapesMatchInMemoryBehaviour) {
   // Single row / single column: Discover returns the empty diagnosed

@@ -66,7 +66,9 @@ void AppendInChunks(const Table& table, size_t chunk_rows,
 std::vector<std::vector<int32_t>> AllCodes(const ChunkedTable& store) {
   std::vector<std::vector<int32_t>> codes(store.num_columns());
   for (size_t c = 0; c < store.num_columns(); ++c) {
-    EXPECT_TRUE(store.ReadColumnCodes(c, &codes[c]).ok());
+    CodeColumn column;
+    EXPECT_TRUE(store.ReadColumnCodes(c, &column).ok());
+    codes[c] = column.ToInt32();
   }
   return codes;
 }
@@ -268,7 +270,7 @@ TEST(StoreIoTest, DecompressFaultSurfacesLoudly) {
   auto store = ChunkedTable::Open(dir);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(ArmFaults(std::string(kFaultStoreDecompress) + ":1").ok());
-  std::vector<int32_t> codes;
+  CodeColumn codes;
   const Status read = store.value().ReadColumnCodes(0, &codes);
   DisarmFaults();
   ASSERT_FALSE(read.ok());

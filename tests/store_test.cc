@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -10,9 +11,25 @@
 #include "data/csv.h"
 #include "data/table.h"
 #include "util/file_io.h"
+#include "util/fingerprint.h"
+#include "util/rng.h"
 
 namespace fdx {
 namespace {
+
+uint64_t ReadU64Le(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+std::string FingerprintOf(const std::string& bytes) {
+  Fingerprint fp;
+  fp.Update(bytes.data(), bytes.size());
+  return fp.Hex();
+}
 
 std::string FreshDir(const std::string& tag) {
   const std::string dir =
@@ -77,9 +94,10 @@ void ExpectCodesMatchEncode(const Table& table, const ChunkedTable& store) {
   for (size_t c = 0; c < store.num_columns(); ++c) {
     EXPECT_EQ(store.Cardinality(c), encoded.Cardinality(c)) << "col " << c;
     EXPECT_EQ(store.NullCount(c), encoded.NullCount(c)) << "col " << c;
-    std::vector<int32_t> codes;
+    CodeColumn codes;
     ASSERT_TRUE(store.ReadColumnCodes(c, &codes).ok());
-    EXPECT_EQ(codes, encoded.column_codes(c)) << "col " << c;
+    EXPECT_EQ(codes.width(), CodeWidthFor(encoded.Cardinality(c)));
+    EXPECT_EQ(codes.ToInt32(), encoded.column_codes(c)) << "col " << c;
   }
 }
 
@@ -139,9 +157,9 @@ TEST(ChunkedTableTest, NumericMergeSharesTransformCodeNotStorageCode) {
   // semantics) but distinct storage values (exact round-trip).
   EXPECT_EQ(store.value().Cardinality(0), 2u);
   EXPECT_EQ(store.value().DictionarySize(0), 3u);
-  std::vector<int32_t> codes;
+  CodeColumn codes;
   ASSERT_TRUE(store.value().ReadColumnCodes(0, &codes).ok());
-  EXPECT_EQ(codes, (std::vector<int32_t>{0, 0, 1}));
+  EXPECT_EQ(codes.ToInt32(), (std::vector<int32_t>{0, 0, 1}));
 }
 
 // Every NaN cell shares one transform code apart from every number, at
@@ -165,12 +183,12 @@ TEST(ChunkedTableTest, NanCellsGetOneTransformCodeAndKeepTheirBits) {
     }
     auto store = ChunkedTable::Open(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    std::vector<int32_t> codes;
+    CodeColumn codes;
     ASSERT_TRUE(store->ReadColumnCodes(0, &codes).ok());
-    EXPECT_EQ(codes, (std::vector<int32_t>{0, 1, 2, 1, 0}));
+    EXPECT_EQ(codes.ToInt32(), (std::vector<int32_t>{0, 1, 2, 1, 0}));
     EXPECT_EQ(store->Cardinality(0), 3u);
     ASSERT_TRUE(store->ReadColumnCodes(1, &codes).ok());
-    EXPECT_EQ(codes, (std::vector<int32_t>{0, 1, 0, 2, 2}));
+    EXPECT_EQ(codes.ToInt32(), (std::vector<int32_t>{0, 1, 0, 2, 2}));
     EXPECT_EQ(store->Cardinality(1), 3u);
     EXPECT_EQ(store->DictionarySize(1), 4u);
     size_t row = 0;
@@ -264,6 +282,171 @@ TEST(ChunkedTableTest, CorruptChunkFailsLoudly) {
   EXPECT_NE(reopened.status().message().find("fingerprint mismatch"),
             std::string::npos);
   ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+/// Replaces the first `from` in `path` with `to`.
+void ReplaceInFile(const std::string& path, const std::string& from,
+                   const std::string& to) {
+  auto text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  const size_t at = text->find(from);
+  ASSERT_NE(at, std::string::npos) << from << " not in " << path;
+  text->replace(at, from.size(), to);
+  ASSERT_TRUE(WriteFileAtomic(path, *text).ok());
+}
+
+/// A two-chunk spilled store of one column; the second chunk's
+/// dictionary delta starts at 3.
+std::string TwoChunkStore() {
+  const std::string dir = FreshDir("ints");
+  auto store = ChunkedTable::Create(Schema({"a"}), dir);
+  EXPECT_TRUE(store.ok());
+  for (int batch = 0; batch < 2; ++batch) {
+    Table rows{Schema({"a"})};
+    for (int r = 0; r < 3; ++r) {
+      rows.AppendRow({Value(static_cast<int64_t>(batch * 3 + r))});
+    }
+    EXPECT_TRUE(store->AppendBatch(rows).ok());
+  }
+  return dir;
+}
+
+TEST(ChunkedTableTest, ManifestIntegersMustFit) {
+  // version, rows and total_rows are integers: a fractional, negative or
+  // out-of-range number fails Open loudly instead of being truncated or
+  // wrapped by a cast.
+  const struct {
+    const char* from;
+    const char* to;
+  } cases[] = {
+      {"\"version\":1", "\"version\":1.5"},
+      {"\"version\":1", "\"version\":-1"},
+      {"\"version\":1", "\"version\":1e30"},
+      {"\"rows\":3", "\"rows\":3.5"},
+      {"\"rows\":3", "\"rows\":-3"},
+      {"\"rows\":3", "\"rows\":1e30"},
+      {"\"total_rows\":6", "\"total_rows\":6.5"},
+      {"\"total_rows\":6", "\"total_rows\":-6"},
+      {"\"total_rows\":6", "\"total_rows\":1e30"},
+  };
+  for (const auto& c : cases) {
+    const std::string dir = TwoChunkStore();
+    ASSERT_TRUE(ChunkedTable::Open(dir).ok());
+    ReplaceInFile(dir + "/manifest.json", c.from, c.to);
+    auto reopened = ChunkedTable::Open(dir);
+    ASSERT_FALSE(reopened.ok()) << c.to;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << c.to;
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
+}
+
+TEST(ChunkedTableTest, DictionaryDeltaStartMustFit) {
+  // The same for a dictionary delta's start. The chunk is rewritten with
+  // a consistent header and fingerprint, so only the number is wrong.
+  for (const char* start : {"3.5", "-3", "1e30"}) {
+    const std::string dir = TwoChunkStore();
+    const std::string chunk = dir + "/chunk-000001.bin";
+    auto text = ReadFileToString(chunk);
+    ASSERT_TRUE(text.ok());
+    const std::string before = *text;
+    const size_t at = text->find("\"start\":3");
+    ASSERT_NE(at, std::string::npos);
+    text->replace(at, 9, std::string("\"start\":") + start);
+    const uint64_t dict_bytes =
+        ReadU64Le(text->data() + 24) + text->size() - before.size();
+    for (int i = 0; i < 8; ++i) {
+      (*text)[24 + i] = static_cast<char>(dict_bytes >> (8 * i));
+    }
+    ASSERT_TRUE(WriteFileAtomic(chunk, *text).ok());
+    ReplaceInFile(dir + "/manifest.json", FingerprintOf(before),
+                  FingerprintOf(*text));
+    auto reopened = ChunkedTable::Open(dir);
+    ASSERT_FALSE(reopened.ok()) << start;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << start;
+    EXPECT_NE(reopened.status().message().find("'start'"), std::string::npos)
+        << reopened.status().message();
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
+}
+
+TEST(ChunkedTableTest, ChunkWidthsFollowTheCommittedDictionary) {
+  // A column's payload width is the narrowest that holds the storage
+  // dictionary committed at its chunk: 200 values fit one byte, 300 need
+  // two, so the second chunk is written wider and the first is widened
+  // on read.
+  const std::string dir = FreshDir("widths");
+  Table table{Schema({"a"})};
+  for (int r = 0; r < 400; ++r) {
+    table.AppendRow({Value(static_cast<int64_t>(r < 200 ? r : r - 100))});
+  }
+  {
+    auto store = ChunkedTable::Create(table.schema(), dir);
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(table, 200, &store.value());
+  }
+  for (const char* file : {"chunk-000000.bin", "chunk-000001.bin"}) {
+    auto bytes = ReadFileToString(dir + "/" + file);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(bytes->substr(0, 8), "FDXCHNK3") << file;
+    EXPECT_EQ(static_cast<int>((*bytes)[32]), file[11] == '0' ? 1 : 2)
+        << file;
+  }
+  auto reopened = ChunkedTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectCodesMatchEncode(table, reopened.value());
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+/// Code payload bytes of the single column of a one-chunk store.
+uint64_t PayloadBytes(const std::string& dir) {
+  auto bytes = ReadFileToString(dir + "/chunk-000000.bin");
+  EXPECT_TRUE(bytes.ok());
+  const bool compressed = bytes->substr(0, 8) == "FDXCHNK4";
+  // magic, rows, cols, dict_bytes, one width byte, [one u64 size].
+  const uint64_t header = 32 + 1 + (compressed ? 8 : 0);
+  return bytes->size() - header - ReadU64Le(bytes->data() + 24);
+}
+
+TEST(ChunkedTableTest, VarintDecisionByteCounts) {
+  // Narrow raw chunks against varint on the two column shapes that
+  // decide whether the codec earns its keep. Perfbench-shaped codes
+  // (random, below 216) take one byte raw and about 1.5 varint; a
+  // key-like column (first-seen codes rising by one per row, past
+  // 65,535 values) takes four bytes raw and one varint. Varint stays.
+  const size_t rows = 65536;
+  Rng rng(216);
+  Table low{Schema({"a"})};
+  Table key{Schema({"a"})};
+  for (size_t r = 0; r < rows; ++r) {
+    low.AppendRow({Value(static_cast<int64_t>(rng.NextUint64(216)))});
+    key.AppendRow({Value(static_cast<int64_t>(r))});
+  }
+  const auto payload = [&](const Table& table, const char* codec) {
+    const std::string dir = FreshDir(std::string("varint_") + codec);
+    auto store = ChunkedTable::Create(table.schema(), dir, codec);
+    EXPECT_TRUE(store.ok());
+    EXPECT_TRUE(store->AppendBatch(table).ok());
+    const uint64_t bytes = PayloadBytes(dir);
+    EXPECT_TRUE(RemoveDirectoryRecursive(dir).ok());
+    return bytes;
+  };
+  const uint64_t low_raw = payload(low, "none");
+  const uint64_t low_varint = payload(low, "varint");
+  const uint64_t key_raw = payload(key, "none");
+  const uint64_t key_varint = payload(key, "varint");
+  EXPECT_EQ(low_raw, rows);
+  EXPECT_EQ(key_raw, 4 * rows);
+  EXPECT_EQ(key_varint, rows);
+  // Narrow raw wins on the low-cardinality column by more than 10%...
+  EXPECT_LT(low_raw * 11, low_varint * 10) << low_varint;
+  // ...and varint wins on the key-like column by 4x.
+  EXPECT_EQ(key_raw, 4 * key_varint);
+  std::printf("low-cardinality: raw %llu, varint %llu; key-like: raw %llu, "
+              "varint %llu bytes\n",
+              static_cast<unsigned long long>(low_raw),
+              static_cast<unsigned long long>(low_varint),
+              static_cast<unsigned long long>(key_raw),
+              static_cast<unsigned long long>(key_varint));
 }
 
 TEST(ChunkedTableTest, RejectsBadBatches) {
