@@ -13,17 +13,23 @@ IncrementalFdx::IncrementalFdx(Schema schema, FdxOptions options)
       co_counts_(schema_.size() * schema_.size(), 0) {}
 
 Status IncrementalFdx::Append(const Table& batch) {
-  const size_t k = schema_.size();
-  if (batch.num_columns() != k) {
+  FDX_ASSIGN_OR_RETURN(TransformCounts counts, TransformBatch(batch));
+  Merge(counts, batch.num_rows());
+  return Status::OK();
+}
+
+Result<TransformCounts> IncrementalFdx::TransformBatch(
+    const Table& batch) const {
+  if (batch.num_columns() != schema_.size()) {
     return Status::InvalidArgument("batch width does not match schema");
   }
   if (batch.num_rows() < 2) {
     return Status::InvalidArgument("batch needs at least two rows");
   }
   // Per-batch pair transform; distinct seeds decorrelate the shuffles
-  // across batches. The time budget applies per Append call — moments
-  // are only merged after the transform succeeded in full, so a timed-
-  // out append leaves the session consistent.
+  // across batches. The time budget applies per batch — moments are
+  // only merged after the transform succeeded in full, so a timed-out
+  // append leaves the session consistent.
   const Deadline deadline(options_.time_budget_seconds);
   TransformOptions transform = options_.transform;
   transform.seed = next_batch_seed_;
@@ -34,17 +40,17 @@ Status IncrementalFdx::Append(const Table& batch) {
   // The packed engine hands back the batch's integer moments directly:
   // no double sample matrix is ever materialized, and the merged counts
   // are identical to scanning one (the indicators are exact 0/1).
-  FDX_ASSIGN_OR_RETURN(TransformCounts batch_counts,
-                       PairTransformCounts(batch, transform));
+  return PairTransformCounts(batch, transform);
+}
+
+void IncrementalFdx::Merge(const TransformCounts& counts, size_t rows) {
+  const size_t k = schema_.size();
   ++next_batch_seed_;
-  for (size_t x = 0; x < k; ++x) ones_[x] += batch_counts.counts[x];
-  for (size_t c = 0; c < k * k; ++c) {
-    co_counts_[c] += batch_counts.co_counts[c];
-  }
-  total_samples_ += batch_counts.num_samples;
-  total_rows_ += batch.num_rows();
+  for (size_t x = 0; x < k; ++x) ones_[x] += counts.counts[x];
+  for (size_t c = 0; c < k * k; ++c) co_counts_[c] += counts.co_counts[c];
+  total_samples_ += counts.num_samples;
+  total_rows_ += rows;
   ++total_batches_;
-  return Status::OK();
 }
 
 Result<Matrix> IncrementalFdx::CurrentCovariance() const {
@@ -87,9 +93,7 @@ Result<FdxResult> IncrementalFdx::CurrentFds() const {
   }
   const size_t k = schema_.size();
   FdxOptions solve_options = options_;
-  const bool seeded = solve_options.reuse_solver_state && has_warm_ &&
-                      warm_w_.rows() == k;
-  if (seeded) {
+  if (SeedsNextSolve()) {
     solve_options.glasso.warm_w = &warm_w_;
     solve_options.glasso.warm_theta = &warm_theta_;
   }
@@ -121,11 +125,32 @@ Result<FdxResult> IncrementalFdx::CurrentFds() const {
   return result;
 }
 
-std::string IncrementalFdx::SolveStateKey() const {
+bool IncrementalFdx::SeedsNextSolve() const {
+  return options_.reuse_solver_state && has_warm_ &&
+         warm_w_.rows() == schema_.size();
+}
+
+namespace {
+
+std::string LineageKey(const std::vector<uint64_t>& lineage) {
   Fingerprint fp;
-  fp.UpdateU64(static_cast<uint64_t>(lineage_.size()));
-  for (uint64_t entry : lineage_) fp.UpdateU64(entry);
+  fp.UpdateU64(static_cast<uint64_t>(lineage.size()));
+  for (uint64_t entry : lineage) fp.UpdateU64(entry);
   return fp.Hex();
+}
+
+}  // namespace
+
+std::string IncrementalFdx::SolveStateKey() const {
+  return LineageKey(lineage_);
+}
+
+std::string IncrementalFdx::NextSolveStateKey() const {
+  const bool memo_holds = memo_ != nullptr && memo_batches_ == total_batches_;
+  if (memo_holds || SeedsNextSolve()) return SolveStateKey();
+  // A cold solve is a function of the moments alone; it clears the
+  // lineage and records the batch count it solved at.
+  return LineageKey({static_cast<uint64_t>(total_batches_)});
 }
 
 }  // namespace fdx

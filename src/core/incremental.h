@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/fdx.h"
+#include "core/transform.h"
 #include "data/table.h"
 #include "util/status.h"
 
@@ -38,12 +39,23 @@ class IncrementalFdx {
   size_t total_samples() const { return total_samples_; }
   size_t total_batches() const { return total_batches_; }
 
-  /// Accumulates one batch. The batch must match the schema width and
-  /// contain at least two rows (a single row forms no pair).
-  /// `options.time_budget_seconds` caps the batch's pair transform; an
-  /// expired budget returns Status::Timeout and leaves the accumulated
-  /// moments untouched.
+  /// Accumulates one batch: TransformBatch, then Merge. The batch must
+  /// match the schema width and contain at least two rows (a single row
+  /// forms no pair). `options.time_budget_seconds` caps the batch's pair
+  /// transform; an expired budget returns Status::Timeout and leaves the
+  /// accumulated moments untouched.
   Status Append(const Table& batch);
+
+  /// The first half of Append: the batch's pair-transform moments under
+  /// the next batch's seed. Changes nothing, so a caller may persist the
+  /// batch between the two halves and, if that fails, drop the moments
+  /// and leave the accumulator as it was.
+  Result<TransformCounts> TransformBatch(const Table& batch) const;
+
+  /// The second half: folds TransformBatch's moments of a `rows`-row
+  /// batch into the accumulator and advances the batch seed. Call it
+  /// with no other Merge since the TransformBatch that made `counts`.
+  void Merge(const TransformCounts& counts, size_t rows);
 
   /// Runs structure learning on the accumulated moments and returns the
   /// current FD estimate. Requires at least one appended batch. Honors
@@ -84,7 +96,19 @@ class IncrementalFdx {
   /// bit-equal.
   std::string SolveStateKey() const;
 
+  /// The SolveStateKey that CurrentFds() would leave if called now,
+  /// where that is known before solving: the current key while the memo
+  /// holds, and the one-entry lineage of a cold solve when no warm state
+  /// would seed the next solve (a restarted session, say, whose earlier
+  /// cold answer a cache may still hold). When a warm start is pending
+  /// it is the current key, which no answer of the current batches
+  /// carries. Cache lookups key on this, inserts after a solve on either.
+  std::string NextSolveStateKey() const;
+
  private:
+  /// True when the next solve starts from the previous one's solution.
+  bool SeedsNextSolve() const;
+
   Schema schema_;
   FdxOptions options_;
   size_t total_rows_ = 0;

@@ -1,5 +1,6 @@
 #include "data/dictionary.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -59,6 +60,36 @@ int32_t ColumnDictionary::InternString(std::string_view value) {
   const int32_t storage = Add(Value(std::string(value)), next_transform_++);
   by_string_.emplace(std::string(value), storage);
   return storage;
+}
+
+void ColumnDictionary::Truncate(size_t size) {
+  if (size >= values_.size()) return;
+  // Transform codes count up in order of first appearance too, so the
+  // kept values hold exactly the codes below their largest.
+  int32_t next_transform = 0;
+  for (size_t s = 0; s < size; ++s) {
+    next_transform = std::max(next_transform, to_transform_[s] + 1);
+  }
+  for (size_t s = size; s < values_.size(); ++s) {
+    const Value& value = values_[s];
+    double number = 0.0;
+    if (value.type() == ValueType::kInt) {
+      by_int_.erase(value.AsInt());
+      number = static_cast<double>(value.AsInt());
+    } else if (value.type() == ValueType::kDouble) {
+      by_double_bits_.erase(DoubleBits(value.AsDouble()));
+      number = value.AsDouble();
+    } else {
+      by_string_.erase(value.AsString());
+      continue;
+    }
+    if (to_transform_[s] >= next_transform) {
+      numeric_transform_.erase(CanonicalBits(number));
+    }
+  }
+  values_.resize(size);
+  to_transform_.resize(size);
+  next_transform_ = next_transform;
 }
 
 int32_t ColumnDictionary::Intern(const Value& value) {

@@ -44,6 +44,12 @@ class ColumnDictionary {
   /// Same, for a non-null Value.
   int32_t Intern(const Value& value);
 
+  /// Forgets every value from storage code `size` on, and the transform
+  /// codes only they held: the dictionary is then exactly what interning
+  /// its first `size` values gave (the chunk store's undo of a failed
+  /// append).
+  void Truncate(size_t size);
+
   /// Distinct exact values (storage codes in use).
   size_t size() const { return values_.size(); }
   /// Distinct transform codes.

@@ -416,13 +416,15 @@ std::string RenderStatusTextReport(const JsonValue& status) {
   std::snprintf(
       line, sizeof(line),
       "durability:  enabled=%d recovered=%lld recovery_failed=%lld "
-      "cache_restored=%lld snapshot_writes=%lld snapshot_failures=%lld\n",
+      "cache_restored=%lld snapshot_writes=%lld snapshot_failures=%lld "
+      "orphan_stores_removed=%lld\n",
       durable ? 1 : 0,
       static_cast<long long>(StatusInt(durability, "sessions_recovered")),
       static_cast<long long>(StatusInt(durability, "sessions_recovery_failed")),
       static_cast<long long>(StatusInt(durability, "cache_entries_restored")),
       static_cast<long long>(StatusInt(durability, "snapshot_writes")),
-      static_cast<long long>(StatusInt(durability, "snapshot_failures")));
+      static_cast<long long>(StatusInt(durability, "snapshot_failures")),
+      static_cast<long long>(StatusInt(durability, "orphan_stores_removed")));
   out += line;
   return out;
 }

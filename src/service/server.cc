@@ -68,11 +68,42 @@ Result<Schema> ParseSchemaJson(const JsonValue& schema_json) {
   return Schema(std::move(names));
 }
 
-/// A validated append: the target session and the decoded batch, built
-/// outside any lock so the session mutex is only taken to apply it.
+/// A validated append: the target session and the batch's source,
+/// copied out of the request so the batch can be parsed where the append
+/// runs (inline, or on a worker after the request is gone).
 struct AppendPlan {
   std::shared_ptr<DatasetSession> session;
-  Table batch;
+  bool from_csv = false;
+  std::string csv;  ///< headerless CSV text, when from_csv
+  JsonValue rows;   ///< the inline row block, otherwise
+  Table batch;      ///< valid once Parse() succeeded
+  bool parsed = false;
+
+  /// Decodes the batch against the session schema (once).
+  Status Parse() {
+    if (parsed) return Status::OK();
+    const Schema& schema = session->fdx.schema();
+    if (!from_csv) {
+      FDX_ASSIGN_OR_RETURN(batch, RowsToTable(schema, rows));
+    } else {
+      // Headerless by design: the session schema was fixed at open.
+      CsvOptions csv_options;
+      csv_options.has_header = false;
+      FDX_ASSIGN_OR_RETURN(batch, ReadCsvFromString(csv, csv_options));
+      if (batch.num_columns() != schema.size()) {
+        return Status::InvalidArgument(
+            "csv batch has " + std::to_string(batch.num_columns()) +
+            " columns; session schema has " + std::to_string(schema.size()));
+      }
+      // Headerless CSV parsing invents positional column names, but the
+      // batch belongs to the schema fixed at open. Rebind it so every
+      // fingerprint of this batch — including the restart replay that
+      // recomputes it from the store — sees the same table.
+      batch.ReplaceSchema(schema);
+    }
+    parsed = true;
+    return Status::OK();
+  }
 };
 
 Result<AppendPlan> PlanAppend(const JsonValue& request,
@@ -81,43 +112,23 @@ Result<AppendPlan> PlanAppend(const JsonValue& request,
   if (id.empty()) {
     return Status::InvalidArgument("append needs a \"session\" id");
   }
-  FDX_ASSIGN_OR_RETURN(std::shared_ptr<DatasetSession> session,
-                       sessions->Get(id));
-
+  AppendPlan plan;
+  FDX_ASSIGN_OR_RETURN(plan.session, sessions->Get(id));
   const JsonValue* rows = request.Find("rows");
   const JsonValue* csv = request.Find("csv");
   if ((rows == nullptr) == (csv == nullptr)) {
     return Status::InvalidArgument(
         "append needs exactly one of \"rows\" or \"csv\"");
   }
-
-  Result<Table> batch_or = Status::Internal("unreachable");
   if (rows != nullptr) {
-    batch_or = RowsToTable(session->fdx.schema(), *rows);
+    plan.rows = *rows;
+  } else if (!csv->is_string()) {
+    return Status::InvalidArgument("\"csv\" must be a string");
   } else {
-    if (!csv->is_string()) {
-      return Status::InvalidArgument("\"csv\" must be a string");
-    }
-    // Headerless by design: the session schema was fixed at open.
-    CsvOptions csv_options;
-    csv_options.has_header = false;
-    batch_or = ReadCsvFromString(csv->string_value(), csv_options);
+    plan.from_csv = true;
+    plan.csv = csv->string_value();
   }
-  FDX_ASSIGN_OR_RETURN(Table batch, std::move(batch_or));
-  if (csv != nullptr) {
-    const Schema& schema = session->fdx.schema();
-    if (batch.num_columns() != schema.size()) {
-      return Status::InvalidArgument(
-          "csv batch has " + std::to_string(batch.num_columns()) +
-          " columns; session schema has " + std::to_string(schema.size()));
-    }
-    // Headerless CSV parsing invents positional column names, but the
-    // batch belongs to the schema fixed at open. Rebind it so every
-    // fingerprint of this batch — including the durability replay that
-    // recomputes it from a snapshot — sees the same table.
-    batch.ReplaceSchema(schema);
-  }
-  return AppendPlan{std::move(session), std::move(batch)};
+  return plan;
 }
 
 /// A validated discover: either a session (session != nullptr) or a
@@ -194,6 +205,23 @@ Result<DiscoverPlan> PlanDiscover(const JsonValue& request,
   plan.table_key = "tbl|" + FingerprintTable(*plan.table) + "|" +
                    CanonicalOptionsKey(plan.table_options);
   return plan;
+}
+
+/// Whether `id` has the form the registry hands out: "s-" and digits.
+bool IsSessionId(const std::string& id) {
+  return id.size() > 2 && id.compare(0, 2, "s-") == 0 &&
+         std::all_of(id.begin() + 2, id.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
+/// A session file: schema and options under "storage":"chunked", with
+/// the empty session's content fingerprint. The rows live in the
+/// session's store, whose manifest carries the current fingerprint.
+std::string EncodeSessionFile(const std::string& id, const IncrementalFdx& fdx,
+                              const std::string& empty_content_hex) {
+  return EncodeSessionSnapshot(id, fdx.schema(), fdx.options(),
+                               CanonicalOptionsKey(fdx.options()),
+                               empty_content_hex, {}, "chunked");
 }
 
 std::string RenderShutdownResponse() {
@@ -395,6 +423,9 @@ std::string FdxServer::HandleOpen(const JsonValue& request) {
     fdx_options = std::move(parsed).value();
   }
 
+  // `storage` is checked and echoed but chooses nothing: with a state
+  // dir every session keeps its rows in a spilled store, and without one
+  // no session keeps rows.
   const std::string storage = request.StringOr("storage", "memory");
   if (storage != "memory" && storage != "chunked") {
     return RenderErrorResponse(
@@ -406,27 +437,16 @@ std::string FdxServer::HandleOpen(const JsonValue& request) {
       sessions_->Open(std::move(schema).value(), fdx_options);
   if (!session.ok()) return RenderErrorResponse("open", session.status());
 
-  if (storage == "chunked" || durable()) {
+  if (durable()) {
     std::lock_guard<std::mutex> lock(session.value()->mu);
-    if (storage == "chunked") {
-      // Batches land in a chunk store (spilled to disk in durable mode,
-      // in-memory chunks otherwise); snapshots then reference the store
-      // manifest instead of embedding the rows.
-      Result<ChunkedTable> store = ChunkedTable::Create(
-          session.value()->fdx.schema(),
-          durable() ? SessionStoreDir(session.value()->id) : "",
-          options_.store_compression);
-      if (!store.ok()) {
-        sessions_->Close(session.value()->id);
-        return RenderErrorResponse("open", store.status());
-      }
-      session.value()->storage = "chunked";
-      session.value()->store =
-          std::make_unique<ChunkedTable>(std::move(store).value());
-    } else {
-      session.value()->retain_batches = true;
+    Status created = CreateSessionStoreLocked(session.value().get());
+    if (!created.ok()) {
+      snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
+      (void)RemoveDirectoryRecursive(SessionStoreDir(session.value()->id));
+      sessions_->Close(session.value()->id);
+      return RenderErrorResponse("open", created);
     }
-    if (durable()) PersistSessionLocked(session.value().get());
+    snapshot_writes_.fetch_add(1, std::memory_order_relaxed);
   }
 
   JsonWriter json;
@@ -447,28 +467,54 @@ std::string FdxServer::HandleOpen(const JsonValue& request) {
   return json.TakeString();
 }
 
-std::string FdxServer::ApplyAppendLocked(DatasetSession* session, Table batch) {
-  Status appended = session->fdx.Append(batch);
-  if (!appended.ok()) return RenderErrorResponse("append", appended);
-  session->content.UpdateString("batch");
-  UpdateTableFingerprint(&session->content, batch);
-  if (session->store != nullptr) {
-    // Chunked session: the store is the durable copy of the rows. A
-    // failed spill degrades durability only (counted like any snapshot
-    // failure); restart-time fingerprint verification then drops the
-    // stale session instead of reviving inconsistent state.
-    if (session->store->AppendBatch(batch).ok()) {
-      if (durable()) PersistSessionLocked(session);
-    } else {
-      snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
+Status FdxServer::CreateSessionStoreLocked(DatasetSession* session) {
+  FDX_ASSIGN_OR_RETURN(
+      ChunkedTable store,
+      ChunkedTable::Create(session->fdx.schema(), SessionStoreDir(session->id),
+                           options_.store_compression));
+  // The session file comes second: it is what names the store to a
+  // restart, so a crash between the two leaves an orphan store that the
+  // restart deletes.
+  FDX_RETURN_IF_ERROR(
+      WriteFileAtomic(SessionSnapshotPath(session->id),
+                      EncodeSessionFile(session->id, session->fdx,
+                                        session->content.Hex())));
+  session->store = std::make_unique<ChunkedTable>(std::move(store));
+  return Status::OK();
+}
+
+Status FdxServer::CommitBatchLocked(DatasetSession* session,
+                                    const Table& batch) {
+  // Transform, commit, merge: nothing changes before the commit, so an
+  // append whose commit fails leaves the session as it was.
+  FDX_ASSIGN_OR_RETURN(TransformCounts counts,
+                       session->fdx.TransformBatch(batch));
+  Fingerprint content = session->content;
+  content.UpdateString("batch");
+  UpdateTableFingerprint(&content, batch);
+  if (durable()) {
+    if (session->store == nullptr) {
+      return Status::Unavailable("session " + session->id +
+                                 " is still opening; retry");
     }
-  } else if (session->retain_batches) {
-    // Persist before answering: once the client sees ok:true the batch
-    // must survive a crash (write-temp-then-rename keeps the previous
-    // snapshot intact if this write dies half-way).
-    session->batches_json.push_back(EncodeBatchRows(batch));
-    PersistSessionLocked(session);
+    // The manifest rename is the append's one commit point, and the
+    // manifest carries the content fingerprint that restart verifies.
+    Status committed = session->store->AppendBatch(batch, content.Hex());
+    if (!committed.ok()) {
+      snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
+      return committed;
+    }
+    snapshot_writes_.fetch_add(1, std::memory_order_relaxed);
   }
+  session->content = content;
+  session->fdx.Merge(counts, batch.num_rows());
+  return Status::OK();
+}
+
+std::string FdxServer::ApplyAppendLocked(DatasetSession* session,
+                                         const Table& batch) {
+  Status appended = CommitBatchLocked(session, batch);
+  if (!appended.ok()) return RenderErrorResponse("append", appended);
 
   JsonWriter json;
   json.BeginObject();
@@ -495,38 +541,48 @@ void FdxServer::HandleAppend(const JsonValue& request,
     done(RenderErrorResponse("append", plan_or.status()), true);
     return;
   }
-  AppendPlan plan = std::move(plan_or).value();
-  // An append is cheap, but the session mutex may be held for a whole
-  // solve by a worker. try_lock keeps the fast case on the I/O thread
-  // and moves the contended case to the queue instead of stalling every
-  // connection on this loop behind one session.
-  std::unique_lock<std::mutex> lock(plan.session->mu, std::try_to_lock);
-  if (lock.owns_lock()) {
-    std::string response =
-        ApplyAppendLocked(plan.session.get(), std::move(plan.batch));
-    lock.unlock();
-    done(std::move(response), true);
-    return;
+  auto plan = std::make_shared<AppendPlan>(std::move(plan_or).value());
+  if (!durable()) {
+    // An in-memory append writes nothing, so it runs here unless a
+    // worker holds the session mutex (say, for a whole solve): try_lock
+    // moves that case to the queue instead of stalling every connection
+    // on this loop behind one session.
+    Status parsed = plan->Parse();
+    if (!parsed.ok()) {
+      done(RenderErrorResponse("append", parsed), true);
+      return;
+    }
+    std::unique_lock<std::mutex> lock(plan->session->mu, std::try_to_lock);
+    if (lock.owns_lock()) {
+      std::string response =
+          ApplyAppendLocked(plan->session.get(), plan->batch);
+      lock.unlock();
+      done(std::move(response), true);
+      return;
+    }
   }
-  std::shared_ptr<DatasetSession> session = plan.session;
-  auto batch = std::make_shared<Table>(std::move(plan.batch));
+  // A durable append always runs on a worker, parse to commit, so the
+  // I/O thread never writes or fsyncs.
   SubmitJob(
       "append",
-      [this, session, batch] {
-        std::lock_guard<std::mutex> job_lock(session->mu);
-        return ApplyAppendLocked(session.get(), std::move(*batch));
+      [this, plan] {
+        Status parsed = plan->Parse();
+        if (!parsed.ok()) return RenderErrorResponse("append", parsed);
+        std::lock_guard<std::mutex> lock(plan->session->mu);
+        return ApplyAppendLocked(plan->session.get(), plan->batch);
       },
       std::move(done));
 }
 
 std::string FdxServer::SessionDiscoverKeyLocked(const DatasetSession& session) {
   // The solve lineage is part of the key because warm-started solves are
-  // tolerance-equal, not byte-equal, to cold ones; the current lineage
-  // is only valid for lookup when no new solve would run, which is
-  // exactly the repeat-discover case the cache exists for.
+  // tolerance-equal, not byte-equal, to cold ones. The lineage is the one
+  // the answer would carry: the current one on a repeat discover, and a
+  // cold solve's when nothing would seed it, so a restarted session finds
+  // the cold answer its cache entry holds.
   return "sess|" + session.content.Hex() + "|" +
          CanonicalOptionsKey(session.fdx.options()) + "|" +
-         session.fdx.SolveStateKey();
+         session.fdx.NextSolveStateKey();
 }
 
 std::string FdxServer::RunSessionDiscover(
@@ -748,6 +804,8 @@ std::string FdxServer::HandleStatus() {
   json.Integer(static_cast<int64_t>(snapshot_writes()));
   json.Key("snapshot_failures");
   json.Integer(static_cast<int64_t>(snapshot_failures()));
+  json.Key("orphan_stores_removed");
+  json.Integer(static_cast<int64_t>(orphan_stores_removed()));
   json.EndObject();
   json.EndObject();
   return json.TakeString();
@@ -786,116 +844,40 @@ std::string FdxServer::SessionStoreDir(const std::string& id) const {
 Status FdxServer::RestoreState() {
   FDX_ASSIGN_OR_RETURN(std::vector<std::string> names,
                        ListDirectory(SessionsDir()));
+  std::set<std::string> restored;
   for (const std::string& name : names) {
     // Skip leftovers of interrupted atomic writes ("*.json.tmp.<pid>")
-    // and anything else that is not a snapshot.
+    // and anything else that is not a session file: its id names the
+    // store a failed restore deletes ("...json" would name DIR itself).
     if (name.size() < 6 || name.compare(name.size() - 5, 5, ".json") != 0) {
       continue;
     }
-    const std::string path = SessionsDir() + "/" + name;
-    auto drop = [&](const Status& why) {
-      std::fprintf(stderr, "fdxd: dropping snapshot %s: %s\n", path.c_str(),
-                   why.ToString().c_str());
-      (void)RemoveFile(path);
-      sessions_recovery_failed_.fetch_add(1, std::memory_order_relaxed);
-    };
-    Result<std::string> text = ReadFileToString(path);
-    if (!text.ok()) {
-      drop(text.status());
-      continue;
-    }
-    Result<SessionSnapshot> snapshot_or = DecodeSessionSnapshot(text.value());
-    if (!snapshot_or.ok()) {
-      drop(snapshot_or.status());
-      continue;
-    }
-    SessionSnapshot snapshot = std::move(snapshot_or).value();
-    if (snapshot.storage == "chunked") {
-      // The rows live in the session's chunk store; Open() verifies
-      // every chunk fingerprint, and the replayed content fingerprint
-      // must reproduce the snapshot's — otherwise the whole session
-      // (snapshot + store) is dropped rather than revived wrong.
-      const std::string store_dir = SessionStoreDir(snapshot.id);
-      auto drop_chunked = [&](const Status& why) {
-        drop(why);
-        (void)RemoveDirectoryRecursive(store_dir);
-      };
-      Result<ChunkedTable> store_or = ChunkedTable::Open(store_dir);
-      if (!store_or.ok()) {
-        drop_chunked(store_or.status());
-        continue;
-      }
-      if (store_or.value().schema().names() != snapshot.schema.names()) {
-        drop_chunked(Status::Internal(
-            "chunk store schema disagrees with the session snapshot"));
-        continue;
-      }
-      Result<std::shared_ptr<DatasetSession>> restored =
-          sessions_->Restore(snapshot.id, snapshot.schema, snapshot.options);
-      if (!restored.ok()) {
-        drop_chunked(restored.status());
-        continue;
-      }
-      DatasetSession* session = restored.value().get();
-      Status replay = Status::OK();
-      {
-        std::lock_guard<std::mutex> lock(session->mu);
-        session->storage = "chunked";
-        for (size_t i = 0; i < store_or.value().num_chunks(); ++i) {
-          Result<Table> batch = store_or.value().ReadChunkValues(i);
-          replay = batch.status();
-          if (!replay.ok()) break;
-          replay = session->fdx.Append(batch.value());
-          if (!replay.ok()) break;
-          session->content.UpdateString("batch");
-          UpdateTableFingerprint(&session->content, batch.value());
-        }
-        if (replay.ok() && session->content.Hex() != snapshot.content_hex) {
-          replay = Status::Internal(
-              "replayed chunks do not reproduce the stored content "
-              "fingerprint");
-        }
-        if (replay.ok()) {
-          session->store =
-              std::make_unique<ChunkedTable>(std::move(store_or).value());
-        }
-      }
-      if (!replay.ok()) {
-        sessions_->Close(snapshot.id);
-        drop_chunked(replay);
-        continue;
-      }
+    const std::string id = name.substr(0, name.size() - 5);
+    if (!IsSessionId(id)) continue;
+    Status status = RestoreSession(id);
+    if (status.ok()) {
+      restored.insert(id);
       sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    Result<std::shared_ptr<DatasetSession>> restored =
-        sessions_->Restore(snapshot.id, snapshot.schema, snapshot.options);
-    if (!restored.ok()) {
-      drop(restored.status());
-      continue;
-    }
-    DatasetSession* session = restored.value().get();
-    bool replayed = true;
-    {
-      std::lock_guard<std::mutex> lock(session->mu);
-      session->retain_batches = true;
-      for (const Table& batch : snapshot.batches) {
-        Status appended = session->fdx.Append(batch);
-        if (!appended.ok()) {
-          replayed = false;
-          break;
-        }
-        session->content.UpdateString("batch");
-        UpdateTableFingerprint(&session->content, batch);
-        session->batches_json.push_back(EncodeBatchRows(batch));
-      }
-    }
-    if (!replayed) {
-      sessions_->Close(snapshot.id);
-      drop(Status::Internal("batch replay failed"));
-      continue;
-    }
-    sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
+    // Consistent or absent: the session file and its store go together.
+    std::fprintf(stderr, "fdxd: dropping session %s: %s\n",
+                 SessionSnapshotPath(id).c_str(), status.ToString().c_str());
+    (void)RemoveFile(SessionSnapshotPath(id));
+    (void)RemoveDirectoryRecursive(SessionStoreDir(id));
+    sessions_recovery_failed_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // A crash between an open's store and its session file leaves a store
+  // that no session file names.
+  FDX_ASSIGN_OR_RETURN(std::vector<std::string> stores,
+                       ListSubdirectories(StoresDir()));
+  for (const std::string& id : stores) {
+    if (restored.count(id) != 0) continue;
+    std::fprintf(stderr, "fdxd: removing store %s: no session file names it\n",
+                 SessionStoreDir(id).c_str());
+    (void)RemoveDirectoryRecursive(SessionStoreDir(id));
+    orphan_stores_removed_.fetch_add(1, std::memory_order_relaxed);
   }
 
   Result<std::string> cache_text = ReadFileToString(CacheSnapshotPath());
@@ -916,16 +898,67 @@ Status FdxServer::RestoreState() {
   return Status::OK();
 }
 
-void FdxServer::PersistSessionLocked(DatasetSession* session) {
-  const FdxOptions& options = session->fdx.options();
-  const std::string text = EncodeSessionSnapshot(
-      session->id, session->fdx.schema(), options, CanonicalOptionsKey(options),
-      session->content.Hex(), session->batches_json, session->storage);
-  if (WriteFileAtomic(SessionSnapshotPath(session->id), text).ok()) {
-    snapshot_writes_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
+Status FdxServer::RestoreSession(const std::string& id) {
+  FDX_ASSIGN_OR_RETURN(std::string text,
+                       ReadFileToString(SessionSnapshotPath(id)));
+  FDX_ASSIGN_OR_RETURN(SessionSnapshot snapshot, DecodeSessionSnapshot(text));
+  if (snapshot.id != id) {
+    return Status::InvalidArgument("session file holds session \"" +
+                                   snapshot.id + "\"");
   }
+  // An older fdxd kept a memory session's rows in its session file
+  // (decoding verified them against its content fingerprint). They move
+  // into a fresh store, rebuilding any that a crash left half-migrated.
+  const bool legacy = snapshot.storage == "memory";
+  if (legacy) (void)RemoveDirectoryRecursive(SessionStoreDir(id));
+  FDX_ASSIGN_OR_RETURN(
+      ChunkedTable store,
+      legacy ? ChunkedTable::Create(snapshot.schema, SessionStoreDir(id),
+                                    options_.store_compression)
+             : ChunkedTable::Open(SessionStoreDir(id)));
+  if (store.schema().names() != snapshot.schema.names()) {
+    return Status::Internal(
+        "chunk store schema disagrees with the session file");
+  }
+  // The content fingerprint of the last acknowledged append. A store
+  // without a commit string (no append yet, or written by an older fdxd,
+  // which kept the current fingerprint in the session file) answers to
+  // the session file.
+  const std::string committed =
+      store.commit().empty() ? snapshot.content_hex : store.commit();
+  FDX_ASSIGN_OR_RETURN(
+      std::shared_ptr<DatasetSession> session,
+      sessions_->Restore(id, snapshot.schema, snapshot.options));
+  std::lock_guard<std::mutex> lock(session->mu);
+  const std::string empty_content_hex = session->content.Hex();
+  session->store = std::make_unique<ChunkedTable>(std::move(store));
+  Status replayed = [&]() -> Status {
+    if (legacy) {
+      for (const Table& batch : snapshot.batches) {
+        FDX_RETURN_IF_ERROR(CommitBatchLocked(session.get(), batch));
+      }
+      // Only now, with every row committed to the store, does the
+      // session file stop holding them.
+      return WriteFileAtomic(
+          SessionSnapshotPath(id),
+          EncodeSessionFile(id, session->fdx, empty_content_hex));
+    }
+    // Open() verified every chunk; the replay must reproduce the commit.
+    for (size_t i = 0; i < session->store->num_chunks(); ++i) {
+      FDX_ASSIGN_OR_RETURN(Table batch, session->store->ReadChunkValues(i));
+      FDX_RETURN_IF_ERROR(session->fdx.Append(batch));
+      session->content.UpdateString("batch");
+      UpdateTableFingerprint(&session->content, batch);
+    }
+    if (session->content.Hex() != committed) {
+      return Status::Internal(
+          "replayed chunks do not reproduce the committed content "
+          "fingerprint");
+    }
+    return Status::OK();
+  }();
+  if (!replayed.ok()) sessions_->Close(id);
+  return replayed;
 }
 
 void FdxServer::PersistCache() {
@@ -1095,9 +1128,9 @@ void FdxServer::TeardownLocked() {
   }
 
   // 3b. Durable mode: retire the periodic spill thread and take one
-  //     final cache snapshot now that the queue is quiet. Session
-  //     snapshots need no flush — they are written synchronously on
-  //     every open/append.
+  //     final cache snapshot now that the queue is quiet. Sessions need
+  //     no flush: every acknowledged append is already committed to its
+  //     store.
   if (durable()) {
     {
       std::lock_guard<std::mutex> lock(snapshot_mu_);

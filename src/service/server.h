@@ -64,10 +64,11 @@ struct ServerOptions {
   bool enable_debug_ops = false;
 
   // --- Durability (DESIGN.md §13) ---
-  /// When non-empty, every session is snapshotted here (atomic
-  /// write-temp-then-rename on open/append, deleted on eviction) and
-  /// the result cache is spilled periodically; Start() replays the
-  /// directory, restoring sessions that serve bit-identical results.
+  /// When non-empty, every session is durable here: a session file
+  /// written once at open plus a chunk store that takes one chunk per
+  /// append (both deleted on eviction), and the result cache is spilled
+  /// periodically; Start() replays the directory, restoring sessions
+  /// that serve bit-identical results.
   std::string state_dir;
   /// Seconds between result-cache spills in state-dir mode.
   double snapshot_interval_seconds = 5.0;
@@ -90,8 +91,8 @@ struct ServerOptions {
   /// responses as `retry_after`.
   double shed_retry_after_seconds = 0.2;
 
-  /// Chunk payload codec for "chunked" sessions ("" or "none" stores
-  /// raw, "varint" delta-compresses dictionary codes). A server-side
+  /// Chunk payload codec of the durable sessions' stores ("" or "none"
+  /// stores raw, "varint" delta-compresses dictionary codes). A server-side
   /// knob rather than a protocol field: fingerprints cover the
   /// uncompressed bytes, so the codec never affects cache keys or
   /// results, only the bytes on disk.
@@ -174,8 +175,14 @@ class FdxServer {
   uint64_t cache_entries_restored() const {
     return cache_entries_restored_.load();
   }
+  /// Durable writes: session-file writes at open plus append commits
+  /// (and cache spills); failures of the same.
   uint64_t snapshot_writes() const { return snapshot_writes_.load(); }
   uint64_t snapshot_failures() const { return snapshot_failures_.load(); }
+  /// Store directories that no session file named at startup, deleted.
+  uint64_t orphan_stores_removed() const {
+    return orphan_stores_removed_.load();
+  }
 
  private:
   /// Event-loop accept callback: fault injection, admission, and
@@ -193,8 +200,13 @@ class FdxServer {
   std::string HandleOpen(const JsonValue& request);
   std::string HandleStatus();
 
-  /// Applies one validated batch; requires the session mutex held.
-  std::string ApplyAppendLocked(DatasetSession* session, Table batch);
+  /// Transforms `batch`, commits it to the session's store when durable
+  /// (the manifest rename is the commit point), then merges its moments
+  /// and content fingerprint. Any error leaves the session unchanged.
+  /// Requires the session mutex held.
+  Status CommitBatchLocked(DatasetSession* session, const Table& batch);
+  /// CommitBatchLocked rendered as the append response.
+  std::string ApplyAppendLocked(DatasetSession* session, const Table& batch);
   void HandleAppend(const JsonValue& request, EventLoop::DoneFn done);
 
   // Discover: shared job bodies. RunSessionDiscover computes (or
@@ -212,17 +224,22 @@ class FdxServer {
   std::string SessionsDir() const;
   std::string SessionSnapshotPath(const std::string& id) const;
   std::string CacheSnapshotPath() const;
-  /// Chunk stores of "storage":"chunked" sessions, one directory per
-  /// session id under <state_dir>/stores/.
+  /// Chunk stores of the durable sessions, one directory per session id
+  /// under <state_dir>/stores/.
   std::string StoresDir() const;
   std::string SessionStoreDir(const std::string& id) const;
+  /// Durable open: creates the session's store, then writes its session
+  /// file. Requires the session mutex held.
+  Status CreateSessionStoreLocked(DatasetSession* session);
   /// Replays the state directory on startup: restores sessions (or
-  /// deletes + counts unrecoverable snapshots) and re-inserts spilled
-  /// cache entries.
+  /// deletes + counts unrecoverable ones), deletes + counts stores no
+  /// session file names, and re-inserts spilled cache entries.
   Status RestoreState();
-  /// Atomically rewrites one session's snapshot file. Requires the
-  /// session mutex held (the encoded batches live behind it).
-  void PersistSessionLocked(DatasetSession* session);
+  /// Restores the session whose file is sessions/<id>.json: replays its
+  /// store, verifying the committed content fingerprint, or migrates an
+  /// older fdxd's session-file rows into a new store through the append
+  /// path. An error leaves the session out of the registry.
+  Status RestoreSession(const std::string& id);
   /// Spills the result cache to its snapshot file.
   void PersistCache();
   /// Periodic cache-spill thread body.
@@ -299,6 +316,7 @@ class FdxServer {
   std::atomic<uint64_t> cache_entries_restored_{0};
   std::atomic<uint64_t> snapshot_writes_{0};
   std::atomic<uint64_t> snapshot_failures_{0};
+  std::atomic<uint64_t> orphan_stores_removed_{0};
   std::thread snapshot_thread_;
   std::mutex snapshot_mu_;
   std::condition_variable snapshot_cv_;

@@ -14,7 +14,10 @@ namespace fdx {
 /// Durable on-disk form of one fdxd session (see DESIGN.md §13). The
 /// codec round-trips everything a discover result depends on — schema,
 /// the full FdxOptions, and the raw batches — so a restarted daemon can
-/// replay the appends and serve bit-identical results.
+/// replay the appends and serve bit-identical results. fdxd writes only
+/// the "chunked" form, once per session: its rows live in the session's
+/// chunk store. The "memory" form, rows embedded, is what older daemons
+/// wrote; a restart decodes it to migrate the rows onto the store.
 ///
 /// Encoding rules (all deliberate, all verified on decode):
 ///  - Doubles are JSON *strings* rendered with %.17g. JsonWriter's
@@ -30,23 +33,20 @@ struct SessionSnapshot {
   Schema schema;
   FdxOptions options;
   std::string options_key;   ///< CanonicalOptionsKey at encode time
-  std::string content_hex;   ///< session fingerprint after all batches
+  std::string content_hex;   ///< session fingerprint when written
   std::vector<Table> batches;
-  /// "memory" (default; batches embedded above) or "chunked" (batches
-  /// live in the session's ChunkedTable store directory — the snapshot
-  /// only references them, and the expected content fingerprint is
-  /// verified by the server after replaying the chunks).
+  /// "memory" (batches embedded above; the older format) or "chunked"
+  /// (batches live in the session's ChunkedTable store directory — the
+  /// file only names them, and the server verifies the content
+  /// fingerprint after replaying the chunks).
   std::string storage = "memory";
 };
 
 /// Renders one session to its snapshot file contents (single-line
-/// JSON). `batches_json` holds each batch pre-encoded by
-/// EncodeBatchRows — the live server keeps those strings instead of the
-/// row data (IncrementalFdx folds batches into moments and drops the
-/// rows), so the encoder splices rather than re-encodes. With storage
-/// "chunked" no batches are embedded (the chunk store is the durable
-/// copy; pass an empty `batches_json`) and a "storage" key is written;
-/// memory snapshots stay byte-identical to the historical format.
+/// JSON). With storage "chunked" no batches are embedded (the chunk
+/// store is the durable copy; pass an empty `batches_json`) and a
+/// "storage" key is written. A "memory" snapshot splices in each batch
+/// pre-encoded by EncodeBatchRows, byte-identical to the older format.
 std::string EncodeSessionSnapshot(
     const std::string& id, const Schema& schema, const FdxOptions& options,
     const std::string& options_key, const std::string& content_hex,
@@ -63,7 +63,7 @@ std::string EncodeSessionSnapshot(
 Result<SessionSnapshot> DecodeSessionSnapshot(const std::string& text);
 
 /// Renders one batch's rows as the type-tagged cell arrays described
-/// above (exposed for the append path, which persists incrementally).
+/// above, for a "memory" snapshot.
 std::string EncodeBatchRows(const Table& batch);
 
 /// ResultCache spill: (key, payload) pairs, LRU-first so re-inserting

@@ -48,6 +48,10 @@ constexpr char kChunkMagicV3[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '3'};
 constexpr char kChunkMagicV4[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '4'};
 constexpr size_t kChunkHeaderBytes = 8 + 3 * 8;  // magic + rows/cols/dict_bytes
 constexpr int kManifestVersion = 1;
+/// A manifest's last member: `,"fingerprint":"<hex>"}` closes it, the
+/// fingerprint of every byte before the comma. Manifests written before
+/// it existed end at their chunk list.
+constexpr char kManifestSeal[] = ",\"fingerprint\":\"";
 
 // Narrow codes are stored with memcpy, i.e. in host byte order.
 static_assert(std::endian::native == std::endian::little,
@@ -129,6 +133,15 @@ std::string FingerprintHexOf(const char* data, size_t size) {
 
 std::string FingerprintHexOf(const std::string& contents) {
   return FingerprintHexOf(contents.data(), contents.size());
+}
+
+/// Every chunk-file and manifest write, behind the `store.write` fault
+/// point.
+Status WriteStoreFile(const std::string& path, const std::string& contents) {
+  FDX_INJECT_FAULT(kFaultStoreWrite,
+                   Status::IOError("store: cannot write '" + path +
+                                   "' (injected fault)"));
+  return WriteFileAtomic(path, contents);
 }
 
 /// Exact-double text, round-trippable (same codec as the service
@@ -451,15 +464,23 @@ std::string ChunkedTable::EncodeManifest() const {
     json.EndObject();
   }
   json.EndArray();
+  if (!commit_.empty()) {
+    json.Key("commit");
+    json.String(commit_);
+  }
   json.EndObject();
-  return json.TakeString();
+  std::string text = json.TakeString();
+  text.pop_back();  // '}'
+  const std::string seal = FingerprintHexOf(text);
+  return text + kManifestSeal + seal + "\"}";
 }
 
 Status ChunkedTable::WriteManifest() const {
-  return WriteFileAtomic(dir_ + "/manifest.json", EncodeManifest());
+  return WriteStoreFile(dir_ + "/manifest.json", EncodeManifest());
 }
 
-Status ChunkedTable::AppendBatch(const Table& batch) {
+Status ChunkedTable::AppendBatch(const Table& batch,
+                                 const std::string& commit) {
   const size_t k = schema_.size();
   if (batch.num_columns() != k) {
     return Status::InvalidArgument(
@@ -469,15 +490,23 @@ Status ChunkedTable::AppendBatch(const Table& batch) {
   if (batch.num_rows() == 0) {
     return Status::InvalidArgument("store: batch has no rows");
   }
+  std::vector<size_t> dict_sizes(k);
   std::vector<std::vector<int32_t>> codes(k);
   for (size_t c = 0; c < k; ++c) {
+    dict_sizes[c] = dicts_[c].size();
     codes[c].reserve(batch.num_rows());
     for (const Value& v : batch.column(c)) {
       codes[c].push_back(v.is_null() ? EncodedTable::kNullCode
                                      : dicts_[c].Intern(v));
     }
   }
-  return AppendChunk(std::move(codes), batch.num_rows());
+  Status status = AppendChunk(std::move(codes), batch.num_rows(), commit);
+  if (!status.ok()) {
+    // Forget the values only this batch brought, so the next chunk's
+    // delta is what it would have been had the batch never come.
+    for (size_t c = 0; c < k; ++c) dicts_[c].Truncate(dict_sizes[c]);
+  }
+  return status;
 }
 
 Status ChunkedTable::AppendCsv(CsvReader* reader, size_t chunk_rows) {
@@ -490,14 +519,15 @@ Status ChunkedTable::AppendCsv(CsvReader* reader, size_t chunk_rows) {
   return reader->ReadChunks(
       &dicts_, chunk_rows,
       [this](std::vector<std::vector<int32_t>>&& codes, size_t rows) {
-        return AppendChunk(std::move(codes), rows);
+        return AppendChunk(std::move(codes), rows, commit_);
       });
 }
 
 Status ChunkedTable::AppendChunk(std::vector<std::vector<int32_t>> codes,
-                                 size_t rows) {
+                                 size_t rows, std::string commit) {
   const size_t k = schema_.size();
   const std::vector<size_t> dict_starts = committed_;
+  const std::vector<size_t> null_counts = null_counts_;
   for (size_t c = 0; c < k; ++c) {
     for (int32_t code : codes[c]) {
       if (code == EncodedTable::kNullCode) {
@@ -507,6 +537,13 @@ Status ChunkedTable::AppendChunk(std::vector<std::vector<int32_t>> codes,
       }
     }
   }
+  // A failed write puts the counters back, so the next chunk's delta
+  // starts where Open's replay of the files on disk would.
+  const auto undo = [&](Status status) {
+    committed_ = dict_starts;
+    null_counts_ = null_counts;
+    return status;
+  };
   StoredChunk chunk;
   chunk.rows = rows;
   chunk.codes = std::move(codes);
@@ -520,11 +557,11 @@ Status ChunkedTable::AppendChunk(std::vector<std::vector<int32_t>> codes,
   chunk.fingerprint_hex = FingerprintHexOf(payload);
   if (!dir_.empty()) {
     chunk.file = ChunkFileName(chunks_.size());
+    std::string packed;
     if (codec_ != nullptr) {
       // Re-frame as FDXCHNK4: header and width bytes, per-column
       // compressed sizes, codec payloads, then the same dictionary tail.
       const size_t dict_bytes = ReadU64(payload.data() + 24);
-      std::string packed;
       packed.append(kChunkMagicV4, sizeof(kChunkMagicV4));
       packed.append(payload, sizeof(kChunkMagicV4),
                     kChunkHeaderBytes - sizeof(kChunkMagicV4) + k);
@@ -536,18 +573,26 @@ Status ChunkedTable::AppendChunk(std::vector<std::vector<int32_t>> codes,
       }
       packed += columns;
       packed.append(payload, payload.size() - dict_bytes, dict_bytes);
-      FDX_RETURN_IF_ERROR(WriteFileAtomic(dir_ + "/" + chunk.file, packed));
-    } else {
-      FDX_RETURN_IF_ERROR(WriteFileAtomic(dir_ + "/" + chunk.file, payload));
     }
+    Status written = WriteStoreFile(dir_ + "/" + chunk.file,
+                                    codec_ != nullptr ? packed : payload);
+    if (!written.ok()) return undo(std::move(written));
     chunk.codes.clear();  // durable now; drop the resident copy
   }
   total_rows_ += chunk.rows;
   chunks_.push_back(std::move(chunk));
+  commit_.swap(commit);
   if (!dir_.empty()) {
-    // Manifest is the commit point: a crash between the chunk write and
-    // here leaves an orphan file the stale manifest never references.
-    FDX_RETURN_IF_ERROR(WriteManifest());
+    // The manifest is the commit point: until its rename, the files on
+    // disk describe the store without this chunk.
+    Status committed = WriteManifest();
+    if (!committed.ok()) {
+      (void)RemoveFile(dir_ + "/" + chunks_.back().file);
+      chunks_.pop_back();
+      total_rows_ -= rows;
+      commit_.swap(commit);
+      return undo(std::move(committed));
+    }
   }
   return Status::OK();
 }
@@ -831,9 +876,27 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     names.push_back(name.string_value());
   }
 
+  if (const JsonValue* seal = root.Find("fingerprint")) {
+    const std::string tail =
+        kManifestSeal + (seal->is_string() ? seal->string_value() : "") +
+        "\"}";
+    const bool sealed =
+        seal->is_string() && manifest_text.size() >= tail.size() &&
+        manifest_text.compare(manifest_text.size() - tail.size(),
+                              tail.size(), tail) == 0 &&
+        FingerprintHexOf(manifest_text.data(),
+                         manifest_text.size() - tail.size()) ==
+            seal->string_value();
+    if (!sealed) {
+      return Status::IOError("store: manifest fingerprint mismatch (corrupt "
+                             "store)");
+    }
+  }
+
   ChunkedTable table;
   table.schema_ = Schema(std::move(names));
   table.dir_ = std::move(dir);
+  table.commit_ = root.StringOr("commit", "");
   table.dicts_.resize(table.schema_.size());
   table.committed_.assign(table.schema_.size(), 0);
   table.null_counts_.assign(table.schema_.size(), 0);

@@ -66,8 +66,11 @@ StoreIo DefaultStoreIo();
 /// Durable layout under `dir`:
 ///
 ///   manifest.json    — schema, total rows, codec, per-chunk {file,
-///                      rows, fingerprint}; rewritten atomically per
-///                      append (O(#chunks), chunk payloads immutable)
+///                      rows, fingerprint}, the owner's commit string,
+///                      and last a fingerprint of the bytes before it;
+///                      rewritten atomically per append (O(#chunks),
+///                      chunk payloads immutable). Its rename is the
+///                      append's commit point.
 ///   chunk-NNNNNN.bin — raw format: magic FDXCHNK3; u64 rows, cols,
 ///                      dict_bytes; one width byte per column; each
 ///                      column's storage codes at its width (one column =
@@ -89,9 +92,11 @@ StoreIo DefaultStoreIo();
 ///                      whose dictionary later outgrew a chunk's width is
 ///                      widened on read.
 ///
-/// Open() replays the dictionary deltas in chunk order and verifies
-/// every chunk's fingerprint, so a reopened store either matches the
-/// writer's state exactly or fails loudly.
+/// Open() verifies the manifest's fingerprint (manifests written before
+/// it existed have none and open as before), replays the dictionary
+/// deltas in chunk order and verifies every chunk's fingerprint, so a
+/// reopened store either matches the writer's state exactly or fails
+/// loudly.
 ///
 /// Appends are single-writer (callers serialize them; the service wraps
 /// a store in its per-session mutex). Reads — ReadColumnCodes and
@@ -123,12 +128,16 @@ class ChunkedTable {
   /// from the manifest.
   static Result<ChunkedTable> Open(std::string dir);
 
-  /// Encodes `batch` as one new chunk. Column count must match the
-  /// schema; zero-row batches are rejected. With a store dir the chunk
-  /// file and updated manifest are durable before this returns, and the
-  /// chunk's codes are dropped from memory — append I/O is O(chunk)
-  /// plus the O(#chunks) manifest rewrite.
-  Status AppendBatch(const Table& batch);
+  /// Encodes `batch` as one new chunk and records `commit` as the
+  /// store's commit string (an owner's fingerprint of what the store
+  /// holds; fdxd passes its session content fingerprint). Column count
+  /// must match the schema; zero-row batches are rejected. With a store
+  /// dir the chunk file and updated manifest are durable before this
+  /// returns, and the chunk's codes are dropped from memory — append
+  /// I/O is O(chunk) plus the O(#chunks) manifest rewrite. All or
+  /// nothing: on any error (a failed write included) the store, its
+  /// dictionaries and its files are as if the batch never came.
+  Status AppendBatch(const Table& batch, const std::string& commit = "");
 
   /// Appends every remaining row of `reader` as chunks of `chunk_rows`
   /// rows (0 = one chunk), interning the reader's code batches straight
@@ -148,6 +157,9 @@ class ChunkedTable {
   bool spilled() const { return !dir_.empty(); }
   /// Codec name as recorded in the manifest ("none" when raw).
   const std::string& codec() const { return codec_name_; }
+  /// The commit string of the last append ("" for none, or for a store
+  /// written before manifests carried one).
+  const std::string& commit() const { return commit_; }
   StoreIo io_mode() const { return io_mode_; }
   /// Overrides the read path (tests, benches, operators). Chunk I/O
   /// state already established keeps its mode; set before reading.
@@ -207,11 +219,12 @@ class ChunkedTable {
     mutable std::unique_ptr<ChunkIo> io;
   };
 
-  /// Appends one chunk of storage codes. The values first seen in it are
-  /// the storage codes from the committed dictionary size up to its
-  /// largest code (codes count up in order of first appearance); they
-  /// become the chunk's dictionary delta.
-  Status AppendChunk(std::vector<std::vector<int32_t>> codes, size_t rows);
+  /// Appends one chunk of storage codes, all or nothing. The values
+  /// first seen in it are the storage codes from the committed
+  /// dictionary size up to its largest code (codes count up in order of
+  /// first appearance); they become the chunk's dictionary delta.
+  Status AppendChunk(std::vector<std::vector<int32_t>> codes, size_t rows,
+                     std::string commit);
   /// The chunk's uncompressed (FDXCHNK3) serialization at `widths`.
   std::string SerializeChunk(const StoredChunk& chunk,
                              const std::vector<size_t>& dict_starts,
@@ -238,6 +251,7 @@ class ChunkedTable {
   std::string codec_name_ = "none";
   const ChunkCodec* codec_ = nullptr;  ///< nullptr when raw
   StoreIo io_mode_ = StoreIo::kMmap;
+  std::string commit_;
   size_t total_rows_ = 0;
   std::vector<ColumnDictionary> dicts_;
   /// Per column: dictionary entries already written in chunk deltas.

@@ -52,9 +52,12 @@ inline constexpr char kFaultServiceEnqueue[] = "service.enqueue";
 /// Chunk-store I/O points. `store.mmap` fails the attempt to map a
 /// chunk file (the store falls back to the pread path and counts the
 /// fallback); `store.decompress` fails a chunk-payload decompression
-/// (no fallback exists — the error surfaces loudly).
+/// (no fallback exists — the error surfaces loudly); `store.write`
+/// fails a chunk-file or manifest write (the append fails whole and
+/// leaves the store as it was).
 inline constexpr char kFaultStoreMmap[] = "store.mmap";
 inline constexpr char kFaultStoreDecompress[] = "store.decompress";
+inline constexpr char kFaultStoreWrite[] = "store.write";
 inline constexpr char kFaultSocketReadShort[] = "socket.read.short";
 inline constexpr char kFaultSocketWriteShort[] = "socket.write.short";
 inline constexpr char kFaultSocketWriteEagain[] = "socket.write.eagain";

@@ -146,7 +146,12 @@ Status RemoveDirectoryRecursive(const std::string& path) {
   return Status::OK();
 }
 
-Result<std::vector<std::string>> ListDirectory(const std::string& path) {
+namespace {
+
+/// Sorted names of the entries of `path` that `keep` accepts.
+template <typename Keep>
+Result<std::vector<std::string>> ListEntries(const std::string& path,
+                                             Keep keep) {
   std::error_code ec;
   std::filesystem::directory_iterator it(path, ec);
   if (ec) {
@@ -156,12 +161,26 @@ Result<std::vector<std::string>> ListDirectory(const std::string& path) {
   std::vector<std::string> names;
   for (const auto& entry : it) {
     std::error_code type_ec;
-    if (entry.is_regular_file(type_ec) && !type_ec) {
+    if (keep(entry, type_ec) && !type_ec) {
       names.push_back(entry.path().filename().string());
     }
   }
   std::sort(names.begin(), names.end());
   return names;
+}
+
+}  // namespace
+
+Result<std::vector<std::string>> ListDirectory(const std::string& path) {
+  return ListEntries(path, [](const auto& entry, std::error_code& ec) {
+    return entry.is_regular_file(ec);
+  });
+}
+
+Result<std::vector<std::string>> ListSubdirectories(const std::string& path) {
+  return ListEntries(path, [](const auto& entry, std::error_code& ec) {
+    return entry.is_directory(ec);
+  });
 }
 
 uint64_t CurrentRssBytes() {

@@ -40,6 +40,9 @@ Status RemoveDirectoryRecursive(const std::string& path);
 /// sorted for determinism.
 Result<std::vector<std::string>> ListDirectory(const std::string& path);
 
+/// Names of the directories directly inside `path`, sorted.
+Result<std::vector<std::string>> ListSubdirectories(const std::string& path);
+
 /// Resident set size of this process in bytes (Linux /proc/self/statm);
 /// returns 0 when unavailable.
 uint64_t CurrentRssBytes();

@@ -7,11 +7,13 @@
 // read back exactly the original rows, codes and values — under mmap
 // and pread reads alike. One case in four that hits a raw chunk also
 // rewrites that chunk's manifest fingerprint, so the mutated bytes get
-// past the fingerprint check to the decoders behind it; such a store may
-// read back different data, but it must still never crash or fail with
-// anything but kIOError. (Column names live only in the manifest, which
-// no fingerprint covers; a mutated name is not a detectable corruption,
-// so the oracle compares data, not names.)
+// past the fingerprint check to the decoders behind it (a manifest that
+// ends in its own fingerprint is re-sealed too); such a store may read
+// back different data, but it must still never crash or fail with
+// anything but kIOError. Column names live only in the manifest: the
+// oracle compares them when the mutated manifest still ends in a
+// fingerprint, which Open then verified, and compares data only for the
+// older manifests that carry none.
 //
 // The fixtures also pin compatibility: they read bit-identically to
 // their source CSV (codes, ReadChunkValues and moments), and a manifest
@@ -72,6 +74,7 @@ void WriteStore(const std::string& dir, const StoreFiles& files) {
 
 /// What a store reads back as.
 struct StoreData {
+  std::vector<std::string> names;
   size_t rows = 0;
   std::vector<std::vector<int32_t>> codes;  ///< transform codes per column
   std::vector<Table> chunks;                ///< exact values per chunk
@@ -81,6 +84,7 @@ Result<StoreData> ReadAll(const std::string& dir, StoreIo io) {
   FDX_ASSIGN_OR_RETURN(ChunkedTable store, ChunkedTable::Open(dir));
   store.set_io_mode(io);
   StoreData data;
+  data.names = store.schema().names();
   data.rows = store.num_rows();
   for (size_t c = 0; c < store.num_columns(); ++c) {
     CodeColumn column;
@@ -219,6 +223,24 @@ std::string FingerprintOf(const std::string& bytes) {
   return fp.Hex();
 }
 
+/// A manifest's closing member: `,"fingerprint":"<32 hex>"}`, over every
+/// byte before the comma. Older manifests end at their chunk list.
+constexpr char kSeal[] = ",\"fingerprint\":\"";
+constexpr size_t kSealBytes = sizeof(kSeal) - 1 + 32 + 2;
+
+bool Sealed(const std::string& manifest) {
+  return manifest.size() >= kSealBytes &&
+         manifest.compare(manifest.size() - kSealBytes, sizeof(kSeal) - 1,
+                          kSeal) == 0;
+}
+
+/// Recomputes a sealed manifest's fingerprint.
+void Reseal(std::string* manifest) {
+  if (!Sealed(*manifest)) return;
+  manifest->resize(manifest->size() - kSealBytes);
+  *manifest += kSeal + FingerprintOf(*manifest) + "\"}";
+}
+
 bool IsRawChunk(const std::string& bytes) {
   return bytes.compare(0, 8, "FDXCHNK1") == 0 ||
          bytes.compare(0, 8, "FDXCHNK3") == 0;
@@ -238,6 +260,9 @@ void CheckCase(const std::string& dir, const StoreFiles& files,
           << got.status().ToString();
     } else if (want != nullptr) {
       EXPECT_TRUE(SameData(*got, *want)) << "read back different data";
+      if (Sealed(files.at("manifest.json"))) {
+        EXPECT_EQ(got->names, want->names) << "read back different names";
+      }
     }
   }
 }
@@ -274,6 +299,7 @@ TEST_P(StoreFuzzTest, CorruptionFailsLoudlyOrReadsTheOriginal) {
       const size_t at = manifest.find(old_fp);
       ASSERT_NE(at, std::string::npos);
       manifest.replace(at, old_fp.size(), FingerprintOf(files[target]));
+      Reseal(&manifest);
     }
     CheckCase(dir, files, refingerprint ? nullptr : &variant.data,
               variant.name + "/" + target + " case " + std::to_string(i) +

@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "data/csv.h"
 #include "data/table.h"
+#include "util/fault_injection.h"
 #include "util/file_io.h"
 #include "util/fingerprint.h"
 #include "util/rng.h"
@@ -295,6 +297,23 @@ void ReplaceInFile(const std::string& path, const std::string& from,
   ASSERT_TRUE(WriteFileAtomic(path, *text).ok());
 }
 
+/// Edits a spilled store's manifest and re-seals it: the manifest ends
+/// with `,"fingerprint":"<hex>"}` over the bytes before it, so an edit
+/// meant to reach the checks behind that one recomputes it.
+void EditManifest(const std::string& dir, const std::string& from,
+                  const std::string& to) {
+  const std::string path = dir + "/manifest.json";
+  ReplaceInFile(path, from, to);
+  auto text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  const std::string seal = ",\"fingerprint\":\"";
+  const size_t at = text->rfind(seal);
+  ASSERT_NE(at, std::string::npos) << *text;
+  const std::string body = text->substr(0, at);
+  ASSERT_TRUE(
+      WriteFileAtomic(path, body + seal + FingerprintOf(body) + "\"}").ok());
+}
+
 /// A two-chunk spilled store of one column; the second chunk's
 /// dictionary delta starts at 3.
 std::string TwoChunkStore() {
@@ -332,7 +351,7 @@ TEST(ChunkedTableTest, ManifestIntegersMustFit) {
   for (const auto& c : cases) {
     const std::string dir = TwoChunkStore();
     ASSERT_TRUE(ChunkedTable::Open(dir).ok());
-    ReplaceInFile(dir + "/manifest.json", c.from, c.to);
+    EditManifest(dir, c.from, c.to);
     auto reopened = ChunkedTable::Open(dir);
     ASSERT_FALSE(reopened.ok()) << c.to;
     EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << c.to;
@@ -358,14 +377,128 @@ TEST(ChunkedTableTest, DictionaryDeltaStartMustFit) {
       (*text)[24 + i] = static_cast<char>(dict_bytes >> (8 * i));
     }
     ASSERT_TRUE(WriteFileAtomic(chunk, *text).ok());
-    ReplaceInFile(dir + "/manifest.json", FingerprintOf(before),
-                  FingerprintOf(*text));
+    EditManifest(dir, FingerprintOf(before), FingerprintOf(*text));
     auto reopened = ChunkedTable::Open(dir);
     ASSERT_FALSE(reopened.ok()) << start;
     EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << start;
     EXPECT_NE(reopened.status().message().find("'start'"), std::string::npos)
         << reopened.status().message();
     ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
+}
+
+TEST(ChunkedTableTest, ManifestFingerprintCoversColumnNames) {
+  // A renamed column used to open silently. The manifest's fingerprint
+  // covers its schema, codec, row count, chunk list and commit string.
+  const std::string dir = TwoChunkStore();
+  auto store = ChunkedTable::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store->commit(), "");
+  ReplaceInFile(dir + "/manifest.json", "[\"a\"]", "[\"b\"]");
+  auto renamed = ChunkedTable::Open(dir);
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_EQ(renamed.status().code(), StatusCode::kIOError);
+  EXPECT_NE(renamed.status().message().find("manifest fingerprint mismatch"),
+            std::string::npos)
+      << renamed.status().message();
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+TEST(ChunkedTableTest, CommitStringRoundTripsThroughTheManifest) {
+  const std::string dir = FreshDir("commit");
+  Table rows{Schema({"a"})};
+  rows.AppendRow({Value(int64_t{1})});
+  {
+    auto store = ChunkedTable::Create(rows.schema(), dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->AppendBatch(rows, "first").ok());
+    ASSERT_TRUE(store->AppendBatch(rows, "second").ok());
+    EXPECT_EQ(store->commit(), "second");
+  }
+  auto reopened = ChunkedTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->commit(), "second");
+  EditManifest(dir, "\"commit\":\"second\"", "\"commit\":\"third\"");
+  reopened = ChunkedTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->commit(), "third");
+  ReplaceInFile(dir + "/manifest.json", "third", "fifth");
+  EXPECT_FALSE(ChunkedTable::Open(dir).ok());
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+/// Every file of a store directory, by name.
+std::map<std::string, std::string> StoreFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  auto names = ListDirectory(dir);
+  EXPECT_TRUE(names.ok());
+  for (const std::string& name : names.ok() ? *names
+                                            : std::vector<std::string>{}) {
+    auto bytes = ReadFileToString(dir + "/" + name);
+    EXPECT_TRUE(bytes.ok()) << name;
+    files[name] = bytes.ok() ? *bytes : "";
+  }
+  return files;
+}
+
+TEST(ChunkedTableTest, FailedWriteLeavesTheStoreAsIfTheBatchNeverCame) {
+  // A failed chunk write (visit 1 of store.write) or manifest write
+  // (visit 2) must undo the whole append: dictionaries, counters, chunk
+  // list and files. After one more append, the store's files are byte
+  // for byte those of a store that never saw the failed batch, and its
+  // codes are the same. The failed batch brings new values, an int/
+  // double twin among them, so a half-undone dictionary would show in
+  // the next chunk's delta and in the transform codes.
+  const Table table = MixedTable(60);
+  auto slice = [&](size_t lo, size_t hi) {
+    Table batch{table.schema()};
+    for (size_t r = lo; r < hi; ++r) {
+      batch.AppendRow({table.cell(r, 0), table.cell(r, 1), table.cell(r, 2)});
+    }
+    return batch;
+  };
+  Table failed = slice(20, 30);
+  failed.AppendRow({Value(7.5), Value(int64_t{70}), Value(std::string("new"))});
+  failed.AppendRow({Value(int64_t{8}), Value(70.0), Value(std::string("t"))});
+  Table last = slice(30, 60);
+  last.AppendRow({Value(8.0), Value(int64_t{71}), Value(std::string("t"))});
+  for (const char* codec : {"none", "varint"}) {
+    for (const char* visit : {"1", "2"}) {
+      SCOPED_TRACE(std::string(codec) + " store.write:" + visit);
+      const std::string dir = FreshDir(std::string("failed_") + codec);
+      const std::string ref_dir = FreshDir(std::string("clean_") + codec);
+      auto store = ChunkedTable::Create(table.schema(), dir, codec);
+      auto clean = ChunkedTable::Create(table.schema(), ref_dir, codec);
+      ASSERT_TRUE(store.ok() && clean.ok());
+      ASSERT_TRUE(store->AppendBatch(slice(0, 20), "one").ok());
+      ASSERT_TRUE(clean->AppendBatch(slice(0, 20), "one").ok());
+      ASSERT_TRUE(ArmFaults(std::string("store.write:") + visit).ok());
+      const Status status = store->AppendBatch(failed, "two");
+      DisarmFaults();
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kIOError);
+      EXPECT_EQ(store->num_chunks(), 1u);
+      EXPECT_EQ(store->num_rows(), 20u);
+      EXPECT_EQ(store->commit(), "one");
+      EXPECT_EQ(StoreFiles(dir), StoreFiles(ref_dir));
+      ASSERT_TRUE(store->AppendBatch(last, "three").ok());
+      ASSERT_TRUE(clean->AppendBatch(last, "three").ok());
+      EXPECT_EQ(StoreFiles(dir), StoreFiles(ref_dir));
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        EXPECT_EQ(store->Cardinality(c), clean->Cardinality(c));
+        EXPECT_EQ(store->DictionarySize(c), clean->DictionarySize(c));
+        EXPECT_EQ(store->NullCount(c), clean->NullCount(c));
+        CodeColumn got, want;
+        ASSERT_TRUE(store->ReadColumnCodes(c, &got).ok());
+        ASSERT_TRUE(clean->ReadColumnCodes(c, &want).ok());
+        EXPECT_EQ(got.ToInt32(), want.ToInt32()) << "col " << c;
+      }
+      auto reopened = ChunkedTable::Open(dir);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ(reopened->num_rows(), 51u);
+      ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+      ASSERT_TRUE(RemoveDirectoryRecursive(ref_dir).ok());
+    }
   }
 }
 
