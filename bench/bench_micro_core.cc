@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -840,18 +839,16 @@ uint64_t DirectoryBytes(const std::string& dir) {
   return total;
 }
 
-/// One transform-mode cell: which read path, which payload codec. The
-/// bounded cache always runs the wave schedule.
+/// One transform-mode cell: which payload codec. The bounded cache
+/// always runs the wave schedule.
 struct OocoreModeSpec {
   const char* name;
-  StoreIo io;
   bool compressed;
 };
 
 constexpr OocoreModeSpec kOocoreModes[] = {
-    {"read_wave_raw", StoreIo::kRead, false},
-    {"mmap_wave_raw", StoreIo::kMmap, false},
-    {"mmap_wave_varint", StoreIo::kMmap, true},
+    {"wave_raw", false},
+    {"wave_varint", true},
 };
 constexpr size_t kNumOocoreModes = std::size(kOocoreModes);
 
@@ -868,7 +865,7 @@ struct OocoreCase {
   double ingest_varint_seconds = 0.0;   ///< varint-compressed store
   uint64_t store_bytes_raw = 0;
   uint64_t store_bytes_varint = 0;
-  double chunked_transform_seconds = 0.0;  ///< the mmap_wave_raw mode
+  double chunked_transform_seconds = 0.0;  ///< the wave_raw mode
   double in_memory_transform_seconds = -1.0;  ///< < 0 means skipped
   OocoreModeCell modes[kNumOocoreModes];
   bool bit_identical = true;  ///< every mode matches the reference
@@ -952,14 +949,13 @@ int RunOocoreReport(const bench::Flags& flags) {
     cell.ingest_varint_seconds = ingest_watch.ElapsedSeconds();
     cell.store_bytes_varint = DirectoryBytes(store_dir_varint);
 
-    // Transform legs: every (read path, codec) mode, decoded columns
-    // bounded by --cache-mb. The first mode is the reference; every other
-    // mode must reproduce its bits exactly.
+    // Transform legs: every codec, decoded columns bounded by --cache-mb.
+    // The first mode is the reference; every other mode must reproduce
+    // its bits exactly.
     Matrix reference_cov;
     for (size_t m = 0; m < kNumOocoreModes; ++m) {
       const OocoreModeSpec& spec = kOocoreModes[m];
-      ChunkedTable& mode_store = spec.compressed ? store_varint : store;
-      mode_store.set_io_mode(spec.io);
+      const ChunkedTable& mode_store = spec.compressed ? store_varint : store;
       StreamTransformOptions stream;
       stream.transform.threads = threads;
       stream.column_cache_bytes = cache_bytes;
@@ -973,12 +969,10 @@ int RunOocoreReport(const bench::Flags& flags) {
       }
       if (m == 0) {
         reference_cov = moments->cov;
+        cell.chunked_transform_seconds = cell.modes[m].transform_seconds;
       } else {
         cell.modes[m].bit_identical =
             moments->cov.Subtract(reference_cov).MaxAbs() == 0.0;
-      }
-      if (std::strcmp(spec.name, "mmap_wave_raw") == 0) {
-        cell.chunked_transform_seconds = cell.modes[m].transform_seconds;
       }
     }
 
@@ -1007,9 +1001,9 @@ int RunOocoreReport(const bench::Flags& flags) {
   (void)RemoveDirectoryRecursive(work_dir);
 
   bool all_identical = true;
-  ReportTable table({"Rows", "Chunks", "Ingest s", "Rows/s", "Read+wave s",
-                     "Mmap+wave s", "Wave+varint s", "In-memory s",
-                     "Identical", "Peak RSS MB"});
+  ReportTable table({"Rows", "Chunks", "Ingest s", "Rows/s", "Wave s",
+                     "Wave+varint s", "In-memory s", "Identical",
+                     "Peak RSS MB"});
   for (const OocoreCase& cell : cases) {
     if (!cell.bit_identical) all_identical = false;
     table.AddRow(
@@ -1021,7 +1015,6 @@ int RunOocoreReport(const bench::Flags& flags) {
                            : 0.0),
          bench::Score3(cell.modes[0].transform_seconds),
          bench::Score3(cell.modes[1].transform_seconds),
-         bench::Score3(cell.modes[2].transform_seconds),
          cell.in_memory_transform_seconds < 0.0
              ? "skipped"
              : bench::Score3(cell.in_memory_transform_seconds),

@@ -1,8 +1,5 @@
 #include "store/chunked_table.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -19,7 +16,6 @@
 #include "util/fingerprint.h"
 #include "util/json_parser.h"
 #include "util/json_writer.h"
-#include "util/mmap_file.h"
 
 namespace fdx {
 namespace {
@@ -224,21 +220,17 @@ Status DecodeCompressedColumn(const ChunkCodec& codec, const char* data,
 
 }  // namespace
 
-/// Per-chunk read state: the chunk file's bytes (mapped, read whole, or
-/// reached by pread on an open fd) and its parsed layout. Immutable once
-/// built, so concurrent column reads share it without further locking
-/// (mapped reads and pread are both safe).
+/// A chunk file's parsed layout and, while loaded, the file itself.
+/// LoadChunk reads the whole file and parses it; GetChunkIo keeps the
+/// layout alone, so a cached chunk holds neither bytes nor a file
+/// descriptor. Immutable once built, so concurrent column reads share it
+/// without further locking.
 struct ChunkedTable::ChunkIo {
-  MmapFile map;          ///< valid when use_mmap
-  std::string contents;  ///< the whole file, when read in one go
-  /// The whole file when it is addressable (mapped or read whole);
-  /// nullptr on the pread path.
-  const char* bytes = nullptr;
-  int fd = -1;           ///< pread path, kept open across column reads
-  bool use_mmap = false;
+  /// The whole chunk file while loaded; empty in a cached layout, whose
+  /// column reads pread their slice.
+  std::string contents;
   bool compressed = false;  ///< FDXCHNK2 or FDXCHNK4
   bool narrow = false;      ///< FDXCHNK3 or FDXCHNK4: width bytes present
-  uint64_t file_size = 0;
   uint64_t dict_offset = 0;
   uint64_t dict_bytes = 0;
   /// Per column: code width (4 in FDXCHNK1/2) and payload byte range,
@@ -248,62 +240,20 @@ struct ChunkedTable::ChunkIo {
   std::vector<uint64_t> col_offsets;
   std::vector<uint64_t> col_sizes;
 
-  ChunkIo() = default;
-  ChunkIo(const ChunkIo&) = delete;
-  ChunkIo& operator=(const ChunkIo&) = delete;
-  ~ChunkIo() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  /// Copies `[offset, offset+len)` of the chunk file into `dst`, from
-  /// its bytes or via pread on the cached fd.
-  Status ReadAt(uint64_t offset, size_t len, char* dst,
-                const std::string& path) const {
-    if (offset > file_size || len > file_size - offset) {
-      return Status::IOError("store: chunk '" + path +
-                             "' is shorter than its header promises");
-    }
-    if (bytes != nullptr) {
-      std::memcpy(dst, bytes + offset, len);
-      return Status::OK();
-    }
-    size_t done = 0;
-    while (done < len) {
-      const ssize_t got = ::pread(fd, dst + done, len - done,
-                                  static_cast<off_t>(offset + done));
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("store: cannot read chunk '" + path +
-                               "': " + std::strerror(errno));
-      }
-      if (got == 0) {
-        return Status::IOError("store: chunk '" + path +
-                               "' truncated mid-read");
-      }
-      done += static_cast<size_t>(got);
-    }
-    return Status::OK();
-  }
-
-  /// Drops the page-cache residency of a byte range (mmap mode only) so
-  /// a streaming scan never accumulates mapped pages.
-  void DropRange(uint64_t offset, size_t len) const {
-    if (use_mmap) map.AdviseDontNeed(offset, len);
-  }
-
-  /// Parses the header into the layout fields, checking it against the
-  /// manifest's row count and the schema's column count. Offsets are
-  /// checked against the file size as they accumulate, so no header can
-  /// make them overflow or point past the end.
+  /// Parses the header of the loaded file into the layout fields,
+  /// checking it against the manifest's row count and the schema's
+  /// column count. Offsets are checked against the file size as they
+  /// accumulate, so no header can make them overflow or point past the
+  /// end.
   Status ParseLayout(uint64_t expected_rows, size_t k, bool have_codec,
                      const std::string& path) {
     const Status bad_header =
         Status::IOError("store: chunk '" + path + "' has a bad header");
     const Status bad_shape = Status::IOError(
         "store: chunk '" + path + "' shape disagrees with the manifest");
-    char header[kChunkHeaderBytes];
+    const uint64_t file_size = contents.size();
     if (file_size < kChunkHeaderBytes) return bad_header;
-    FDX_RETURN_IF_ERROR(ReadAt(0, kChunkHeaderBytes, header, path));
+    const char* header = contents.data();
     const auto is = [&](const char* magic) {
       return std::memcmp(header, magic, sizeof(kChunkMagic)) == 0;
     };
@@ -330,9 +280,7 @@ struct ChunkedTable::ChunkIo {
     widths.assign(k, 4);
     if (narrow) {
       if (file_size - offset < k) return bad_header;
-      FDX_RETURN_IF_ERROR(ReadAt(offset, k,
-                                 reinterpret_cast<char*>(widths.data()),
-                                 path));
+      std::memcpy(widths.data(), header + offset, k);
       for (uint8_t width : widths) {
         if (width != 1 && width != 2 && width != 4) return bad_header;
       }
@@ -341,10 +289,8 @@ struct ChunkedTable::ChunkIo {
     col_sizes.resize(k);
     if (compressed) {
       if ((file_size - offset) / 8 < k) return bad_header;
-      std::string table(k * 8, '\0');
-      FDX_RETURN_IF_ERROR(ReadAt(offset, k * 8, table.data(), path));
       for (size_t c = 0; c < k; ++c) {
-        col_sizes[c] = ReadU64(table.data() + c * 8);
+        col_sizes[c] = ReadU64(header + offset + c * 8);
       }
       offset += k * 8;
     } else {
@@ -367,15 +313,6 @@ ChunkedTable::~ChunkedTable() = default;
 ChunkedTable::ChunkedTable(ChunkedTable&&) noexcept = default;
 ChunkedTable& ChunkedTable::operator=(ChunkedTable&&) noexcept = default;
 
-StoreIo DefaultStoreIo() {
-  const char* env = std::getenv("FDX_STORE_IO");
-  if (env != nullptr) {
-    if (std::strcmp(env, "read") == 0) return StoreIo::kRead;
-    if (std::strcmp(env, "mmap") == 0) return StoreIo::kMmap;
-  }
-  return StoreIo::kMmap;
-}
-
 Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
                                           std::string dir,
                                           const std::string& codec) {
@@ -387,7 +324,6 @@ Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
   table.null_counts_.assign(schema.size(), 0);
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(codec));
   table.codec_name_ = table.codec_ == nullptr ? "none" : table.codec_->name();
-  table.io_mode_ = DefaultStoreIo();
   if (!table.dir_.empty()) {
     FDX_RETURN_IF_ERROR(EnsureDirectory(table.dir_));
     FDX_RETURN_IF_ERROR(table.WriteManifest());
@@ -601,51 +537,11 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   const StoredChunk& chunk = chunks_[index];
   std::lock_guard<std::mutex> lock(*io_mu_);
   if (chunk.io != nullptr) return chunk.io.get();
-
-  const std::string path = dir_ + "/" + chunk.file;
-  auto io = std::make_unique<ChunkIo>();
-  if (io_mode_ == StoreIo::kMmap && !FaultTriggered(kFaultStoreMmap)) {
-    Result<MmapFile> mapped = MmapFile::Open(path);
-    if (mapped.ok()) {
-      io->map = std::move(mapped).value();
-      io->use_mmap = true;
-      io->bytes = io->map.data();
-      io->file_size = io->map.size();
-    } else {
-      ++mmap_fallbacks_;
-    }
-  } else if (io_mode_ == StoreIo::kMmap) {
-    ++mmap_fallbacks_;  // fault point counts like a real map failure
-  }
-  if (!io->use_mmap) {
-    io->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (io->fd < 0) {
-      return Status::IOError("store: cannot open chunk '" + path +
-                             "': " + std::strerror(errno));
-    }
-    const off_t size = ::lseek(io->fd, 0, SEEK_END);
-    if (size < 0) {
-      return Status::IOError("store: cannot stat chunk '" + path +
-                             "': " + std::strerror(errno));
-    }
-    io->file_size = static_cast<uint64_t>(size);
-  }
-  // Parse the header once; every later column read goes straight to its
-  // precomputed byte range.
-  FDX_RETURN_IF_ERROR(
-      io->ParseLayout(chunk.rows, schema_.size(), codec_ != nullptr, path));
-
-  // First-touch verification (mmap mode): fingerprint the uncompressed
-  // serialization before trusting any mapped bytes, then drop the pages
-  // the check touched. The pread path keeps the original contract —
-  // full verification on ReadChunkValues/Open, range checks on column
-  // reads.
-  if (io->use_mmap) {
-    FDX_RETURN_IF_ERROR(VerifyChunk(index, *io));
-    io->map.AdviseDontNeed(0, io->map.size());
-  }
-
-  chunk.io = std::move(io);
+  // First touch: verify the fingerprint before trusting any of the
+  // chunk's codes, then keep only the layout; every later column read
+  // preads straight from its precomputed byte range.
+  FDX_ASSIGN_OR_RETURN(chunk.io, LoadChunk(index));
+  std::string().swap(chunk.io->contents);
   return chunk.io.get();
 }
 
@@ -658,8 +554,6 @@ Result<std::unique_ptr<ChunkedTable::ChunkIo>> ChunkedTable::LoadChunk(
   // unreadable, the store is corrupt.
   FDX_ASSIGN_OR_RETURN(io->contents,
                        AsIOError(ReadFileToString(path), "store: "));
-  io->bytes = io->contents.data();
-  io->file_size = io->contents.size();
   FDX_RETURN_IF_ERROR(
       io->ParseLayout(chunk.rows, schema_.size(), codec_ != nullptr, path));
   FDX_RETURN_IF_ERROR(VerifyChunk(index, *io));
@@ -673,13 +567,8 @@ Status ChunkedTable::VerifyChunk(size_t index, const ChunkIo& io) const {
     std::string raw;
     FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, io, &raw));
     actual = FingerprintHexOf(raw);
-  } else if (io.bytes != nullptr) {
-    actual = FingerprintHexOf(io.bytes, io.file_size);
   } else {
-    std::string raw(io.file_size, '\0');
-    FDX_RETURN_IF_ERROR(
-        io.ReadAt(0, io.file_size, raw.data(), dir_ + "/" + chunk.file));
-    actual = FingerprintHexOf(raw);
+    actual = FingerprintHexOf(io.contents);
   }
   if (actual != chunk.fingerprint_hex) {
     return Status::IOError("store: chunk '" + dir_ + "/" + chunk.file +
@@ -696,35 +585,29 @@ Status ChunkedTable::ReadSlice(size_t index, const ChunkIo& io, size_t col,
   const StoredChunk& chunk = chunks_[index];
   const uint64_t offset = io.col_offsets[col];
   const uint64_t size = io.col_sizes[col];
-  std::string buffer;
-  const char* data = nullptr;
-  if (io.bytes != nullptr) {
-    data = io.bytes + offset;
-  } else {
-    buffer.resize(size);
-    FDX_RETURN_IF_ERROR(
-        io.ReadAt(offset, size, buffer.data(), dir_ + "/" + chunk.file));
-    data = buffer.data();
+  std::string slice;
+  if (io.contents.empty()) {
+    FDX_ASSIGN_OR_RETURN(
+        slice, AsIOError(ReadFileSlice(dir_ + "/" + chunk.file, offset, size),
+                         "store: "));
   }
-  Status status = Status::OK();
+  const char* data =
+      io.contents.empty() ? slice.data() : io.contents.data() + offset;
   if (io.compressed) {
-    status = DecodeCompressedColumn(*codec_, data, size, chunk.rows, out,
-                                    chunk.file);
-  } else {
-    const uint8_t* codes = reinterpret_cast<const uint8_t*>(data);
-    DispatchCodeWidth(io.widths[col], [&](auto zero) {
-      using T = decltype(zero);
-      const T null = static_cast<T>(~T{0});
-      for (size_t r = 0; r < chunk.rows; ++r) {
-        const T code = LoadCode<T>(codes, r);
-        out[r] = code == null ? EncodedTable::kNullCode
-                              : static_cast<int32_t>(code);
-      }
-    });
+    return DecodeCompressedColumn(*codec_, data, size, chunk.rows, out,
+                                  chunk.file);
   }
-  // The slice has been copied out as codes; its pages are dead weight.
-  io.DropRange(offset, size);
-  return status;
+  const uint8_t* codes = reinterpret_cast<const uint8_t*>(data);
+  DispatchCodeWidth(io.widths[col], [&](auto zero) {
+    using T = decltype(zero);
+    const T null = static_cast<T>(~T{0});
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      const T code = LoadCode<T>(codes, r);
+      out[r] = code == null ? EncodedTable::kNullCode
+                            : static_cast<int32_t>(code);
+    }
+  });
+  return Status::OK();
 }
 
 /// Rebuilds the uncompressed serialization (FDXCHNK1 or FDXCHNK3) of a
@@ -742,10 +625,8 @@ Status ChunkedTable::ReconstructRawPayload(size_t index, const ChunkIo& io,
     FDX_RETURN_IF_ERROR(ReadSlice(index, io, c, codes.data()));
     AppendCodesAtWidth(io.widths[c], codes.data(), chunk.rows, out);
   }
-  const size_t dict_at = out->size();
-  out->resize(dict_at + io.dict_bytes);
-  return io.ReadAt(io.dict_offset, io.dict_bytes, out->data() + dict_at,
-                   dir_ + "/" + chunk.file);
+  out->append(io.contents, io.dict_offset, io.dict_bytes);
+  return Status::OK();
 }
 
 Status ChunkedTable::ReadColumnCodes(size_t col, CodeColumn* out) const {
@@ -833,22 +714,6 @@ Result<Table> ChunkedTable::ReadChunkValues(size_t index) const {
   return out;
 }
 
-uint64_t ChunkedTable::MappedResidentBytes() const {
-  std::lock_guard<std::mutex> lock(*io_mu_);
-  uint64_t total = 0;
-  for (const StoredChunk& chunk : chunks_) {
-    if (chunk.io != nullptr && chunk.io->use_mmap) {
-      total += chunk.io->map.ResidentBytes();
-    }
-  }
-  return total;
-}
-
-uint64_t ChunkedTable::mmap_fallbacks() const {
-  std::lock_guard<std::mutex> lock(*io_mu_);
-  return mmap_fallbacks_;
-}
-
 Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   FDX_ASSIGN_OR_RETURN(std::string manifest_text,
                        ReadFileToString(dir + "/manifest.json"));
@@ -900,7 +765,6 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   table.dicts_.resize(table.schema_.size());
   table.committed_.assign(table.schema_.size(), 0);
   table.null_counts_.assign(table.schema_.size(), 0);
-  table.io_mode_ = DefaultStoreIo();
   table.codec_name_ = root.StringOr("codec", "none");
   FDX_ASSIGN_OR_RETURN(table.codec_,
                        AsIOError(FindChunkCodec(table.codec_name_), ""));
@@ -931,7 +795,8 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   for (size_t i = 0; i < table.chunks_.size(); ++i) {
     StoredChunk& chunk = table.chunks_[i];
     FDX_ASSIGN_OR_RETURN(std::unique_ptr<ChunkIo> io, table.LoadChunk(i));
-    const std::string dict_json(io->bytes + io->dict_offset, io->dict_bytes);
+    const std::string dict_json =
+        io->contents.substr(io->dict_offset, io->dict_bytes);
     FDX_ASSIGN_OR_RETURN(
         JsonValue dict_root,
         AsIOError(JsonValue::Parse(dict_json),

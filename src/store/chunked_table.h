@@ -17,27 +17,6 @@ namespace fdx {
 
 class ChunkCodec;
 
-/// How spilled chunk payloads are read back.
-///
-///  * kMmap (default): chunk files are memory-mapped once per chunk and
-///    column slices are decoded straight out of the page cache, with
-///    `madvise(SEQUENTIAL)` on map and `madvise(DONTNEED)` after each
-///    slice so a bounded-memory scan never accumulates mapped residency.
-///    The mapped bytes are fingerprint-verified on first touch. If the
-///    map cannot be established (or the `store.mmap` fault point fires)
-///    the store falls back to the read path for that chunk and counts
-///    the fallback.
-///  * kRead: the PR 9 pread(2) path, kept as a bit-identical fallback.
-///
-/// The `FDX_STORE_IO` environment variable (`mmap` or `read`) overrides
-/// the default for newly created/opened stores; `set_io_mode` overrides
-/// it programmatically. Both paths produce identical bytes.
-enum class StoreIo { kMmap, kRead };
-
-/// Resolves the process-wide default read path: `FDX_STORE_IO` if set
-/// to a recognized value, otherwise kMmap.
-StoreIo DefaultStoreIo();
-
 /// Out-of-core columnar table: rows arrive in batches, each batch is
 /// dictionary-encoded against an *incremental* dictionary (codes are
 /// stable across chunks — appending never renumbers anything) and kept
@@ -98,11 +77,20 @@ StoreIo DefaultStoreIo();
 /// reopened store either matches the writer's state exactly or fails
 /// loudly.
 ///
+/// Spilled chunks are read back with plain reads, never mapped.
+/// ReadChunkValues reads and verifies the whole chunk file each call.
+/// ReadColumnCodes verifies each chunk's fingerprint once per
+/// ChunkedTable, on its first touch, before any of its codes is trusted
+/// (a store this process wrote included), and keeps only the chunk's
+/// parsed layout; every column read then opens the file, preads the
+/// column's slice and closes it, so the store holds no file descriptor
+/// between reads.
+///
 /// Appends are single-writer (callers serialize them; the service wraps
 /// a store in its per-session mutex). Reads — ReadColumnCodes and
 /// ReadChunkValues — are safe to call concurrently with each other (the
 /// wave-parallel streaming transform decodes columns from worker
-/// threads); the per-chunk I/O state they share is created under an
+/// threads); the per-chunk layouts they share are created under an
 /// internal mutex.
 class ChunkedTable {
  public:
@@ -160,13 +148,10 @@ class ChunkedTable {
   /// The commit string of the last append ("" for none, or for a store
   /// written before manifests carried one).
   const std::string& commit() const { return commit_; }
-  StoreIo io_mode() const { return io_mode_; }
-  /// Overrides the read path (tests, benches, operators). Chunk I/O
-  /// state already established keeps its mode; set before reading.
-  void set_io_mode(StoreIo mode) { io_mode_ = mode; }
-  /// Times a chunk map failed (or was failed by the `store.mmap` fault
-  /// point) and the read path was used instead.
-  uint64_t mmap_fallbacks() const;
+  /// Always 0: chunks are never mapped, so no read falls back.
+  /// Kept only because perfbench's pb_trace still reports it as
+  /// `store.mmap_fallbacks`; it goes when that metric does.
+  uint64_t mmap_fallbacks() const { return 0; }
   size_t num_rows() const { return total_rows_; }
   size_t num_columns() const { return schema_.size(); }
   size_t num_chunks() const { return chunks_.size(); }
@@ -185,9 +170,9 @@ class ChunkedTable {
   /// Streams one column's transform codes across all chunks into `out`,
   /// at the width its transform cardinality needs (CodeWidthFor of
   /// Cardinality(col); nulls are that width's all-ones code) — the
-  /// streaming transform's input. Spilled chunks cost one mapped-slice
-  /// decode (or one pread) of the column's contiguous payload each.
-  /// Thread-safe against concurrent reads.
+  /// streaming transform's input. A spilled chunk costs one pread of the
+  /// column's contiguous payload, plus its fingerprint check on first
+  /// touch. Thread-safe against concurrent reads.
   Status ReadColumnCodes(size_t col, CodeColumn* out) const;
 
   /// Exact value round-trip of one chunk (the service's replay path).
@@ -196,17 +181,9 @@ class ChunkedTable {
   /// different data.
   Result<Table> ReadChunkValues(size_t chunk) const;
 
-  /// Bytes of this store's chunk mappings currently resident in memory.
-  /// These pages are clean and file-backed — the kernel reclaims them
-  /// under pressure — so RSS-ceiling accounting subtracts them from the
-  /// polled process figure instead of tripping on reclaimable cache.
-  uint64_t MappedResidentBytes() const;
-
  private:
-  /// Cached per-chunk read state, established on first access: the open
-  /// map (or a plain fd as the fallback), the per-column payload offset
-  /// index (parsed once — column reads never re-touch header/manifest
-  /// state), and the first-touch verification flag.
+  /// A chunk file's parsed layout (per-column code widths and payload
+  /// byte ranges) and, while loaded, its bytes.
   struct ChunkIo;
 
   struct StoredChunk {
@@ -231,18 +208,21 @@ class ChunkedTable {
                              const std::vector<uint8_t>& widths) const;
   std::string EncodeManifest() const;
   Status WriteManifest() const;
-  /// The cached read state of a spilled chunk (mapped, or an fd for
-  /// pread), fingerprint-verified on creation when mapped.
+  /// The cached layout of a spilled chunk: on first touch the chunk is
+  /// loaded and verified (LoadChunk), then its bytes are dropped.
   Result<ChunkIo*> GetChunkIo(size_t chunk) const;
   /// The whole chunk file read into memory, parsed and verified; not
   /// cached (Open and ReadChunkValues read each chunk once).
   Result<std::unique_ptr<ChunkIo>> LoadChunk(size_t chunk) const;
-  /// Checks the fingerprint of the chunk's uncompressed serialization.
+  /// Checks the fingerprint of a loaded chunk's uncompressed
+  /// serialization.
   Status VerifyChunk(size_t chunk, const ChunkIo& io) const;
   /// Decodes column `col` of a spilled chunk into `out[0..rows)` as
-  /// storage codes: every read of a chunk payload goes through here.
+  /// storage codes, from the loaded bytes or by one pread of the slice:
+  /// every read of a chunk payload goes through here.
   Status ReadSlice(size_t chunk, const ChunkIo& io, size_t col,
                    int32_t* out) const;
+  /// Rebuilds a loaded compressed chunk's uncompressed serialization.
   Status ReconstructRawPayload(size_t chunk, const ChunkIo& io,
                                std::string* out) const;
 
@@ -250,7 +230,6 @@ class ChunkedTable {
   std::string dir_;
   std::string codec_name_ = "none";
   const ChunkCodec* codec_ = nullptr;  ///< nullptr when raw
-  StoreIo io_mode_ = StoreIo::kMmap;
   std::string commit_;
   size_t total_rows_ = 0;
   std::vector<ColumnDictionary> dicts_;
@@ -260,10 +239,9 @@ class ChunkedTable {
   std::vector<size_t> committed_;
   std::vector<size_t> null_counts_;
   std::vector<StoredChunk> chunks_;
-  /// Guards lazy ChunkIo creation and the fallback counter (the table
-  /// is movable, hence the indirection).
+  /// Guards lazy ChunkIo creation (the table is movable, hence the
+  /// indirection).
   std::unique_ptr<std::mutex> io_mu_ = std::make_unique<std::mutex>();
-  mutable uint64_t mmap_fallbacks_ = 0;
 };
 
 }  // namespace fdx

@@ -17,20 +17,12 @@
 namespace fdx {
 namespace {
 
-Status CheckRssCeiling(const StreamTransformOptions& options,
-                       const ChunkedTable& table) {
+Status CheckRssCeiling(const StreamTransformOptions& options) {
   if (options.rss_limit_bytes == 0) return Status::OK();
   const uint64_t rss = CurrentRssBytes();
-  // Resident pages of the store's chunk mappings are clean and
-  // file-backed — the kernel drops them under memory pressure — so
-  // counting them against the ceiling would fail runs whose actual
-  // footprint fits. Subtract them: what remains is anonymous memory the
-  // process genuinely owes.
-  const uint64_t mapped = table.MappedResidentBytes();
-  const uint64_t owned = rss > mapped ? rss - mapped : 0;
-  if (owned <= options.rss_limit_bytes) return Status::OK();
+  if (rss <= options.rss_limit_bytes) return Status::OK();
   return Status::Unavailable(
-      "stream transform: resident set " + std::to_string(owned) +
+      "stream transform: resident set " + std::to_string(rss) +
       " bytes exceeds the memory ceiling of " +
       std::to_string(options.rss_limit_bytes) + " bytes");
 }
@@ -196,7 +188,7 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
     if (deadline != nullptr && deadline->Expired()) {
       return Status::Timeout("pair transform: time budget exhausted");
     }
-    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
+    FDX_RETURN_IF_ERROR(CheckRssCeiling(options));
 
     watch.Reset();
     for (size_t i = 0; i < w; ++i) {
@@ -305,7 +297,7 @@ Result<TransformedMoments> StreamTransformMoments(
   ResidentSchedule schedule;
   schedule.max_passes = ResidentPassLimit(table, options);
   if (options.rss_limit_bytes != 0) {
-    schedule.between_passes = [&] { return CheckRssCeiling(options, table); };
+    schedule.between_passes = [&] { return CheckRssCeiling(options); };
   }
   FDX_ASSIGN_OR_RETURN(
       PassMoments moments,

@@ -25,12 +25,9 @@ struct StreamTransformOptions {
   /// Process-RSS ceiling, polled before every attribute pass of the
   /// resident schedule and before every wave; a breach returns
   /// kUnavailable (the caller chose the ceiling, the input simply does
-  /// not fit under it). Clean file-backed pages of the store's chunk
-  /// mappings are subtracted from the polled figure — the kernel
-  /// reclaims those under pressure, so they are page cache, not
-  /// footprint. The ceiling also bounds the resident passes in flight:
-  /// they share what it leaves after the column budget and an equal
-  /// reserve for the rest of the process, rss_limit_bytes −
+  /// not fit under it). The ceiling also bounds the resident passes in
+  /// flight: they share what it leaves after the column budget and an
+  /// equal reserve for the rest of the process, rss_limit_bytes −
   /// 2·column_cache_bytes, at the bytes one pass holds (its sort order,
   /// bit matrix and accumulators); at least one pass runs.
   /// 0 disables the check and the bound.

@@ -145,9 +145,8 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
 }
 
 TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
-  // The full storage matrix: raw vs varint payloads crossed with mmap
-  // vs pread reads, at degenerate and huge chunk sizes, every cell
-  // bit-identical to the in-memory transform.
+  // The storage matrix: raw vs varint payloads at degenerate and huge
+  // chunk sizes, every cell bit-identical to the in-memory transform.
   const Table table = FdTable(300);
   auto memory = PairTransformMoments(table, {});
   ASSERT_TRUE(memory.ok());
@@ -163,17 +162,12 @@ TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
         ASSERT_TRUE(store.ok());
         AppendInChunks(table, chunk_rows, &store.value());
       }
-      for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
-        auto store = ChunkedTable::Open(dir);
-        ASSERT_TRUE(store.ok()) << store.status().message();
-        store.value().set_io_mode(io);
-        auto streamed = StreamTransformMoments(store.value(), {});
-        ASSERT_TRUE(streamed.ok())
-            << chunk_rows << "/" << codec << "/"
-            << (io == StoreIo::kMmap ? "mmap" : "read") << ": "
-            << streamed.status().message();
-        ExpectMomentsIdentical(memory.value(), streamed.value());
-      }
+      auto store = ChunkedTable::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status().message();
+      auto streamed = StreamTransformMoments(store.value(), {});
+      ASSERT_TRUE(streamed.ok()) << chunk_rows << "/" << codec << ": "
+                                 << streamed.status().message();
+      ExpectMomentsIdentical(memory.value(), streamed.value());
       ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
     }
   }
@@ -510,27 +504,21 @@ TEST_P(WidthBoundaryTest, GridIdentical) {
     auto written = ChunkedTable::Create(table.schema(), dir, codec);
     ASSERT_TRUE(written.ok());
     AppendInChunks(table, chunk_rows, &written.value());
-    for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
-      if (!spill && io == StoreIo::kRead) continue;
-      auto reopened = spill ? ChunkedTable::Open(dir)
-                            : Result<ChunkedTable>(std::move(written));
-      ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-      ChunkedTable& store = reopened.value();
-      store.set_io_mode(io);
-      for (size_t t = 0; t < 2; ++t) {
-        for (bool resident : {true, false}) {
-          SCOPED_TRACE(std::string("codec=") + codec + " io=" +
-                       (io == StoreIo::kMmap ? "mmap" : "read") +
-                       " threads=" + std::to_string(t == 0 ? 1 : 4) +
-                       (resident ? " resident" : " waves"));
-          const uint64_t budget =
-              resident ? 0 : DecodedColumnBytes(store) - 1;
-          StreamTransformOptions stream = WithBudget(store, budget, resident);
-          stream.transform.threads = t == 0 ? 1 : 4;
-          auto streamed = StreamTransformMoments(store, stream);
-          ASSERT_TRUE(streamed.ok()) << streamed.status().message();
-          ExpectMomentsIdentical(memory[t], streamed.value());
-        }
+    auto reopened = spill ? ChunkedTable::Open(dir)
+                          : Result<ChunkedTable>(std::move(written));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    const ChunkedTable& store = reopened.value();
+    for (size_t t = 0; t < 2; ++t) {
+      for (bool resident : {true, false}) {
+        SCOPED_TRACE(std::string("codec=") + codec +
+                     " threads=" + std::to_string(t == 0 ? 1 : 4) +
+                     (resident ? " resident" : " waves"));
+        const uint64_t budget = resident ? 0 : DecodedColumnBytes(store) - 1;
+        StreamTransformOptions stream = WithBudget(store, budget, resident);
+        stream.transform.threads = t == 0 ? 1 : 4;
+        auto streamed = StreamTransformMoments(store, stream);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().message();
+        ExpectMomentsIdentical(memory[t], streamed.value());
       }
     }
     if (spill) {

@@ -4,16 +4,16 @@
 // (tests/store_fixtures: raw FDXCHNK1, varint FDXCHNK2). The shared
 // mutator (fuzz_mutator.h) corrupts one file per case. Every case must
 // either fail Open, ReadColumnCodes or ReadChunkValues with kIOError, or
-// read back exactly the original rows, codes and values — under mmap
-// and pread reads alike. One case in four that hits a raw chunk also
-// rewrites that chunk's manifest fingerprint, so the mutated bytes get
-// past the fingerprint check to the decoders behind it (a manifest that
-// ends in its own fingerprint is re-sealed too); such a store may read
-// back different data, but it must still never crash or fail with
-// anything but kIOError. Column names live only in the manifest: the
-// oracle compares them when the mutated manifest still ends in a
-// fingerprint, which Open then verified, and compares data only for the
-// older manifests that carry none.
+// read back exactly the original rows, codes and values. One case in
+// four that hits a raw chunk also rewrites that chunk's manifest
+// fingerprint, so the mutated bytes get past the fingerprint check to
+// the decoders behind it (a manifest that ends in its own fingerprint is
+// re-sealed too); such a store may read back different data, but it
+// must still never crash or fail with anything but kIOError. Column
+// names live only in the manifest: the oracle compares them when the
+// mutated manifest still ends in a fingerprint, which Open then
+// verified, and compares data only for the older manifests that carry
+// none.
 //
 // The fixtures also pin compatibility: they read bit-identically to
 // their source CSV (codes, ReadChunkValues and moments), and a manifest
@@ -80,9 +80,8 @@ struct StoreData {
   std::vector<Table> chunks;                ///< exact values per chunk
 };
 
-Result<StoreData> ReadAll(const std::string& dir, StoreIo io) {
+Result<StoreData> ReadAll(const std::string& dir) {
   FDX_ASSIGN_OR_RETURN(ChunkedTable store, ChunkedTable::Open(dir));
-  store.set_io_mode(io);
   StoreData data;
   data.names = store.schema().names();
   data.rows = store.num_rows();
@@ -191,7 +190,7 @@ const std::vector<Variant>& Variants() {
     for (Variant& variant : out) {
       const std::string dir = TempDir("read_" + variant.name);
       WriteStore(dir, variant.files);
-      auto data = ReadAll(dir, StoreIo::kMmap);
+      auto data = ReadAll(dir);
       EXPECT_TRUE(data.ok()) << variant.name << ": "
                              << data.status().ToString();
       if (data.ok()) variant.data = std::move(data).value();
@@ -246,23 +245,20 @@ bool IsRawChunk(const std::string& bytes) {
          bytes.compare(0, 8, "FDXCHNK3") == 0;
 }
 
-/// Reads `files` back under both I/O modes and checks the contract
-/// against `want` (null: any data is allowed, only failures are held
-/// to kIOError).
+/// Reads `files` back and checks the contract against `want` (null: any
+/// data is allowed, only failures are held to kIOError).
 void CheckCase(const std::string& dir, const StoreFiles& files,
                const StoreData* want, const std::string& what) {
   WriteStore(dir, files);
-  for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
-    SCOPED_TRACE(what + (io == StoreIo::kMmap ? " mmap" : " read"));
-    const Result<StoreData> got = ReadAll(dir, io);
-    if (!got.ok()) {
-      EXPECT_EQ(got.status().code(), StatusCode::kIOError)
-          << got.status().ToString();
-    } else if (want != nullptr) {
-      EXPECT_TRUE(SameData(*got, *want)) << "read back different data";
-      if (Sealed(files.at("manifest.json"))) {
-        EXPECT_EQ(got->names, want->names) << "read back different names";
-      }
+  SCOPED_TRACE(what);
+  const Result<StoreData> got = ReadAll(dir);
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), StatusCode::kIOError)
+        << got.status().ToString();
+  } else if (want != nullptr) {
+    EXPECT_TRUE(SameData(*got, *want)) << "read back different data";
+    if (Sealed(files.at("manifest.json"))) {
+      EXPECT_EQ(got->names, want->names) << "read back different names";
     }
   }
 }
@@ -333,40 +329,37 @@ TEST(StoreFixtureTest, ParentFormatStoresReadBitIdentically) {
     const std::string dir = TempDir(std::string("fixture_") + fixture);
     WriteStore(dir, ReadStore(std::string(FDX_STORE_FIXTURE_DIR) + "/" +
                               fixture));
-    for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
-      auto store = ChunkedTable::Open(dir);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      store->set_io_mode(io);
-      ASSERT_EQ(store->num_rows(), source->num_rows());
-      ASSERT_EQ(store->schema().names(), source->schema().names());
-      for (size_t c = 0; c < store->num_columns(); ++c) {
-        CodeColumn codes;
-        ASSERT_TRUE(store->ReadColumnCodes(c, &codes).ok());
-        EXPECT_EQ(codes.ToInt32(), encoded.column_codes(c)) << "col " << c;
-      }
-      size_t row = 0;
-      for (size_t i = 0; i < store->num_chunks(); ++i) {
-        auto chunk = store->ReadChunkValues(i);
-        ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-        for (size_t r = 0; r < chunk->num_rows(); ++r, ++row) {
-          for (size_t c = 0; c < chunk->num_columns(); ++c) {
-            EXPECT_TRUE(SameValue(chunk->cell(r, c), source->cell(row, c)))
-                << "row " << row << " col " << c;
-          }
+    auto store = ChunkedTable::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_EQ(store->num_rows(), source->num_rows());
+    ASSERT_EQ(store->schema().names(), source->schema().names());
+    for (size_t c = 0; c < store->num_columns(); ++c) {
+      CodeColumn codes;
+      ASSERT_TRUE(store->ReadColumnCodes(c, &codes).ok());
+      EXPECT_EQ(codes.ToInt32(), encoded.column_codes(c)) << "col " << c;
+    }
+    size_t row = 0;
+    for (size_t i = 0; i < store->num_chunks(); ++i) {
+      auto chunk = store->ReadChunkValues(i);
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      for (size_t r = 0; r < chunk->num_rows(); ++r, ++row) {
+        for (size_t c = 0; c < chunk->num_columns(); ++c) {
+          EXPECT_TRUE(SameValue(chunk->cell(r, c), source->cell(row, c)))
+              << "row " << row << " col " << c;
         }
       }
-      EXPECT_EQ(row, source->num_rows());
-      for (uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
-        StreamTransformOptions stream;
-        stream.column_cache_bytes = budget;
-        auto streamed = StreamTransformMoments(*store, stream);
-        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-        EXPECT_EQ(streamed->num_samples, memory->num_samples);
-        EXPECT_EQ(streamed->mean, memory->mean);
-        for (size_t x = 0; x < memory->cov.rows(); ++x) {
-          for (size_t y = 0; y < memory->cov.cols(); ++y) {
-            EXPECT_EQ(streamed->cov(x, y), memory->cov(x, y));
-          }
+    }
+    EXPECT_EQ(row, source->num_rows());
+    for (uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+      StreamTransformOptions stream;
+      stream.column_cache_bytes = budget;
+      auto streamed = StreamTransformMoments(*store, stream);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(streamed->num_samples, memory->num_samples);
+      EXPECT_EQ(streamed->mean, memory->mean);
+      for (size_t x = 0; x < memory->cov.rows(); ++x) {
+        for (size_t y = 0; y < memory->cov.cols(); ++y) {
+          EXPECT_EQ(streamed->cov(x, y), memory->cov(x, y));
         }
       }
     }

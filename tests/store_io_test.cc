@@ -1,24 +1,26 @@
-// The fast out-of-core I/O layer: mmap-backed chunk reads (with the
-// pread path as a bit-identical fallback), the `store.mmap` /
-// `store.decompress` fault points, and the varint chunk codec. The
-// contract under test: every io-mode x codec combination produces the
-// same bytes, compressed stores fingerprint identically to raw ones,
-// and every corruption mode fails loudly with kIOError.
-#include <unistd.h>
+// The out-of-core read path: pread chunk reads that verify each chunk
+// once, on first touch, and hold no file descriptor between reads; the
+// `store.decompress` fault point; and the varint chunk codec. The
+// contract under test: raw and varint stores read back the same codes,
+// compressed stores fingerprint identically to raw ones, and every
+// corruption mode fails loudly with kIOError.
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "core/transform.h"
 #include "data/table.h"
 #include "store/chunk_codec.h"
 #include "store/chunked_table.h"
+#include "store/stream_transform.h"
 #include "util/fault_injection.h"
 #include "util/file_io.h"
-#include "util/mmap_file.h"
 
 namespace fdx {
 namespace {
@@ -73,125 +75,128 @@ std::vector<std::vector<int32_t>> AllCodes(const ChunkedTable& store) {
   return codes;
 }
 
-TEST(MmapFileTest, MapsReadsAndReleases) {
-  const std::string dir = FreshDir("mmap");
-  ASSERT_TRUE(EnsureDirectory(dir).ok());
-  const std::string path = dir + "/blob.bin";
-  std::string contents;
-  for (int i = 0; i < 10000; ++i) contents += static_cast<char>(i % 251);
-  ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
-
-  auto file = MmapFile::Open(path);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file.value().mapped());
-  ASSERT_EQ(file.value().size(), contents.size());
-  EXPECT_EQ(std::string(file.value().data(), file.value().size()), contents);
-  // Touched every byte above, so some pages must be resident; dropping
-  // them is advisory but must never report more resident than the
-  // page-rounded mapping.
-  EXPECT_GT(file.value().ResidentBytes(), 0u);
-  file.value().AdviseDontNeed(0, file.value().size());
-  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  EXPECT_LE(file.value().ResidentBytes(),
-            (file.value().size() + page - 1) / page * page);
-
-  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
-}
-
-TEST(MmapFileTest, EmptyFileAndMissingFile) {
-  const std::string dir = FreshDir("mmap_edge");
-  ASSERT_TRUE(EnsureDirectory(dir).ok());
-  const std::string empty = dir + "/empty.bin";
-  ASSERT_TRUE(WriteFileAtomic(empty, "").ok());
-  auto mapped = MmapFile::Open(empty);
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_FALSE(mapped.value().mapped());
-  EXPECT_EQ(mapped.value().size(), 0u);
-  EXPECT_EQ(mapped.value().ResidentBytes(), 0u);
-
-  EXPECT_FALSE(MmapFile::Open(dir + "/nope.bin").ok());
-  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
-}
-
-TEST(StoreIoTest, EnvironmentOverridesDefaultIoMode) {
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "read", 1), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kRead);
-  auto store = ChunkedTable::Create(Schema({"a"}), "");
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store.value().io_mode(), StoreIo::kRead);
-
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "mmap", 1), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kMmap);
-  // Unrecognized values fall back to the default rather than failing.
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "warp-drive", 1), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kMmap);
-  ASSERT_EQ(::unsetenv("FDX_STORE_IO"), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kMmap);
-}
-
-TEST(StoreIoTest, MmapAndReadPathsAreBitIdentical) {
-  const std::string dir = FreshDir("modes");
-  const Table table = IoTable(200);
-  {
-    auto store = ChunkedTable::Create(table.schema(), dir);
-    ASSERT_TRUE(store.ok());
-    AppendInChunks(table, 23, &store.value());
+void ExpectMomentsIdentical(const TransformedMoments& want,
+                            const TransformedMoments& got) {
+  EXPECT_EQ(got.num_samples, want.num_samples);
+  EXPECT_EQ(got.mean, want.mean);
+  ASSERT_EQ(got.cov.rows(), want.cov.rows());
+  ASSERT_EQ(got.cov.cols(), want.cov.cols());
+  for (size_t x = 0; x < want.cov.rows(); ++x) {
+    for (size_t y = 0; y < want.cov.cols(); ++y) {
+      EXPECT_EQ(got.cov(x, y), want.cov(x, y)) << x << "," << y;
+    }
   }
-  auto via_mmap = ChunkedTable::Open(dir);
-  ASSERT_TRUE(via_mmap.ok());
-  via_mmap.value().set_io_mode(StoreIo::kMmap);
-  auto via_read = ChunkedTable::Open(dir);
-  ASSERT_TRUE(via_read.ok());
-  via_read.value().set_io_mode(StoreIo::kRead);
+}
 
-  EXPECT_EQ(AllCodes(via_mmap.value()), AllCodes(via_read.value()));
-  EXPECT_EQ(via_mmap.value().mmap_fallbacks(), 0u);
-  for (size_t chunk = 0; chunk < via_mmap.value().num_chunks(); ++chunk) {
-    auto a = via_mmap.value().ReadChunkValues(chunk);
-    auto b = via_read.value().ReadChunkValues(chunk);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().num_rows(), b.value().num_rows());
-    for (size_t r = 0; r < a.value().num_rows(); ++r) {
-      for (size_t c = 0; c < a.value().num_columns(); ++c) {
-        EXPECT_TRUE(a.value().cell(r, c).is_null()
-                        ? b.value().cell(r, c).is_null()
-                        : a.value().cell(r, c).EqualsStrict(
-                              b.value().cell(r, c)))
-            << "chunk " << chunk << " row " << r << " col " << c;
+/// Lowers the soft RLIMIT_NOFILE so that only `spare` descriptors are
+/// free above the highest one open now, and restores it on scope exit.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(rlim_t spare) {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlim_t highest = 2;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      highest = std::max<rlim_t>(
+          highest, std::stoul(entry.path().filename().string()));
+    }
+    rlimit lowered = saved_;
+    lowered.rlim_cur = highest + 1 + spare;
+    lowered_ = lowered.rlim_cur < saved_.rlim_cur &&
+               ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~DescriptorLimit() {
+    if (lowered_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  bool lowered() const { return lowered_; }
+
+ private:
+  rlimit saved_ = {};
+  bool lowered_ = false;
+};
+
+TEST(StoreIoTest, SpilledReadsHoldNoDescriptorPerChunk) {
+  // Three times as many chunks as free descriptors: a read path that
+  // kept one descriptor per chunk would run out part way through.
+  constexpr rlim_t kSpare = 16;
+  constexpr size_t kChunks = 3 * kSpare;
+  const Table table = IoTable(5 * kChunks);
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  auto memory = PairTransformMoments(table, {});
+  ASSERT_TRUE(memory.ok());
+  for (const char* codec : {"", "varint"}) {
+    SCOPED_TRACE(codec[0] == '\0' ? "raw" : codec);
+    const std::string dir = FreshDir(codec[0] == '\0' ? "fd_raw" : "fd_var");
+    auto written = ChunkedTable::Create(table.schema(), dir, codec);
+    ASSERT_TRUE(written.ok());
+    AppendInChunks(table, 5, &written.value());
+    ASSERT_EQ(written.value().num_chunks(), kChunks);
+    {
+      DescriptorLimit limit(kSpare);
+      ASSERT_TRUE(limit.lowered());
+      // The store as this process wrote it, then reopened.
+      auto reopened = ChunkedTable::Open(dir);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      for (const ChunkedTable* store : {&written.value(), &reopened.value()}) {
+        for (size_t c = 0; c < table.num_columns(); ++c) {
+          CodeColumn codes;
+          const Status read = store->ReadColumnCodes(c, &codes);
+          ASSERT_TRUE(read.ok()) << read.ToString();
+          EXPECT_EQ(codes.ToInt32(), encoded.column_codes(c)) << "col " << c;
+        }
+        for (const uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+          StreamTransformOptions stream;
+          stream.column_cache_bytes = budget;
+          ASSERT_EQ(TransformRunsResident(*store, stream), budget == 0);
+          auto streamed = StreamTransformMoments(*store, stream);
+          ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+          ExpectMomentsIdentical(memory.value(), streamed.value());
+        }
       }
     }
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
   }
-  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
 }
 
-TEST(StoreIoTest, MmapFaultFallsBackToReadPath) {
+TEST(StoreIoTest, FirstTouchCatchesAChunkChangedAfterItsWrite) {
+  // A chunk file changed after this process wrote it, with no Open in
+  // between, must fail its first column read rather than yield a wrong
+  // code. The flip turns the last code of column 0 in chunk 0 (row 39:
+  // storage code 10, one past row 38's 9) into another valid code:
+  // 10 ^ 2 = 8 at one byte per code, and the varint delta +1 (zigzag
+  // byte 0x02) into 0.
+  const Table table = IoTable(80);
+  const size_t k = table.num_columns();
   for (const char* codec : {"", "varint"}) {
+    SCOPED_TRACE(codec[0] == '\0' ? "raw" : codec);
     const std::string dir =
-        FreshDir(std::string("fallback_") + (codec[0] == '\0' ? "raw" : codec));
-    const Table table = IoTable(90);
-    {
-      auto store = ChunkedTable::Create(table.schema(), dir, codec);
-      ASSERT_TRUE(store.ok());
-      AppendInChunks(table, 30, &store.value());
+        FreshDir(codec[0] == '\0' ? "touch_raw" : "touch_var");
+    auto store = ChunkedTable::Create(table.schema(), dir, codec);
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(table, 40, &store.value());
+    const std::string victim = dir + "/chunk-000000.bin";
+    auto contents = ReadFileToString(victim);
+    ASSERT_TRUE(contents.ok());
+    std::string& bytes = contents.value();
+    // Narrow chunks: a 32-byte header and a width byte per column, then
+    // (varint only) a u64 payload size per column, then the payloads.
+    size_t end_of_col0 = 32 + k + 40;
+    if (codec[0] != '\0') {
+      uint64_t size0 = 0;
+      std::memcpy(&size0, bytes.data() + 32 + k, sizeof(size0));
+      end_of_col0 = 32 + k + 8 * k + size0;
     }
-    // Armed across open *and* the column reads: raw stores only create
-    // per-chunk I/O state on the first column read, compressed ones
-    // already during Open's fingerprint replay.
-    ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
-    auto store = ChunkedTable::Open(dir);
-    ASSERT_TRUE(store.ok()) << store.status().message();
-    store.value().set_io_mode(StoreIo::kMmap);
-    const EncodedTable encoded = EncodedTable::Encode(table);
-    const auto codes = AllCodes(store.value());
-    DisarmFaults();
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      EXPECT_EQ(codes[c], encoded.column_codes(c)) << "col " << c;
-    }
-    // Every chunk's map attempt failed; all of them fell back to pread
-    // and the store still served identical bytes.
-    EXPECT_EQ(store.value().mmap_fallbacks(), store.value().num_chunks());
-    EXPECT_EQ(store.value().MappedResidentBytes(), 0u);
+    char& last = bytes[end_of_col0 - 1];
+    ASSERT_EQ(last, codec[0] == '\0' ? 10 : 2);
+    last = static_cast<char>(last ^ 2);
+    ASSERT_TRUE(WriteFileAtomic(victim, bytes).ok());
+
+    CodeColumn codes;
+    const Status read = store.value().ReadColumnCodes(0, &codes);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.code(), StatusCode::kIOError);
+    EXPECT_NE(read.message().find("fingerprint mismatch"), std::string::npos)
+        << read.message();
     ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
   }
 }
@@ -298,39 +303,33 @@ TEST(StoreIoTest, TruncatedCompressedChunkRejected) {
 }
 
 TEST(StoreIoTest, CorruptCompressedChunkRejected) {
-  for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
-    const std::string dir = FreshDir(io == StoreIo::kMmap ? "cor_m" : "cor_r");
-    {
-      auto store = ChunkedTable::Create(IoTable(1).schema(), dir, "varint");
-      ASSERT_TRUE(store.ok());
-      AppendInChunks(IoTable(80), 40, &store.value());
-    }
-    // Flip a byte inside the first column's compressed payload (past the
-    // 32-byte header and the 3-entry size table).
-    const std::string victim = dir + "/chunk-000000.bin";
-    auto contents = ReadFileToString(victim);
-    ASSERT_TRUE(contents.ok());
-    ASSERT_GT(contents.value().size(), 70u);
-    contents.value()[62] = static_cast<char>(contents.value()[62] ^ 0x5a);
-    ASSERT_TRUE(WriteFileAtomic(victim, contents.value()).ok());
-    ASSERT_EQ(::setenv("FDX_STORE_IO", io == StoreIo::kMmap ? "mmap" : "read",
-                       1),
-              0);
-    auto reopened = ChunkedTable::Open(dir);
-    ASSERT_EQ(::unsetenv("FDX_STORE_IO"), 0);
-    // Either the varint decoder rejects the mangled stream or the
-    // reconstructed payload fails fingerprint verification — both are
-    // loud kIOError, never silently different data.
-    ASSERT_FALSE(reopened.ok());
-    EXPECT_EQ(reopened.status().code(), StatusCode::kIOError);
-    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  const std::string dir = FreshDir("cor");
+  {
+    auto store = ChunkedTable::Create(IoTable(1).schema(), dir, "varint");
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(IoTable(80), 40, &store.value());
   }
+  // Flip a byte inside the first column's compressed payload (past the
+  // 32-byte header, the width bytes and the 3-entry size table).
+  const std::string victim = dir + "/chunk-000000.bin";
+  auto contents = ReadFileToString(victim);
+  ASSERT_TRUE(contents.ok());
+  ASSERT_GT(contents.value().size(), 70u);
+  contents.value()[62] = static_cast<char>(contents.value()[62] ^ 0x5a);
+  ASSERT_TRUE(WriteFileAtomic(victim, contents.value()).ok());
+  auto reopened = ChunkedTable::Open(dir);
+  // Either the varint decoder rejects the mangled stream or the
+  // reconstructed payload fails fingerprint verification — both are
+  // loud kIOError, never silently different data.
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kIOError);
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
 }
 
 TEST(StoreIoTest, CorruptRawChunkRejectedInMmapMode) {
-  // The PR 9 corruption test runs through pread; this is the same
-  // contract through the mapped first-touch verification.
-  const std::string dir = FreshDir("cor_raw_mmap");
+  // A raw chunk with one flipped code byte fails Open's fingerprint
+  // replay.
+  const std::string dir = FreshDir("cor_raw");
   {
     auto store = ChunkedTable::Create(IoTable(1).schema(), dir);
     ASSERT_TRUE(store.ok());
@@ -341,9 +340,7 @@ TEST(StoreIoTest, CorruptRawChunkRejectedInMmapMode) {
   ASSERT_TRUE(contents.ok());
   contents.value()[40] = static_cast<char>(contents.value()[40] ^ 0x5a);
   ASSERT_TRUE(WriteFileAtomic(victim, contents.value()).ok());
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "mmap", 1), 0);
   auto reopened = ChunkedTable::Open(dir);
-  ASSERT_EQ(::unsetenv("FDX_STORE_IO"), 0);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kIOError);
   EXPECT_NE(reopened.status().message().find("fingerprint mismatch"),

@@ -18,16 +18,18 @@
 //
 // Beyond-RAM discovery (discover only): --max-memory-mb=N streams the
 // CSV through a spillable chunk store and runs the bounded-memory
-// transform under an N-MB process-RSS ceiling; --chunk-rows= sets the
-// ingest chunk size (default 65536), --store-dir= keeps the chunk store
+// transform under an N-MB process-RSS ceiling; --chunk-rows= caps the
+// ingest chunk size (default 65536, lowered on wide inputs so a chunk's
+// int32 codes take at most N/16 MB), --store-dir= keeps the chunk store
 // (default: a temp dir next to the CSV, removed afterwards),
 // --store-compression=none|varint picks the chunk payload codec, and
 // --stable omits timing fields so the two paths' outputs can be
-// compared byte-for-byte. The FDX_STORE_IO environment variable
-// (mmap|read) selects the chunk read path.
+// compared byte-for-byte. Spilled chunks are read back with plain reads
+// (never mapped), each verified against its fingerprint on first touch.
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 validation violations, 4 timeout.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -210,7 +212,13 @@ int StreamingDiscover(const Flags& args, const std::string& path) {
                          CsvReader::Open(path, csv, rss_limit / 16));
     FDX_ASSIGN_OR_RETURN(store, ChunkedTable::Create(reader.schema(),
                                                      store_dir, codec));
-    return store.AppendCsv(&reader, chunk_rows);
+    // Ingest holds a chunk as int32 codes and again as its serialization,
+    // so a chunk's codes get the reader window's share too: a sixteenth
+    // of the ceiling at 4 bytes a cell. Narrow inputs keep --chunk-rows.
+    const uint64_t cells = rss_limit / 16 / 4;
+    const uint64_t rows = std::max<uint64_t>(
+        1, cells / std::max<size_t>(1, reader.schema().size()));
+    return store.AppendCsv(&reader, std::min<uint64_t>(chunk_rows, rows));
   };
   const Status read = ingest();
   if (!read.ok()) {
@@ -603,15 +611,15 @@ int Usage() {
       "beyond-RAM flags (discover):\n"
       "  --max-memory-mb=N stream the CSV through a spillable chunk\n"
       "                    store and discover under an N-MB RSS ceiling\n"
-      "  --chunk-rows=N    ingest chunk size (default 65536)\n"
+      "  --chunk-rows=N    ingest chunk size (default 65536); wide\n"
+      "                    inputs get fewer rows, so a chunk's int32\n"
+      "                    codes take at most 1/16 of --max-memory-mb\n"
       "  --store-dir=DIR   keep the chunk store at DIR (default: temp)\n"
       "  --store-compression=none|varint\n"
       "                    chunk payload codec (varint delta-compresses\n"
       "                    dictionary codes; results are identical)\n"
       "  --stable          omit timing fields so in-memory and chunked\n"
-      "                    outputs compare byte-for-byte\n"
-      "  FDX_STORE_IO=mmap|read (env) chunk read path; mmap (default)\n"
-      "                    maps chunk files, read uses plain pread\n");
+      "                    outputs compare byte-for-byte\n");
   return 2;
 }
 

@@ -1,8 +1,8 @@
-# ctest helper: run fdxtool discover on ${CSV} four ways — in-memory,
+# ctest helper: run fdxtool discover on ${CSV} three ways — in-memory,
 # through the out-of-core chunk store with a deliberately tiny chunk
-# size and memory ceiling, the same with varint-compressed chunk
-# payloads, and once more over the pread fallback path — and fail
-# unless the --stable JSON outputs are byte-identical. Invoked as:
+# size and memory ceiling, and the same with varint-compressed chunk
+# payloads — and fail unless the --stable JSON outputs are
+# byte-identical. Invoked as:
 #   cmake -DFDXTOOL=<bin> -DCSV=<file> -P oocore_cmp.cmake
 
 execute_process(
@@ -37,19 +37,4 @@ if(NOT in_memory STREQUAL compressed)
   message(FATAL_ERROR
     "compressed-store output diverged from in-memory:\n"
     "--- in-memory ---\n${in_memory}\n--- compressed ---\n${compressed}")
-endif()
-
-set(ENV{FDX_STORE_IO} read)
-execute_process(
-  COMMAND ${FDXTOOL} discover ${CSV} --format=json --stable
-          --max-memory-mb=512 --chunk-rows=97
-  OUTPUT_VARIABLE readpath RESULT_VARIABLE readpath_rc)
-unset(ENV{FDX_STORE_IO})
-if(NOT readpath_rc EQUAL 0)
-  message(FATAL_ERROR "read-path discover failed (exit ${readpath_rc})")
-endif()
-if(NOT in_memory STREQUAL readpath)
-  message(FATAL_ERROR
-    "pread-path output diverged from in-memory:\n"
-    "--- in-memory ---\n${in_memory}\n--- read ---\n${readpath}")
 endif()
