@@ -64,12 +64,21 @@ double ScoreVariant(const Table& noisy, const FdSet& truth,
     return result.ok() ? ScoreFdsUndirected(result->fds, truth).f1 : -1.0;
   }
   if (variant == "zero-mean") {
-    auto transformed = PairTransform(noisy, {});
-    if (!transformed.ok()) return -1.0;
-    Vector zero(transformed->cols(), 0.0);
-    auto cov = CovarianceWithMean(*transformed, zero);
-    if (!cov.ok()) return -1.0;
-    auto result = discoverer.DiscoverFromCovariance(*cov);
+    // The second moments about zero, E[Z_x Z_y] = co_count / N: the
+    // transform's samples are 0/1, so this is the covariance of the
+    // materialized sample matrix around a zero mean, to the bit.
+    auto counts = PairTransformCounts(noisy, {});
+    if (!counts.ok()) return -1.0;
+    const size_t k = counts->counts.size();
+    const double inv_n = 1.0 / static_cast<double>(counts->num_samples);
+    Matrix cov(k, k);
+    for (size_t x = 0; x < k; ++x) {
+      for (size_t y = x; y < k; ++y) {
+        cov(x, y) = static_cast<double>(counts->co_counts[x * k + y]) * inv_n;
+        cov(y, x) = cov(x, y);
+      }
+    }
+    auto result = discoverer.DiscoverFromCovariance(cov);
     return result.ok() ? ScoreFdsUndirected(result->fds, truth).f1 : -1.0;
   }
   return -1.0;

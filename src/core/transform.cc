@@ -58,7 +58,6 @@ Result<PassMoments> AccumulateResidentPasses(
   }
   std::vector<PassMoments> parts(num_chunks, PassMoments(k, pooled));
   std::atomic<bool> expired{false};
-  std::mutex profile_mu;
   std::mutex stop_mu;
   Status stop = Status::OK();
   std::atomic<bool> stopped{false};
@@ -68,8 +67,6 @@ Result<PassMoments> AccumulateResidentPasses(
       [&](size_t chunk, size_t lo, size_t hi) {
         AttributePass pass;
         BitMatrix bits;
-        LocalProfile local;
-        Stopwatch watch;
         PackScratch scratch;
         std::vector<uint64_t> pass_counts(k, 0);
         std::vector<uint64_t> pass_co_counts(k * k, 0);
@@ -85,28 +82,21 @@ Result<PassMoments> AccumulateResidentPasses(
               break;
             }
           }
-          watch.Reset();
           pass.Reset(columns[attr], cardinalities[attr], streams.shuffled,
                      options.max_pairs_per_attribute,
                      streams.attr_seeds[attr]);
-          local.sort += watch.ElapsedSeconds();
-          watch.Reset();
           bits.Reset(pass.num_pairs(), k);
           for (size_t col = 0; col < k; ++col) {
             ColumnBitWriter writer(bits.column_words(col));
             AppendPassColumnBits(columns[col], pass, &writer, &scratch);
             writer.Flush();
           }
-          local.pack += watch.ElapsedSeconds();
-          watch.Reset();
           std::fill(pass_counts.begin(), pass_counts.end(), 0);
           std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
           bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
           parts[chunk].AddPass(attr, pass_counts, pass_co_counts,
                                pass.num_pairs());
-          local.accumulate += watch.ElapsedSeconds();
         }
-        local.MergeInto(options.profile, &profile_mu);
       });
 
   if (expired.load(std::memory_order_relaxed)) {
@@ -128,7 +118,6 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
   const EncodedTable encoded = EncodedTable::Encode(table);
   const size_t per_attr = PairsPerAttribute(n, options.max_pairs_per_attribute);
   std::atomic<bool> expired{false};
-  std::mutex profile_mu;
 
   // Phase 1: sort every attribute pass (independent counting sorts).
   // The orders are kept so phase 2 can parallelize over *output columns*
@@ -136,18 +125,13 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
   // between threads, bit-identical at any thread count.
   std::vector<AttributePass> passes(k);
   ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    LocalProfile local;
-    Stopwatch watch;
     for (size_t attr = lo; attr < hi; ++attr) {
       if (CheckDeadline(options, &expired)) break;
-      watch.Reset();
       passes[attr].Reset(encoded.column_codes(attr),
                          encoded.Cardinality(attr), streams.shuffled,
                          options.max_pairs_per_attribute,
                          streams.attr_seeds[attr]);
-      local.sort += watch.ElapsedSeconds();
     }
-    local.MergeInto(options.profile, &profile_mu);
   });
   if (expired.load(std::memory_order_relaxed)) {
     return Status::Timeout("pair transform: time budget exhausted");
@@ -158,36 +142,21 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
   // appended sequentially across all passes.
   BitMatrix bits(per_attr * k, k);
   ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    LocalProfile local;
-    Stopwatch watch;
     PackScratch scratch;
     for (size_t col = lo; col < hi; ++col) {
       if (CheckDeadline(options, &expired)) break;
-      watch.Reset();
       ColumnBitWriter writer(bits.column_words(col));
       for (size_t attr = 0; attr < k; ++attr) {
         AppendPassColumnBits(encoded.column_codes(col), passes[attr],
                              &writer, &scratch);
       }
       writer.Flush();
-      local.pack += watch.ElapsedSeconds();
     }
-    local.MergeInto(options.profile, &profile_mu);
   });
   if (expired.load(std::memory_order_relaxed)) {
     return Status::Timeout("pair transform: time budget exhausted");
   }
   return bits;
-}
-
-Result<Matrix> PairTransform(const Table& table,
-                             const TransformOptions& options) {
-  FDX_ASSIGN_OR_RETURN(BitMatrix bits, PairTransformPacked(table, options));
-  Matrix out(bits.rows(), bits.cols());
-  ParallelFor(0, bits.rows(), options.threads, [&](size_t lo, size_t hi) {
-    bits.UnpackRows(lo, hi, &out);
-  });
-  return out;
 }
 
 namespace {

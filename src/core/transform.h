@@ -13,17 +13,6 @@
 
 namespace fdx {
 
-/// Wall-clock breakdown of one transform call, filled when
-/// TransformOptions::profile points here. Purely observational (the
-/// bench's sort/pack/accumulate report); never influences results.
-/// Seconds are summed across attribute passes and threads, so with T
-/// threads the total can exceed the call's wall time.
-struct TransformProfile {
-  double sort_seconds = 0.0;        ///< counting-sort passes
-  double pack_seconds = 0.0;        ///< equality-bit packing
-  double accumulate_seconds = 0.0;  ///< popcount moment accumulation
-};
-
 /// Options of the pair-difference transform (paper Algorithm 2).
 struct TransformOptions {
   /// Cap on the number of tuple pairs contributed by each attribute's
@@ -53,8 +42,6 @@ struct TransformOptions {
   /// a run is over budget by at most one pass). Non-owning; expiry makes
   /// the transform return Status::Timeout.
   const Deadline* deadline = nullptr;
-  /// Optional stage-timing sink (see TransformProfile). Non-owning.
-  TransformProfile* profile = nullptr;
 };
 
 /// The packed transform engine. Samples of the pair transform are
@@ -73,17 +60,10 @@ struct TransformOptions {
 ///
 /// PairTransformPacked returns the packed sample matrix itself (pass
 /// p's samples are rows [p * pairs_per_pass, (p+1) * pairs_per_pass));
-/// PairTransform unpacks it into the dense 0/1 double matrix for
-/// callers that need one; PairTransformCounts and PairTransformMoments
-/// stream pass-by-pass and never materialize the full matrix at all.
+/// PairTransformCounts and PairTransformMoments stream pass-by-pass and
+/// never materialize the full matrix at all.
 Result<BitMatrix> PairTransformPacked(const Table& table,
                                       const TransformOptions& options = {});
-
-/// Materialized transform output: an (n_pairs x k) 0/1 sample matrix of
-/// the FDX model variables. Used by tests, the ablation benches, and
-/// small inputs. Exactly UnpackRows(PairTransformPacked(...)).
-Result<Matrix> PairTransform(const Table& table,
-                             const TransformOptions& options = {});
 
 /// Raw integer moments of the transform: per-column indicator sums and
 /// upper-triangular co-occurrence counts (y >= x at [x * k + y],
@@ -98,9 +78,9 @@ struct TransformCounts {
 Result<TransformCounts> PairTransformCounts(
     const Table& table, const TransformOptions& options = {});
 
-/// Same pair construction as PairTransform, but streams the samples into
-/// the mean vector and covariance matrix without materializing the
-/// (n * k) x k sample matrix (packed or dense). Equality indicators are
+/// Same pair construction as PairTransformPacked, but streams the
+/// samples into the mean vector and covariance matrix without
+/// materializing the (n * k) x k sample matrix. Equality indicators are
 /// binary, so the cross-moment matrix is an integer co-occurrence count;
 /// this keeps the computation exact. This is the production path of
 /// FdxDiscoverer.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -62,23 +61,6 @@ struct TransformStreams {
 /// to reproduce a transform must consume the stream this way.
 Result<TransformStreams> PrepareTransformStreams(size_t n, size_t k,
                                                  uint64_t seed);
-
-/// Per-thread stage timings, merged into the caller's TransformProfile
-/// under a mutex at chunk exit (profiling only; results never depend on
-/// it).
-struct LocalProfile {
-  double sort = 0.0;
-  double pack = 0.0;
-  double accumulate = 0.0;
-
-  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
-    if (profile == nullptr) return;
-    std::lock_guard<std::mutex> lock(*mu);
-    profile->sort_seconds += sort;
-    profile->pack_seconds += pack;
-    profile->accumulate_seconds += accumulate;
-  }
-};
 
 /// Sequential bit appender over a column's word array. Bits arrive in
 /// index order; whole words are stored once, the trailing partial word

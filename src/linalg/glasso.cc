@@ -369,7 +369,6 @@ Result<GlassoResult> GraphicalLasso(const Matrix& s,
                    Status::NumericalError("injected fault: glasso.sweep 0"));
 
   GlassoStats& stats = result.stats;
-  Stopwatch watch;
   std::vector<std::vector<size_t>> components =
       GlassoScreenComponents(s, options.lambda);
   stats.components = components.size();
@@ -378,7 +377,6 @@ Result<GlassoResult> GraphicalLasso(const Matrix& s,
     stats.component_sizes.push_back(members.size());
     if (members.size() == 1) ++stats.singletons;
   }
-  stats.screen_seconds = watch.ElapsedSeconds();
 
   // Warm-start acceptance: exact-size previous solves only.
   const Matrix* warm_w = options.warm_w;
@@ -393,7 +391,6 @@ Result<GlassoResult> GraphicalLasso(const Matrix& s,
   stats.warm_start_used = warm_w != nullptr || warm_theta != nullptr;
 
   // Decompose: gather each multi-member block's local problem.
-  watch.Reset();
   std::vector<BlockProblem> blocks;
   std::vector<size_t> singletons;
   for (auto& members : components) {
@@ -432,18 +429,15 @@ Result<GlassoResult> GraphicalLasso(const Matrix& s,
     blk.members = std::move(members);
     blocks.push_back(std::move(blk));
   }
-  stats.decompose_seconds = watch.ElapsedSeconds();
 
   // Solve the blocks, fanned out over the pool. Every block runs its
   // own serial solve and owns disjoint output cells, so the result (and
   // every counter below) is identical at any thread count.
-  watch.Reset();
   ParallelFor(0, blocks.size(), options.threads, [&](size_t lo, size_t hi) {
     for (size_t b = lo; b < hi; ++b) {
       SolveBlockDispatch(&blocks[b], options, warm_theta);
     }
   });
-  stats.solve_seconds = watch.ElapsedSeconds();
 
   // Surface the first failure in component order — deterministic no
   // matter which worker hit it first.
@@ -452,9 +446,8 @@ Result<GlassoResult> GraphicalLasso(const Matrix& s,
   }
 
   // Assemble: singletons close in O(1); blocks scatter back. Cross-
-  // component cells stay exactly zero in Theta — and in W, matching the
-  // reference solver's converged w12 = W11 * 0 columns.
-  watch.Reset();
+  // component cells stay exactly zero in Theta — and in W, where an
+  // undecomposed sweep would converge to w12 = W11 * 0 columns.
   result.w = Matrix(k, k);
   result.theta = Matrix(k, k);
   for (size_t j : singletons) {
@@ -488,113 +481,6 @@ Result<GlassoResult> GraphicalLasso(const Matrix& s,
     if (blk.newton_fallback) ++stats.newton_fallbacks;
   }
   stats.sweeps = result.sweeps;
-  stats.assemble_seconds = watch.ElapsedSeconds();
-  return result;
-}
-
-Result<GlassoResult> GraphicalLassoReference(const Matrix& s,
-                                             const GlassoOptions& options) {
-  FDX_RETURN_IF_ERROR(ValidateGlassoInput(s));
-  const size_t k = s.rows();
-
-  GlassoResult result;
-  result.w = s;
-  for (size_t j = 0; j < k; ++j) {
-    result.w(j, j) += options.lambda + options.diagonal_ridge;
-  }
-
-  if (k == 1) {
-    result.theta = Matrix(1, 1);
-    result.theta(0, 0) = 1.0 / result.w(0, 0);
-    return result;
-  }
-
-  // Warm-started lasso coefficients, one (k-1)-vector per column.
-  std::vector<Vector> betas(k, Vector(k - 1, 0.0));
-
-  // Convergence scale: mean absolute off-diagonal of S.
-  double s_scale = 0.0;
-  for (size_t a = 0; a < k; ++a) {
-    for (size_t b = 0; b < k; ++b) {
-      if (a != b) s_scale += std::fabs(s(a, b));
-    }
-  }
-  s_scale /= static_cast<double>(k * (k - 1));
-  if (s_scale <= 0.0) s_scale = 1.0;
-
-  const LassoOptions lasso_options = InnerLassoOptions(options);
-
-  Matrix q(k - 1, k - 1);
-  Vector c(k - 1, 0.0);
-  std::vector<size_t> rest(k - 1);
-
-  for (size_t sweep = 0; sweep < options.max_iterations; ++sweep) {
-    if (options.deadline != nullptr && options.deadline->Expired()) {
-      return Status::Timeout("glasso: time budget exhausted after " +
-                             std::to_string(sweep) + " sweeps");
-    }
-    FDX_INJECT_FAULT(
-        kFaultGlassoSweep,
-        Status::NumericalError("injected fault: glasso.sweep " +
-                               std::to_string(sweep)));
-    double total_change = 0.0;
-    for (size_t j = 0; j < k; ++j) {
-      size_t pos = 0;
-      for (size_t m = 0; m < k; ++m) {
-        if (m != j) rest[pos++] = m;
-      }
-      for (size_t a = 0; a < k - 1; ++a) {
-        c[a] = s(rest[a], j);
-        for (size_t b = 0; b < k - 1; ++b) q(a, b) = result.w(rest[a], rest[b]);
-      }
-      FDX_RETURN_IF_ERROR(
-          SolveQuadraticLasso(q, c, lasso_options, &betas[j]));
-      // w12 = W11 * beta.
-      for (size_t a = 0; a < k - 1; ++a) {
-        double acc = 0.0;
-        for (size_t b = 0; b < k - 1; ++b) acc += q(a, b) * betas[j][b];
-        total_change += std::fabs(result.w(rest[a], j) - acc);
-        result.w(rest[a], j) = acc;
-        result.w(j, rest[a]) = acc;
-      }
-    }
-    result.sweeps = sweep + 1;
-    const double mean_change =
-        total_change / static_cast<double>(k * (k - 1));
-    if (mean_change < options.tolerance * s_scale) break;
-  }
-
-  // Recover Theta from the final betas:
-  //   theta_jj = 1 / (w_jj - w12^T beta_j),  theta_{rest, j} = -beta theta_jj.
-  result.theta = Matrix(k, k);
-  for (size_t j = 0; j < k; ++j) {
-    size_t pos = 0;
-    for (size_t m = 0; m < k; ++m) {
-      if (m != j) rest[pos++] = m;
-    }
-    double w12_beta = 0.0;
-    for (size_t a = 0; a < k - 1; ++a) {
-      w12_beta += result.w(rest[a], j) * betas[j][a];
-    }
-    const double denom = result.w(j, j) - w12_beta;
-    if (denom <= 0.0) {
-      return Status::NumericalError("glasso: non-positive theta diagonal");
-    }
-    const double theta_jj = 1.0 / denom;
-    result.theta(j, j) = theta_jj;
-    for (size_t a = 0; a < k - 1; ++a) {
-      result.theta(rest[a], j) = -betas[j][a] * theta_jj;
-    }
-  }
-  // Symmetrize. A pair is zero only when both directions were zeroed by
-  // the lasso, preserving the exact sparsity pattern.
-  for (size_t a = 0; a < k; ++a) {
-    for (size_t b = a + 1; b < k; ++b) {
-      const double avg = 0.5 * (result.theta(a, b) + result.theta(b, a));
-      result.theta(a, b) = avg;
-      result.theta(b, a) = avg;
-    }
-  }
   return result;
 }
 

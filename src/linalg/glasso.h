@@ -38,8 +38,7 @@ struct GlassoOptions {
   /// Maximum block-coordinate sweeps over the columns.
   size_t max_iterations = 100;
   /// Convergence: mean absolute change of W per sweep relative to the
-  /// mean absolute off-diagonal of S (per connected component in the
-  /// fast solver).
+  /// mean absolute off-diagonal of S (per connected component).
   double tolerance = 1e-4;
   /// Ridge added to the diagonal of S before solving; keeps the problem
   /// well posed when the pair transform produces (near-)constant columns.
@@ -52,23 +51,21 @@ struct GlassoOptions {
   /// the call. When it expires the estimator returns Status::Timeout,
   /// matching the budget semantics of the TANE/PYRO/RFI baselines.
   const Deadline* deadline = nullptr;
-  /// Worker threads for the per-component fan-out of the fast solver
-  /// (0 = FDX_THREADS / hardware concurrency). Every component is solved
-  /// serially and written to disjoint output cells, so the result is
-  /// bit-identical at any thread count. Ignored by the reference solver.
+  /// Worker threads for the per-component fan-out (0 = FDX_THREADS /
+  /// hardware concurrency). Every component is solved serially and
+  /// written to disjoint output cells, so the result is bit-identical at
+  /// any thread count.
   size_t threads = 0;
-  /// Optional warm start (fast solver only; the reference ignores both).
-  /// `warm_w` seeds the off-diagonal of the working covariance estimate
-  /// and `warm_theta` seeds the per-column lasso coefficients via
-  /// beta_j = -theta_{.j} / theta_jj. Both must be k x k views of a
-  /// previous solve on (a perturbation of) the same problem; mismatched
-  /// dimensions are ignored. Warm starts change only the initial point
-  /// of an iterative scheme that converges to the same optimum — they
-  /// buy sweeps, not a different answer. Non-owning.
+  /// Optional warm start. `warm_w` seeds the off-diagonal of the working
+  /// covariance estimate and `warm_theta` seeds the per-column lasso
+  /// coefficients via beta_j = -theta_{.j} / theta_jj. Both must be
+  /// k x k views of a previous solve on (a perturbation of) the same
+  /// problem; mismatched dimensions are ignored. Warm starts change only
+  /// the initial point of an iterative scheme that converges to the same
+  /// optimum — they buy sweeps, not a different answer. Non-owning.
   const Matrix* warm_w = nullptr;
   const Matrix* warm_theta = nullptr;
-  /// Per-component solver backend (fast solver only; the reference is
-  /// always coordinate descent). See GlassoSolver.
+  /// Per-component solver backend. See GlassoSolver.
   GlassoSolver solver = GlassoSolver::kAuto;
   /// Newton-solver knobs: outer Newton iteration cap, and the kAuto
   /// dispatch thresholds (component size and screened edge density at or
@@ -85,11 +82,10 @@ struct GlassoOptions {
   bool lambda_path = true;
 };
 
-/// Execution statistics of one fast-solver run: what screening found,
-/// how hard the block solves worked, and where the time went. Everything
-/// except the *_seconds timings is deterministic for a fixed input (at
-/// any thread count), so the counters are safe to surface in cacheable
-/// diagnostics payloads.
+/// Execution statistics of one solve: what screening found and how hard
+/// the block solves worked. Every field is deterministic for a fixed
+/// input (at any thread count), so the stats are safe to surface in
+/// cacheable diagnostics payloads.
 struct GlassoStats {
   /// Connected components of the screening graph |S_ij| > lambda.
   size_t components = 0;
@@ -106,13 +102,6 @@ struct GlassoStats {
   size_t lasso_active_passes = 0;
   /// True when a warm start was accepted and applied.
   bool warm_start_used = false;
-  /// Stage wall times: screening graph + union-find, per-block input
-  /// gathering, the (possibly parallel) block solves, and writing the
-  /// blocks back into the full-size result.
-  double screen_seconds = 0.0;
-  double decompose_seconds = 0.0;
-  double solve_seconds = 0.0;
-  double assemble_seconds = 0.0;
 
   /// Per-backend block counts of the per-component dispatch (singletons
   /// belong to neither) and the Newton work counters, summed over all
@@ -149,7 +138,6 @@ struct GlassoResult {
   Matrix w;      ///< Estimated covariance (S + lambda on the diagonal).
   Matrix theta;  ///< Sparse precision matrix.
   size_t sweeps = 0;  ///< Block sweeps until convergence (max over blocks).
-  /// Populated by the fast solver; default-initialized by the reference.
   GlassoStats stats;
 };
 
@@ -173,17 +161,11 @@ std::vector<std::vector<size_t>> GlassoScreenComponents(const Matrix& s,
 /// GlassoScreenComponents), closes singletons in O(1), and solves the
 /// remaining blocks independently — in parallel when `options.threads`
 /// allows — with zero-copy column views and the active-set inner lasso.
-/// Deterministic for a fixed input at any thread count.
+/// Deterministic for a fixed input at any thread count. The dense,
+/// undecomposed solver it replaced is the equivalence oracle of its
+/// tests (tests/glasso_oracle.h).
 Result<GlassoResult> GraphicalLasso(const Matrix& s,
                                     const GlassoOptions& options);
-
-/// The pre-decomposition solver: one dense block-coordinate loop over
-/// all k columns with per-column submatrix materialization. Kept as the
-/// equivalence oracle for the fast path (same fixed point, same
-/// sparsity-pattern symmetrization contract) and for A/B benchmarks.
-/// Ignores `threads` and the warm-start fields.
-Result<GlassoResult> GraphicalLassoReference(const Matrix& s,
-                                             const GlassoOptions& options);
 
 }  // namespace fdx
 

@@ -8,18 +8,11 @@
 #include "util/fingerprint.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 
 namespace fdx {
 
 namespace {
-
-/// Exact, locale-free double rendering for cache keys: %.17g preserves
-/// every bit of a finite IEEE double.
-std::string ExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 /// Request option `key` as an integer in [0, max]: InvalidArgument
 /// naming the option for a negative, fractional or out-of-range number.

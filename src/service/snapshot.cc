@@ -1,27 +1,21 @@
 #include "service/snapshot.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/ordering.h"
-#include "util/json_parser.h"
+#include "data/cell_json.h"
 #include "service/protocol.h"
 #include "util/fingerprint.h"
+#include "util/json_parser.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 
 namespace fdx {
 
 namespace {
 
 constexpr int kSnapshotVersion = 1;
-
-std::string ExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 std::string ExactU64(uint64_t value) { return std::to_string(value); }
 
@@ -113,6 +107,16 @@ void WriteOptionsJson(JsonWriter* json, const FdxOptions& o) {
   json->String(ExactU64(o.glasso.lasso_max_iterations));
   json->Key("lasso_tolerance");
   json->String(ExactDouble(o.glasso.lasso_tolerance));
+  json->Key("solver");
+  json->String(GlassoSolverName(o.glasso.solver));
+  json->Key("newton_max_iterations");
+  json->String(ExactU64(o.glasso.newton_max_iterations));
+  json->Key("newton_min_block");
+  json->String(ExactU64(o.glasso.newton_min_block));
+  json->Key("newton_dense_threshold");
+  json->String(ExactDouble(o.glasso.newton_dense_threshold));
+  json->Key("lambda_path");
+  json->Bool(o.glasso.lambda_path);
   json->EndObject();
   json->Key("threads");
   json->String(ExactU64(o.threads));
@@ -202,6 +206,22 @@ Result<FdxOptions> ParseOptionsSnapshot(const JsonValue& json) {
   FDX_SNAP_U64(o.glasso.lasso_max_iterations, size_t, glasso,
                "lasso_max_iterations");
   FDX_SNAP_DOUBLE(o.glasso.lasso_tolerance, glasso, "lasso_tolerance");
+  // The solver members joined the file later, all five together. A file
+  // without them decodes them as defaults; its stored options key then
+  // verifies only if the session ran with those defaults.
+  if (glasso->Find("solver") != nullptr) {
+    if (!ParseGlassoSolver(glasso->StringOr("solver", ""),
+                           &o.glasso.solver)) {
+      return Status::InvalidArgument("snapshot: unknown glasso solver");
+    }
+    FDX_SNAP_U64(o.glasso.newton_max_iterations, size_t, glasso,
+                 "newton_max_iterations");
+    FDX_SNAP_U64(o.glasso.newton_min_block, size_t, glasso,
+                 "newton_min_block");
+    FDX_SNAP_DOUBLE(o.glasso.newton_dense_threshold, glasso,
+                    "newton_dense_threshold");
+    FDX_SNAP_BOOL(o.glasso.lambda_path, glasso, "lambda_path");
+  }
   FDX_SNAP_U64(o.threads, size_t, &json, "threads");
   FDX_SNAP_DOUBLE(o.time_budget_seconds, &json, "time_budget_seconds");
   FDX_SNAP_BOOL(o.reuse_solver_state, &json, "reuse_solver_state");
@@ -225,63 +245,6 @@ Result<FdxOptions> ParseOptionsSnapshot(const JsonValue& json) {
 #undef FDX_SNAP_DOUBLE
 #undef FDX_SNAP_U64
 #undef FDX_SNAP_BOOL
-
-void WriteCellJson(JsonWriter* json, const Value& cell) {
-  switch (cell.type()) {
-    case ValueType::kNull:
-      json->Null();
-      return;
-    case ValueType::kInt:
-      json->BeginArray();
-      json->String("i");
-      json->String(std::to_string(cell.AsInt()));
-      json->EndArray();
-      return;
-    case ValueType::kDouble:
-      json->BeginArray();
-      json->String("d");
-      json->String(ExactDouble(cell.AsDouble()));
-      json->EndArray();
-      return;
-    case ValueType::kString:
-      json->BeginArray();
-      json->String("s");
-      json->String(cell.AsString());
-      json->EndArray();
-      return;
-  }
-}
-
-Result<Value> ParseCellJson(const JsonValue& cell) {
-  if (cell.is_null()) return Value::Null();
-  if (!cell.is_array() || cell.array().size() != 2 ||
-      !cell.array()[0].is_string() || !cell.array()[1].is_string()) {
-    return Status::InvalidArgument(
-        "snapshot: cell must be null or a [tag, text] pair");
-  }
-  const std::string& tag = cell.array()[0].string_value();
-  const std::string& text = cell.array()[1].string_value();
-  errno = 0;
-  char* end = nullptr;
-  if (tag == "i") {
-    const long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("snapshot: malformed int cell '" + text +
-                                     "'");
-    }
-    return Value(static_cast<int64_t>(parsed));
-  }
-  if (tag == "d") {
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("snapshot: malformed double cell '" +
-                                     text + "'");
-    }
-    return Value(parsed);
-  }
-  if (tag == "s") return Value(text);
-  return Status::InvalidArgument("snapshot: unknown cell tag '" + tag + "'");
-}
 
 void WriteBatchRowsJson(JsonWriter* json, const Table& batch) {
   json->BeginArray();
@@ -308,8 +271,12 @@ Result<Table> ParseBatchJson(const JsonValue& rows, const Schema& schema) {
     std::vector<Value> row;
     row.reserve(schema.size());
     for (const JsonValue& cell_json : row_json.array()) {
-      FDX_ASSIGN_OR_RETURN(Value cell, ParseCellJson(cell_json));
-      row.push_back(std::move(cell));
+      Result<Value> cell = ParseCellJson(cell_json);
+      if (!cell.ok()) {
+        return Status::InvalidArgument("snapshot: " +
+                                       cell.status().message());
+      }
+      row.push_back(std::move(cell).value());
     }
     batch.AppendRow(std::move(row));
   }

@@ -13,8 +13,10 @@ namespace fdx {
 
 /// Durable on-disk form of one fdxd session (see DESIGN.md §13). The
 /// codec round-trips everything a discover result depends on — schema,
-/// the full FdxOptions, and the raw batches — so a restarted daemon can
-/// replay the appends and serve bit-identical results. fdxd writes only
+/// every FdxOptions member CanonicalOptionsKey covers (plus the thread
+/// counts and the time budget; never the runtime pointers: deadlines,
+/// warm starts), and the raw batches — so a restarted daemon can replay
+/// the appends and serve bit-identical results. fdxd writes only
 /// the "chunked" form, once per session: its rows live in the session's
 /// chunk store. The "memory" form, rows embedded, is what older daemons
 /// wrote; a restart decodes it to migrate the rows onto the store.
@@ -25,9 +27,10 @@ namespace fdx {
 ///    values across a restart; strings keep every bit.
 ///  - The transform seed (uint64) is a string too — values above 2^53
 ///    do not survive a double round-trip.
-///  - Cells are type-tagged: null, ["i","<int64>"], ["d","<%.17g>"],
-///    ["s",text]. The protocol's JsonCellToValue would re-type an
-///    integral double as an int and change the table fingerprint.
+///  - Cells are type-tagged (data/cell_json.h): null, ["i","<int64>"],
+///    ["d","<%.17g>"], ["s",text]. The protocol's JsonCellToValue would
+///    re-type an integral double as an int and change the table
+///    fingerprint.
 struct SessionSnapshot {
   std::string id;            ///< registry id, e.g. "s-3"
   Schema schema;

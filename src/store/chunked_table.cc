@@ -1,14 +1,13 @@
 #include "store/chunked_table.h"
 
 #include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "data/cell_json.h"
 #include "data/code_column.h"
 #include "store/chunk_codec.h"
 #include "util/fault_injection.h"
@@ -138,68 +137,6 @@ Status WriteStoreFile(const std::string& path, const std::string& contents) {
                    Status::IOError("store: cannot write '" + path +
                                    "' (injected fault)"));
   return WriteFileAtomic(path, contents);
-}
-
-/// Exact-double text, round-trippable (same codec as the service
-/// snapshots: %.17g survives strtod bit-exactly).
-std::string ExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-/// Type-tagged cell: null | ["i",text] | ["d",text] | ["s",text].
-void WriteCellJson(JsonWriter* json, const Value& cell) {
-  switch (cell.type()) {
-    case ValueType::kNull:
-      json->Null();
-      return;
-    case ValueType::kInt:
-      json->BeginArray();
-      json->String("i");
-      json->String(std::to_string(cell.AsInt()));
-      json->EndArray();
-      return;
-    case ValueType::kDouble:
-      json->BeginArray();
-      json->String("d");
-      json->String(ExactDouble(cell.AsDouble()));
-      json->EndArray();
-      return;
-    case ValueType::kString:
-      json->BeginArray();
-      json->String("s");
-      json->String(cell.AsString());
-      json->EndArray();
-      return;
-  }
-}
-
-Result<Value> ParseCellJson(const JsonValue& cell) {
-  if (!cell.is_array() || cell.array().size() != 2 ||
-      !cell.array()[0].is_string() || !cell.array()[1].is_string()) {
-    return Status::IOError("store: dictionary cell must be a [tag, text] pair");
-  }
-  const std::string& tag = cell.array()[0].string_value();
-  const std::string& text = cell.array()[1].string_value();
-  errno = 0;
-  char* end = nullptr;
-  if (tag == "i") {
-    const long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-      return Status::IOError("store: malformed int cell '" + text + "'");
-    }
-    return Value(static_cast<int64_t>(parsed));
-  }
-  if (tag == "d") {
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-      return Status::IOError("store: malformed double cell '" + text + "'");
-    }
-    return Value(parsed);
-  }
-  if (tag == "s") return Value(text);
-  return Status::IOError("store: unknown cell tag '" + tag + "'");
 }
 
 /// Decompresses one column payload, with the `store.decompress` fault
@@ -819,11 +756,17 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
                                "' dictionary delta missing values");
       }
       for (const JsonValue& cell : values->array()) {
-        FDX_ASSIGN_OR_RETURN(Value v, ParseCellJson(cell));
+        // Dictionary values are never null; a null cell is corruption.
+        Result<Value> v = ParseCellJson(cell);
+        if (!v.ok() || v->is_null()) {
+          return Status::IOError(
+              "store: chunk '" + chunk.file + "' dictionary delta: " +
+              (v.ok() ? std::string("null cell") : v.status().message()));
+        }
         // Re-intern through the normal path; a fresh value must land on
         // the exact storage code the delta implies.
         const size_t before = table.dicts_[c].size();
-        table.dicts_[c].Intern(v);
+        table.dicts_[c].Intern(*v);
         if (table.dicts_[c].size() != before + 1) {
           return Status::IOError("store: chunk '" + chunk.file +
                                  "' dictionary delta repeats a value");

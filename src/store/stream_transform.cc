@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/pairs.h"
 #include "core/transform_kernels.h"
 #include "linalg/bitmatrix.h"
 #include "util/file_io.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace fdx {
@@ -83,9 +81,15 @@ class ColumnStream {
   CodeColumn buf_[2];
 };
 
-/// Bytes one attribute pass holds while it runs, on either schedule: its
-/// sort order and counting-sort buckets, its bit matrix, its integer
-/// accumulators, and one pack scratch.
+/// Bytes of one integer moment accumulator over k columns: k counts
+/// and the k x k co-occurrence counts.
+uint64_t AccumulatorBytes(uint64_t k) { return (k * k + k) * 8; }
+
+/// Bytes one attribute pass holds while it runs: its sort order and
+/// counting-sort buckets, its bit matrix, the accumulator of its own
+/// moments, and one pack scratch. That is all a wave pass holds (the
+/// wave's running sums are shared); a resident slot holds one more
+/// accumulator, see ResidentPassLimit.
 uint64_t PassBytes(const ChunkedTable& table,
                    const StreamTransformOptions& options) {
   const uint64_t n = table.num_rows();
@@ -99,8 +103,7 @@ uint64_t PassBytes(const ChunkedTable& table,
   const uint64_t order_bytes = n * 4;
   const uint64_t bucket_bytes = (max_cardinality + 2) * 4;
   const uint64_t bits_bytes = (pairs + 63) / 64 * 8 * k;
-  const uint64_t accum_bytes = (k * k + k) * 8;
-  return order_bytes + bucket_bytes + bits_bytes + accum_bytes +
+  return order_bytes + bucket_bytes + bits_bytes + AccumulatorBytes(k) +
          sizeof(PackScratch);
 }
 
@@ -129,8 +132,10 @@ size_t WaveSize(const ChunkedTable& table,
 /// Passes the resident schedule may hold at once: unbounded (0) without
 /// a memory ceiling; under one, what rss_limit_bytes leaves after the
 /// column budget and an equal reserve for the rest of the process (the
-/// shuffled row permutation, dictionaries, allocator slack), at
-/// PassBytes each, and at least one.
+/// shuffled row permutation, dictionaries, allocator slack), and at
+/// least one. Each slot of AccumulateResidentPasses holds a pass
+/// (PassBytes) plus its thread's running PassMoments sums, a second
+/// k x k accumulator.
 size_t ResidentPassLimit(const ChunkedTable& table,
                          const StreamTransformOptions& options) {
   if (options.rss_limit_bytes == 0) return 0;
@@ -140,8 +145,9 @@ size_t ResidentPassLimit(const ChunkedTable& table,
   const uint64_t budget = options.rss_limit_bytes > reserved
                               ? options.rss_limit_bytes - reserved
                               : 0;
-  return static_cast<size_t>(
-      std::max<uint64_t>(1, budget / PassBytes(table, options)));
+  const uint64_t slot_bytes =
+      PassBytes(table, options) + AccumulatorBytes(table.num_columns());
+  return static_cast<size_t>(std::max<uint64_t>(1, budget / slot_bytes));
 }
 
 /// The wave schedule of the memory-bounded path. Passes are grouped
@@ -171,8 +177,6 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
   const Deadline* deadline = options.transform.deadline;
 
   PassMoments moments(k, options.transform.pooled_covariance);
-  LocalProfile times;
-  Stopwatch watch;
   ColumnStream stream(&table, async);
   std::vector<AttributePass> passes(wave);
   std::vector<BitMatrix> bits(wave);
@@ -190,7 +194,6 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
     }
     FDX_RETURN_IF_ERROR(CheckRssCeiling(options));
 
-    watch.Reset();
     for (size_t i = 0; i < w; ++i) {
       const size_t attr = wave_lo + i;
       // After the last sort column, the first pack column (0) follows.
@@ -201,9 +204,7 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
                       streams.attr_seeds[attr]);
       bits[i].Reset(passes[i].num_pairs(), k);
     }
-    times.sort += watch.ElapsedSeconds();
 
-    watch.Reset();
     for (size_t col = 0; col < k; ++col) {
       if (deadline != nullptr && deadline->Expired()) {
         return Status::Timeout("pair transform: time budget exhausted");
@@ -223,9 +224,7 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
                           }
                         });
     }
-    times.pack += watch.ElapsedSeconds();
 
-    watch.Reset();
     ParallelForChunks(0, w, std::min(threads, w), threads,
                       [&](size_t chunk, size_t lo, size_t hi) {
                         (void)chunk;
@@ -242,10 +241,7 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
       moments.AddPass(wave_lo + i, pass_counts[i], pass_co_counts[i],
                       passes[i].num_pairs());
     }
-    times.accumulate += watch.ElapsedSeconds();
   }
-  std::mutex profile_mu;
-  times.MergeInto(options.transform.profile, &profile_mu);
   return moments;
 }
 

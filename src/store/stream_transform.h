@@ -28,8 +28,9 @@ struct StreamTransformOptions {
   /// not fit under it). The ceiling also bounds the resident passes in
   /// flight: they share what it leaves after the column budget and an
   /// equal reserve for the rest of the process, rss_limit_bytes −
-  /// 2·column_cache_bytes, at the bytes one pass holds (its sort order,
-  /// bit matrix and accumulators); at least one pass runs.
+  /// 2·column_cache_bytes, at the bytes one slot holds (a pass's sort
+  /// order, bit matrix and moment accumulator, plus its thread's running
+  /// sums, a second k × k accumulator); at least one pass runs.
   /// 0 disables the check and the bound.
   uint64_t rss_limit_bytes = 0;
 };

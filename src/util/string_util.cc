@@ -67,4 +67,10 @@ std::string FormatDouble(double value, int precision) {
   return std::string(buf);
 }
 
+std::string ExactDouble(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
 }  // namespace fdx

@@ -26,6 +26,11 @@ bool IsDouble(std::string_view text);
 /// Formats a double with fixed precision (used by report tables).
 std::string FormatDouble(double value, int precision);
 
+/// Exact, locale-free text of a double: %.17g, which strtod reads back
+/// to the identical bits. The form of every double that must survive a
+/// round trip through text (cache keys, session files, chunk stores).
+std::string ExactDouble(double value);
+
 }  // namespace fdx
 
 #endif  // FDX_UTIL_STRING_UTIL_H_

@@ -1,6 +1,6 @@
 // Equivalence, exactness, and robustness of the decomposed graphical
 // lasso (screening + block solves + active-set inner lasso + warm
-// starts) against the dense reference solver.
+// starts) against the dense reference solver (tests/glasso_oracle.h).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "glasso_oracle.h"
 #include "linalg/glasso.h"
 #include "linalg/stats.h"
 #include "util/fault_injection.h"
@@ -80,7 +81,7 @@ TEST_F(GlassoEquivalenceTest, MatchesReferenceOnRandomDenseProblems) {
   for (size_t k : {2u, 5u, 20u, 50u}) {
     const Matrix s = RandomCorrelation(k, 100 + k);
     auto fast = GraphicalLasso(s, options);
-    auto reference = GraphicalLassoReference(s, options);
+    auto reference = oracle::GraphicalLasso(s, options);
     ASSERT_TRUE(fast.ok()) << "k=" << k << ": " << fast.status().ToString();
     ASSERT_TRUE(reference.ok()) << "k=" << k;
     EXPECT_LE(MaxAbsDiff(fast->theta, reference->theta), 1e-8) << "k=" << k;
@@ -94,7 +95,7 @@ TEST_F(GlassoEquivalenceTest, MatchesReferenceOnSparseAndBlockProblems) {
   for (size_t k : {20u, 50u}) {
     const Matrix s = BlockCorrelation(k, 5, 0.5);
     auto fast = GraphicalLasso(s, options);
-    auto reference = GraphicalLassoReference(s, options);
+    auto reference = oracle::GraphicalLasso(s, options);
     ASSERT_TRUE(fast.ok());
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(fast->stats.components, k / 5);
@@ -111,7 +112,7 @@ TEST_F(GlassoEquivalenceTest, MatchesReferenceOnSparseAndBlockProblems) {
     }
   }
   auto fast = GraphicalLasso(banded, options);
-  auto reference = GraphicalLassoReference(banded, options);
+  auto reference = oracle::GraphicalLasso(banded, options);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(fast->stats.components, 1u);
@@ -146,7 +147,7 @@ TEST_F(GlassoEquivalenceTest, DisconnectedComponentsGetExactZeros) {
   EXPECT_DOUBLE_EQ(fast->w(1, 1), w11);
   EXPECT_DOUBLE_EQ(fast->theta(1, 1), 1.0 / w11);
   // And the decomposed result still matches the dense reference.
-  auto reference = GraphicalLassoReference(s, options);
+  auto reference = oracle::GraphicalLasso(s, options);
   ASSERT_TRUE(reference.ok());
   EXPECT_LE(MaxAbsDiff(fast->theta, reference->theta), 1e-8);
 }
@@ -346,7 +347,7 @@ TEST_F(GlassoEquivalenceTest, NewtonMatchesReferenceOnDenseProblems) {
     // is within 1e-8 of the optimum at every size tested.
     GlassoOptions ref_options = TightOptions();
     ref_options.tolerance = 1e-9 * (400.0 / static_cast<double>(k * k));
-    auto reference = GraphicalLassoReference(s, ref_options);
+    auto reference = oracle::GraphicalLasso(s, ref_options);
     ASSERT_TRUE(newton.ok())
         << "k=" << k << ": " << newton.status().ToString();
     ASSERT_TRUE(reference.ok()) << "k=" << k;

@@ -12,6 +12,7 @@
 #include "eval/runner.h"
 #include "linalg/stats.h"
 #include "synth/generator.h"
+#include "transform_oracle.h"
 #include "util/rng.h"
 
 namespace fdx {
@@ -39,11 +40,11 @@ TEST(ParallelDeterminismTest, PairTransformIdenticalAcrossThreadCounts) {
   TransformOptions options;
   options.seed = 5;
   options.threads = 1;
-  auto serial = PairTransform(ds.noisy, options);
+  auto serial = oracle::PairTransform(ds.noisy, options);
   ASSERT_TRUE(serial.ok());
   for (size_t threads : {size_t{2}, size_t{8}}) {
     options.threads = threads;
-    auto parallel = PairTransform(ds.noisy, options);
+    auto parallel = oracle::PairTransform(ds.noisy, options);
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*serial, *parallel);
   }
@@ -55,11 +56,11 @@ TEST(ParallelDeterminismTest, SampledPairTransformIdenticalAcrossThreads) {
   options.seed = 9;
   options.max_pairs_per_attribute = 64;
   options.threads = 1;
-  auto serial = PairTransform(ds.noisy, options);
+  auto serial = oracle::PairTransform(ds.noisy, options);
   ASSERT_TRUE(serial.ok());
   for (size_t threads : {size_t{2}, size_t{8}}) {
     options.threads = threads;
-    auto parallel = PairTransform(ds.noisy, options);
+    auto parallel = oracle::PairTransform(ds.noisy, options);
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*serial, *parallel);
   }

@@ -23,6 +23,7 @@
 #include "util/file_io.h"
 #include "util/fingerprint.h"
 #include "util/socket.h"
+#include "util/string_util.h"
 
 namespace fdx {
 namespace {
@@ -49,10 +50,43 @@ Table IntBatch(int offset) {
   return table;
 }
 
+/// Every member CanonicalOptionsKey covers, each off its default, plus
+/// the members outside the key that the file still carries.
 FdxOptions NonDefaultOptions() {
   FdxOptions options;
+  options.estimator = StructureEstimator::kSequentialLasso;
   options.lambda = 0.123456789012345678;  // needs %.17g to survive
+  options.sparsity_threshold = 0.01;
+  options.relative_threshold = 0.55;
+  options.minimum_column_weight = 0.07;
+  options.zero_tolerance = 1e-9;
+  options.normalize_covariance = false;
+  options.ordering = OrderingMethod::kAmd;
+  options.transform.seed = 18446744073709551557ull;  // above 2^53
+  options.transform.max_pairs_per_attribute = 64;
+  options.transform.pooled_covariance = true;
+  options.transform.threads = 2;
+  options.glasso.lambda = 0.04;
+  options.glasso.max_iterations = 77;
+  options.glasso.tolerance = 2e-5;
+  options.glasso.diagonal_ridge = 3e-6;
+  options.glasso.lasso_max_iterations = 400;
+  options.glasso.lasso_tolerance = 2e-7;
+  options.glasso.solver = GlassoSolver::kNewton;
+  options.glasso.newton_max_iterations = 40;
+  options.glasso.newton_min_block = 16;
+  options.glasso.newton_dense_threshold = 0.25;
+  options.glasso.lambda_path = false;
+  options.threads = 3;
   options.time_budget_seconds = 7.5;
+  options.reuse_solver_state = false;
+  options.recovery.enabled = false;
+  options.recovery.max_ridge_retries = 5;
+  options.recovery.ridge_multiplier = 4.0;
+  options.recovery.max_ridge = 0.5;
+  options.recovery.allow_estimator_fallback = false;
+  options.recovery.allow_quarantine = false;
+  options.recovery.degenerate_variance_floor = 1e-10;
   return options;
 }
 
@@ -91,6 +125,20 @@ TEST(SnapshotCodecTest, SessionRoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(decoded->options.lambda, options.lambda);
   EXPECT_DOUBLE_EQ(decoded->options.time_budget_seconds,
                    options.time_budget_seconds);
+  EXPECT_EQ(decoded->options.threads, options.threads);
+  EXPECT_EQ(decoded->options.transform.threads, options.transform.threads);
+  // Each segment of the decoded options' key must differ from the
+  // default's: a knob added to the key but not to the codec decodes as
+  // its default and fails here (or fails the decode's own key check).
+  const std::vector<std::string> defaults =
+      Split(CanonicalOptionsKey(FdxOptions{}), ';');
+  const std::vector<std::string> segments =
+      Split(CanonicalOptionsKey(decoded->options), ';');
+  ASSERT_EQ(segments.size(), defaults.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_NE(segments[i], defaults[i])
+        << "NonDefaultOptions leaves this key segment at its default";
+  }
   ASSERT_EQ(decoded->batches.size(), 2u);
   // Cell-exact replay, including the null and the non-representable
   // double. The fingerprint equality below is the strong form: the
@@ -338,6 +386,47 @@ TEST_F(ServerRestartTest, ColdRecomputeAfterRestartMatchesOriginal) {
     ASSERT_TRUE(redo.ok());
     EXPECT_EQ(*redo, cold_response)
         << "replayed session solved to different bytes";
+    server.Shutdown();
+  }
+}
+
+// A session opened with a non-default solver must come back with it:
+// the options key covers the solver options, so a session file that
+// dropped them could never reproduce the key and the session was lost.
+TEST_F(ServerRestartTest, SolverOptionsSurviveRestart) {
+  std::string cold_response;
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    auto open = Request(
+        server.port(),
+        R"({"op":"open","schema":["a","b","c"],"options":{"solver":"newton"}})");
+    ASSERT_TRUE(open.ok() && JsonValue::Parse(*open)->BoolOr("ok", false))
+        << (open.ok() ? *open : open.status().ToString());
+    auto append = Request(server.port(),
+                          R"({"op":"append","session":"s-1","rows":)" +
+                              RowsJson(200, 7) + "}");
+    ASSERT_TRUE(append.ok());
+    ASSERT_TRUE(JsonValue::Parse(*append)->BoolOr("ok", false)) << *append;
+    auto cold = Request(server.port(), R"({"op":"discover","session":"s-1"})");
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(JsonValue::Parse(*cold)->BoolOr("ok", false)) << *cold;
+    EXPECT_NE(cold->find(R"("backend":"newton")"), std::string::npos)
+        << *cold;
+    cold_response = *cold;
+    server.Shutdown();
+  }
+  // No cache spill: the restarted session must solve again, with the
+  // solver it was opened with.
+  ASSERT_TRUE(RemoveFile(state_dir_ + "/cache.json").ok());
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(server.sessions_recovered(), 1u);
+    EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+    auto redo = Request(server.port(), R"({"op":"discover","session":"s-1"})");
+    ASSERT_TRUE(redo.ok());
+    EXPECT_EQ(*redo, cold_response);
     server.Shutdown();
   }
 }

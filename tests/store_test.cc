@@ -359,30 +359,53 @@ TEST(ChunkedTableTest, ManifestIntegersMustFit) {
   }
 }
 
+/// Replaces `from` with `to` in the dictionary delta of TwoChunkStore's
+/// second chunk, rewriting the chunk with a consistent header and
+/// fingerprint, so only the edited JSON is wrong.
+void EditSecondChunkDelta(const std::string& dir, const std::string& from,
+                          const std::string& to) {
+  const std::string chunk = dir + "/chunk-000001.bin";
+  auto text = ReadFileToString(chunk);
+  ASSERT_TRUE(text.ok());
+  const std::string before = *text;
+  const size_t at = text->find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text->replace(at, from.size(), to);
+  const uint64_t dict_bytes =
+      ReadU64Le(text->data() + 24) + text->size() - before.size();
+  for (int i = 0; i < 8; ++i) {
+    (*text)[24 + i] = static_cast<char>(dict_bytes >> (8 * i));
+  }
+  ASSERT_TRUE(WriteFileAtomic(chunk, *text).ok());
+  EditManifest(dir, FingerprintOf(before), FingerprintOf(*text));
+}
+
 TEST(ChunkedTableTest, DictionaryDeltaStartMustFit) {
-  // The same for a dictionary delta's start. The chunk is rewritten with
-  // a consistent header and fingerprint, so only the number is wrong.
+  // The same for a dictionary delta's start.
   for (const char* start : {"3.5", "-3", "1e30"}) {
     const std::string dir = TwoChunkStore();
-    const std::string chunk = dir + "/chunk-000001.bin";
-    auto text = ReadFileToString(chunk);
-    ASSERT_TRUE(text.ok());
-    const std::string before = *text;
-    const size_t at = text->find("\"start\":3");
-    ASSERT_NE(at, std::string::npos);
-    text->replace(at, 9, std::string("\"start\":") + start);
-    const uint64_t dict_bytes =
-        ReadU64Le(text->data() + 24) + text->size() - before.size();
-    for (int i = 0; i < 8; ++i) {
-      (*text)[24 + i] = static_cast<char>(dict_bytes >> (8 * i));
-    }
-    ASSERT_TRUE(WriteFileAtomic(chunk, *text).ok());
-    EditManifest(dir, FingerprintOf(before), FingerprintOf(*text));
+    EditSecondChunkDelta(dir, "\"start\":3",
+                         std::string("\"start\":") + start);
     auto reopened = ChunkedTable::Open(dir);
     ASSERT_FALSE(reopened.ok()) << start;
     EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << start;
     EXPECT_NE(reopened.status().message().find("'start'"), std::string::npos)
         << reopened.status().message();
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
+}
+
+TEST(ChunkedTableTest, DictionaryDeltaCellsMustBeTaggedValues) {
+  // Delta cells use the typed-cell codec (data/cell_json.h), except that
+  // a dictionary never holds null: every bad cell is a corrupt store.
+  for (const char* cell :
+       {"null", "3", "[\"i\"]", "[\"x\",\"3\"]", "[\"i\",\"3.5\"]",
+        "[\"d\",\"\"]"}) {
+    const std::string dir = TwoChunkStore();
+    EditSecondChunkDelta(dir, "[\"i\",\"3\"]", cell);
+    auto reopened = ChunkedTable::Open(dir);
+    ASSERT_FALSE(reopened.ok()) << cell;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kIOError) << cell;
     ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
   }
 }

@@ -10,6 +10,7 @@
 #include "data/csv.h"
 #include "linalg/stats.h"
 #include "synth/generator.h"
+#include "transform_oracle.h"
 #include "util/reservoir.h"
 
 namespace fdx {
@@ -218,7 +219,7 @@ Table NoisyTiedTable(size_t rows, size_t cols, uint64_t seed) {
 
 TEST(TransformTest, OutputIsBinaryWithExpectedShape) {
   Table t = TableFromCsv("a,b\n1,x\n2,y\n1,x\n3,z\n");
-  auto dt = PairTransform(t);
+  auto dt = oracle::PairTransform(t);
   ASSERT_TRUE(dt.ok());
   // Algorithm 2: n pairs per attribute.
   EXPECT_EQ(dt->rows(), 4u * 2u);
@@ -233,16 +234,16 @@ TEST(TransformTest, OutputIsBinaryWithExpectedShape) {
 
 TEST(TransformTest, RejectsDegenerateInputs) {
   Table empty{Schema({"a"})};
-  EXPECT_FALSE(PairTransform(empty).ok());
+  EXPECT_FALSE(oracle::PairTransform(empty).ok());
   Table one_row{Schema({"a"})};
   one_row.AppendRow({Value(int64_t{1})});
-  EXPECT_FALSE(PairTransform(one_row).ok());
+  EXPECT_FALSE(oracle::PairTransform(one_row).ok());
   EXPECT_FALSE(PairTransformMoments(empty).ok());
 }
 
 TEST(TransformTest, ConstantColumnAlwaysAgrees) {
   Table t = TableFromCsv("c,v\nk,1\nk,2\nk,3\nk,4\n");
-  auto dt = PairTransform(t);
+  auto dt = oracle::PairTransform(t);
   ASSERT_TRUE(dt.ok());
   for (size_t i = 0; i < dt->rows(); ++i) {
     EXPECT_DOUBLE_EQ((*dt)(i, 0), 1.0);
@@ -251,7 +252,7 @@ TEST(TransformTest, ConstantColumnAlwaysAgrees) {
 
 TEST(TransformTest, NullNeverAgrees) {
   Table t = TableFromCsv("a\n\n\n\n\n");  // all nulls
-  auto dt = PairTransform(t);
+  auto dt = oracle::PairTransform(t);
   ASSERT_TRUE(dt.ok());
   for (size_t i = 0; i < dt->rows(); ++i) {
     EXPECT_DOUBLE_EQ((*dt)(i, 0), 0.0);
@@ -266,7 +267,7 @@ TEST(TransformTest, FdImpliesConditionalAgreement) {
   config.seed = 3;
   auto ds = GenerateSynthetic(config);
   ASSERT_TRUE(ds.ok());
-  auto dt = PairTransform(ds->clean);
+  auto dt = oracle::PairTransform(ds->clean);
   ASSERT_TRUE(dt.ok());
   for (const auto& fd : ds->true_fds) {
     for (size_t i = 0; i < dt->rows(); ++i) {
@@ -288,7 +289,7 @@ TEST(TransformTest, MomentsMatchMaterializedTransform) {
   Table t = TableFromCsv("a,b,c\n1,x,p\n2,y,p\n1,x,q\n3,y,q\n2,x,p\n");
   TransformOptions options;
   options.seed = 99;
-  auto dt = PairTransform(t, options);
+  auto dt = oracle::PairTransform(t, options);
   auto moments = PairTransformMoments(t, options);
   ASSERT_TRUE(dt.ok());
   ASSERT_TRUE(moments.ok());
@@ -302,6 +303,29 @@ TEST(TransformTest, MomentsMatchMaterializedTransform) {
   EXPECT_LT(moments->cov.Subtract(*cov).MaxAbs(), 1e-12);
 }
 
+// The samples are 0/1, so their second moments about zero are the
+// co-occurrence counts over N, to the bit (the zero-mean ablation
+// variant of bench_ablation_transform relies on it).
+TEST(TransformTest, CountsGiveZeroMeanCovarianceOfMaterializedTransform) {
+  const Table t = NoisyTiedTable(300, 7, /*seed=*/8);
+  auto dt = oracle::PairTransform(t);
+  auto counts = PairTransformCounts(t);
+  ASSERT_TRUE(dt.ok());
+  ASSERT_TRUE(counts.ok());
+  auto zero_mean = CovarianceWithMean(*dt, Vector(dt->cols(), 0.0));
+  ASSERT_TRUE(zero_mean.ok());
+  const size_t k = dt->cols();
+  ASSERT_EQ(counts->num_samples, dt->rows());
+  const double inv_n = 1.0 / static_cast<double>(counts->num_samples);
+  for (size_t x = 0; x < k; ++x) {
+    for (size_t y = x; y < k; ++y) {
+      EXPECT_EQ((*zero_mean)(x, y),
+                static_cast<double>(counts->co_counts[x * k + y]) * inv_n)
+          << x << "," << y;
+    }
+  }
+}
+
 TEST(TransformTest, SamplingCapLimitsRows) {
   SyntheticConfig config;
   config.num_tuples = 1000;
@@ -311,7 +335,7 @@ TEST(TransformTest, SamplingCapLimitsRows) {
   ASSERT_TRUE(ds.ok());
   TransformOptions options;
   options.max_pairs_per_attribute = 100;
-  auto dt = PairTransform(ds->clean, options);
+  auto dt = oracle::PairTransform(ds->clean, options);
   ASSERT_TRUE(dt.ok());
   EXPECT_EQ(dt->rows(), 100u * 5u);
 }
@@ -396,7 +420,7 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
     options.max_pairs_per_attribute = max_pairs;
 
     const Matrix ref_matrix = RefTransform(t, options);
-    auto matrix = PairTransform(t, options);
+    auto matrix = oracle::PairTransform(t, options);
     ASSERT_TRUE(matrix.ok());
     ASSERT_EQ(matrix->rows(), ref_matrix.rows());
     ASSERT_EQ(matrix->cols(), ref_matrix.cols());
@@ -506,21 +530,6 @@ TEST(TransformTest, PackedRejectsDegenerateInputs) {
   Table empty{Schema({"a"})};
   EXPECT_FALSE(PairTransformPacked(empty).ok());
   EXPECT_FALSE(PairTransformCounts(empty).ok());
-}
-
-TEST(TransformTest, ProfileRecordsStageTimings) {
-  const Table t = NoisyTiedTable(500, 6, /*seed=*/3);
-  TransformProfile profile;
-  TransformOptions options;
-  options.profile = &profile;
-  auto moments = PairTransformMoments(t, options);
-  ASSERT_TRUE(moments.ok());
-  EXPECT_GE(profile.sort_seconds, 0.0);
-  EXPECT_GE(profile.pack_seconds, 0.0);
-  EXPECT_GE(profile.accumulate_seconds, 0.0);
-  EXPECT_GT(profile.sort_seconds + profile.pack_seconds +
-                profile.accumulate_seconds,
-            0.0);
 }
 
 TEST(TransformTest, SortedColumnHasHighAgreement) {
