@@ -34,10 +34,8 @@
 #include "data/csv.h"
 #include "eval/report.h"
 #include "fd/partition.h"
-#include "linalg/bitmatrix.h"
 #include "linalg/factorization.h"
 #include "linalg/glasso.h"
-#include "linalg/simd.h"
 #include "linalg/stats.h"
 #include "store/chunked_table.h"
 #include "store/stream_transform.h"
@@ -75,54 +73,6 @@ BENCHMARK(BM_PairTransformMoments)
     ->Args({1000, 32})
     ->Args({10000, 8})
     ->Args({10000, 32});
-
-void BM_PairTransformPacked(benchmark::State& state) {
-  const SyntheticDataset ds =
-      MakeData(static_cast<size_t>(state.range(0)),
-               static_cast<size_t>(state.range(1)));
-  for (auto _ : state) {
-    auto packed = PairTransformPacked(ds.noisy, {});
-    benchmark::DoNotOptimize(packed);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
-BENCHMARK(BM_PairTransformPacked)->Args({10000, 8})->Args({10000, 32});
-
-void BM_PairTransformPackedScalar(benchmark::State& state) {
-  const SyntheticDataset ds =
-      MakeData(static_cast<size_t>(state.range(0)),
-               static_cast<size_t>(state.range(1)));
-  const SimdLevel ambient = ActiveSimdLevel();
-  SetSimdLevel(SimdLevel::kScalar);
-  for (auto _ : state) {
-    auto packed = PairTransformPacked(ds.noisy, {});
-    benchmark::DoNotOptimize(packed);
-  }
-  SetSimdLevel(ambient);
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
-BENCHMARK(BM_PairTransformPackedScalar)->Args({10000, 8})->Args({10000, 32});
-
-void BM_BitMatrixUnpackRows(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t cols = static_cast<size_t>(state.range(1));
-  Rng rng(9);
-  BitMatrix bits(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      if (rng.NextBernoulli(0.5)) bits.Set(r, c);
-    }
-  }
-  Matrix dense(rows, cols);
-  for (auto _ : state) {
-    bits.UnpackRows(0, rows, &dense);
-    benchmark::DoNotOptimize(dense);
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_BitMatrixUnpackRows)->Args({100000, 16})->Args({100000, 64});
 
 void BM_PairTransformCounts(benchmark::State& state) {
   const SyntheticDataset ds =

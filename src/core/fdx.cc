@@ -200,6 +200,14 @@ Result<LearnedStructure> LearnWithRetries(const Matrix& input,
 
 }  // namespace
 
+Status ValidateFdxOptions(const FdxOptions& options) {
+  if (!(options.lambda >= 0.0)) {
+    return Status::InvalidArgument("lambda must be >= 0, got " +
+                                   ExactDouble(options.lambda));
+  }
+  return Status::OK();
+}
+
 Result<FdxResult> FdxDiscoverer::Discover(const Table& table) const {
   return DiscoverWith(table.num_rows(), table.num_columns(),
                       [&table](const TransformOptions& transform) {
@@ -217,6 +225,7 @@ Result<FdxResult> FdxDiscoverer::Discover(const EncodedTable& table) const {
 Result<FdxResult> FdxDiscoverer::DiscoverWith(
     size_t num_rows, size_t num_columns,
     const TransformStep& transform_step) const {
+  FDX_RETURN_IF_ERROR(ValidateFdxOptions(options_));
   const Deadline deadline(options_.time_budget_seconds);
   Stopwatch watch;
   const size_t k = num_columns;
@@ -260,11 +269,12 @@ Result<FdxResult> FdxDiscoverer::DiscoverWith(
 Result<FdxResult> FdxDiscoverer::DiscoverFromCovariance(
     const Matrix& covariance) const {
   const Deadline deadline(options_.time_budget_seconds);
-  return DiscoverFromCovarianceInternal(covariance, &deadline);
+  return DiscoverFromCovariance(covariance, &deadline);
 }
 
 Result<FdxResult> FdxDiscoverer::DiscoverFromCovariance(
     const Matrix& covariance, const Deadline* deadline) const {
+  FDX_RETURN_IF_ERROR(ValidateFdxOptions(options_));
   if (deadline == nullptr) {
     const Deadline unlimited = Deadline::Unlimited();
     return DiscoverFromCovarianceInternal(covariance, &unlimited);

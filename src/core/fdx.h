@@ -199,6 +199,13 @@ struct FdxResult {
   RunDiagnostics diagnostics;
 };
 
+/// InvalidArgument naming the option when `options` holds a value no run
+/// can use: a negative (or NaN) `lambda`; 0 is legal and means no
+/// penalty. Every FdxDiscoverer::Discover* call returns this error before
+/// doing any work, and fdxtool's and fdxd's flags and fdxd's request
+/// options are checked with it up front.
+Status ValidateFdxOptions(const FdxOptions& options);
+
 /// FDX: FD discovery via structure learning over the pair-difference
 /// model (paper Algorithm 1):
 ///   1. PairTransformMoments  — Algorithm 2 + covariance estimation;

@@ -1,6 +1,7 @@
 #include "core/incremental.h"
 
 #include "core/transform.h"
+#include "core/transform_kernels.h"
 #include "util/fingerprint.h"
 
 namespace fdx {
@@ -54,24 +55,11 @@ void IncrementalFdx::Merge(const TransformCounts& counts, size_t rows) {
 }
 
 Result<Matrix> IncrementalFdx::CurrentCovariance() const {
-  const size_t k = schema_.size();
   if (total_samples_ == 0) {
     return Status::InvalidArgument("no batches appended yet");
   }
-  const double inv_n = 1.0 / static_cast<double>(total_samples_);
-  Matrix cov(k, k);
-  for (size_t x = 0; x < k; ++x) {
-    const double mean_x = static_cast<double>(ones_[x]) * inv_n;
-    for (size_t y = x; y < k; ++y) {
-      const double mean_y = static_cast<double>(ones_[y]) * inv_n;
-      const double exy =
-          static_cast<double>(co_counts_[x * k + y]) * inv_n;
-      const double value = exy - mean_x * mean_y;
-      cov(x, y) = value;
-      cov(y, x) = value;
-    }
-  }
-  return cov;
+  return CovarianceFromCounts(ones_, co_counts_, schema_.size(),
+                              total_samples_);
 }
 
 Result<FdxResult> IncrementalFdx::CurrentFds() const {

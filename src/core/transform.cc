@@ -8,6 +8,7 @@
 
 #include "core/pairs.h"
 #include "core/transform_kernels.h"
+#include "linalg/bitmatrix.h"
 #include "util/thread_pool.h"
 
 namespace fdx {
@@ -107,56 +108,6 @@ Result<PassMoments> AccumulateResidentPasses(
     parts[0].Merge(std::move(parts[chunk]));
   }
   return std::move(parts[0]);
-}
-
-Result<BitMatrix> PairTransformPacked(const Table& table,
-                                      const TransformOptions& options) {
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  FDX_ASSIGN_OR_RETURN(TransformStreams streams,
-                       PrepareTransformStreams(n, k, options.seed));
-  const EncodedTable encoded = EncodedTable::Encode(table);
-  const size_t per_attr = PairsPerAttribute(n, options.max_pairs_per_attribute);
-  std::atomic<bool> expired{false};
-
-  // Phase 1: sort every attribute pass (independent counting sorts).
-  // The orders are kept so phase 2 can parallelize over *output columns*
-  // instead of passes: one writer per column bit-vector, no word shared
-  // between threads, bit-identical at any thread count.
-  std::vector<AttributePass> passes(k);
-  ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    for (size_t attr = lo; attr < hi; ++attr) {
-      if (CheckDeadline(options, &expired)) break;
-      passes[attr].Reset(encoded.column_codes(attr),
-                         encoded.Cardinality(attr), streams.shuffled,
-                         options.max_pairs_per_attribute,
-                         streams.attr_seeds[attr]);
-    }
-  });
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::Timeout("pair transform: time budget exhausted");
-  }
-
-  // Phase 2: pack the equality bits, one column per writer. Column c's
-  // bit r is sample r = pass * per_attr + pair_index, so each column is
-  // appended sequentially across all passes.
-  BitMatrix bits(per_attr * k, k);
-  ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    PackScratch scratch;
-    for (size_t col = lo; col < hi; ++col) {
-      if (CheckDeadline(options, &expired)) break;
-      ColumnBitWriter writer(bits.column_words(col));
-      for (size_t attr = 0; attr < k; ++attr) {
-        AppendPassColumnBits(encoded.column_codes(col), passes[attr],
-                             &writer, &scratch);
-      }
-      writer.Flush();
-    }
-  });
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::Timeout("pair transform: time budget exhausted");
-  }
-  return bits;
 }
 
 namespace {

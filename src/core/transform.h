@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "data/table.h"
-#include "linalg/bitmatrix.h"
 #include "linalg/matrix.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -58,12 +57,9 @@ struct TransformOptions {
 ///      popcount(col_x), co_counts[x][y] = popcount(col_x AND col_y) —
 ///      all-integer, hence bit-identical at any thread count.
 ///
-/// PairTransformPacked returns the packed sample matrix itself (pass
-/// p's samples are rows [p * pairs_per_pass, (p+1) * pairs_per_pass));
-/// PairTransformCounts and PairTransformMoments stream pass-by-pass and
-/// never materialize the full matrix at all.
-Result<BitMatrix> PairTransformPacked(const Table& table,
-                                      const TransformOptions& options = {});
+/// The entry points below stream pass by pass: a pass's bits live only
+/// until its moments are counted, and the (n * k) x k sample matrix is
+/// never materialized.
 
 /// Raw integer moments of the transform: per-column indicator sums and
 /// upper-triangular co-occurrence counts (y >= x at [x * k + y],
@@ -78,12 +74,10 @@ struct TransformCounts {
 Result<TransformCounts> PairTransformCounts(
     const Table& table, const TransformOptions& options = {});
 
-/// Same pair construction as PairTransformPacked, but streams the
-/// samples into the mean vector and covariance matrix without
-/// materializing the (n * k) x k sample matrix. Equality indicators are
-/// binary, so the cross-moment matrix is an integer co-occurrence count;
-/// this keeps the computation exact. This is the production path of
-/// FdxDiscoverer.
+/// Mean vector and covariance of the transform's samples. Equality
+/// indicators are binary, so the cross-moment matrix is an integer
+/// co-occurrence count; this keeps the computation exact. This is the
+/// production path of FdxDiscoverer.
 struct TransformedMoments {
   Vector mean;    ///< Column means of the implicit sample matrix.
   Matrix cov;     ///< Empirical covariance (1/N normalization).

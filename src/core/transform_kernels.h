@@ -174,20 +174,22 @@ inline void AppendPassColumnBits(CodeView codes, const AttributePass& pass,
   writer->Append(equal(ends[0], ends[1]));
 }
 
-/// Pass-local covariance from one pass's integer moments. Used by the
-/// pooled estimator: each attribute pass contributes its own covariance,
-/// reduced across passes in attribute order.
-inline Matrix PassCovarianceFromCounts(const uint64_t* pass_counts,
-                                       const uint64_t* pass_co_counts,
-                                       size_t k, size_t num_pairs) {
+/// The one finish of the integer moments: the covariance E[xy] - E[x]E[y]
+/// of `n` samples over k columns, from per-column ones `counts` and
+/// upper-triangular co-occurrences `co_counts` (y >= x at [x * k + y]).
+/// The whole transform (concatenated or per pass, under the pooled
+/// estimator) and IncrementalFdx's merged batches all finish here, so
+/// equal counts give equal doubles on every path.
+inline Matrix CovarianceFromCounts(const std::vector<uint64_t>& counts,
+                                   const std::vector<uint64_t>& co_counts,
+                                   size_t k, size_t n) {
   Matrix cov(k, k);
-  const double inv_pass = 1.0 / static_cast<double>(num_pairs);
+  const double inv_n = 1.0 / static_cast<double>(n);
   for (size_t x = 0; x < k; ++x) {
-    const double mean_x = static_cast<double>(pass_counts[x]) * inv_pass;
+    const double mean_x = static_cast<double>(counts[x]) * inv_n;
     for (size_t y = x; y < k; ++y) {
-      const double mean_y = static_cast<double>(pass_counts[y]) * inv_pass;
-      const double exy =
-          static_cast<double>(pass_co_counts[x * k + y]) * inv_pass;
+      const double mean_y = static_cast<double>(counts[y]) * inv_n;
+      const double exy = static_cast<double>(co_counts[x * k + y]) * inv_n;
       const double value = exy - mean_x * mean_y;
       cov(x, y) = value;
       cov(y, x) = value;
@@ -212,31 +214,6 @@ inline Matrix ReducePooledCovariance(const std::vector<Matrix>& pass_cov) {
   }
   if (pooled_passes == 0) return pooled;
   return pooled.Scale(1.0 / static_cast<double>(pooled_passes));
-}
-
-/// Assembles the final mean/covariance from the accumulated integer
-/// moments (the non-pooled estimator). Both engines funnel through these
-/// exact expressions so their doubles agree bitwise.
-inline TransformedMoments MomentsFromCounts(
-    const std::vector<uint64_t>& counts,
-    const std::vector<uint64_t>& co_counts, size_t total, size_t k) {
-  TransformedMoments moments;
-  moments.num_samples = total;
-  moments.mean.assign(k, 0.0);
-  const double inv_n = 1.0 / static_cast<double>(total);
-  for (size_t c = 0; c < k; ++c) {
-    moments.mean[c] = static_cast<double>(counts[c]) * inv_n;
-  }
-  moments.cov = Matrix(k, k);
-  for (size_t x = 0; x < k; ++x) {
-    for (size_t y = x; y < k; ++y) {
-      const double exy = static_cast<double>(co_counts[x * k + y]) * inv_n;
-      const double cov = exy - moments.mean[x] * moments.mean[y];
-      moments.cov(x, y) = cov;
-      moments.cov(y, x) = cov;
-    }
-  }
-  return moments;
 }
 
 /// A transform's passes before the finish: their integer moments, summed
@@ -265,9 +242,8 @@ struct PassMoments {
                size_t num_pairs) {
     AddCounts(pass_counts, pass_co_counts, num_pairs);
     if (!pass_cov.empty() && num_pairs > 0) {
-      pass_cov[attr] =
-          PassCovarianceFromCounts(pass_counts.data(), pass_co_counts.data(),
-                                   pass_counts.size(), num_pairs);
+      pass_cov[attr] = CovarianceFromCounts(pass_counts, pass_co_counts,
+                                            pass_counts.size(), num_pairs);
     }
   }
 
@@ -293,12 +269,18 @@ inline Result<TransformedMoments> FinishMoments(const PassMoments& moments) {
   if (sums.num_samples == 0) {
     return Status::InvalidArgument("pair transform produced no samples");
   }
-  TransformedMoments out =
-      MomentsFromCounts(sums.counts, sums.co_counts, sums.num_samples,
-                        sums.counts.size());
-  if (!moments.pass_cov.empty()) {
-    out.cov = ReducePooledCovariance(moments.pass_cov);
+  const size_t k = sums.counts.size();
+  TransformedMoments out;
+  out.num_samples = sums.num_samples;
+  out.mean.assign(k, 0.0);
+  const double inv_n = 1.0 / static_cast<double>(sums.num_samples);
+  for (size_t c = 0; c < k; ++c) {
+    out.mean[c] = static_cast<double>(sums.counts[c]) * inv_n;
   }
+  out.cov = moments.pass_cov.empty()
+                ? CovarianceFromCounts(sums.counts, sums.co_counts, k,
+                                       sums.num_samples)
+                : ReducePooledCovariance(moments.pass_cov);
   return out;
 }
 

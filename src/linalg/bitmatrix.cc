@@ -13,14 +13,6 @@ namespace {
 /// streams over the block.
 constexpr size_t kGramBlockWords = 64;
 
-/// Row-block height of the unpack kernel, in words (64 rows each). With
-/// the column blocking below, one tile of output doubles is
-/// kUnpackRowWords * 64 * kUnpackColBlock * 8 B = 16 KB — L1-resident
-/// while every source word is read exactly once, sequentially per
-/// column.
-constexpr size_t kUnpackRowWords = 2;
-constexpr size_t kUnpackColBlock = 16;
-
 }  // namespace
 
 void BitMatrix::Reset(size_t rows, size_t cols) {
@@ -30,13 +22,12 @@ void BitMatrix::Reset(size_t rows, size_t cols) {
   bits_.assign(cols_ * words_per_column_, 0);
 }
 
-void BitMatrix::AccumulateMoments(size_t word_lo, size_t word_hi,
-                                  uint64_t* counts,
+void BitMatrix::AccumulateMoments(uint64_t* counts,
                                   uint64_t* co_counts) const {
   const size_t k = cols_;
   const SimdOps& ops = ActiveSimdOps();
-  for (size_t w0 = word_lo; w0 < word_hi; w0 += kGramBlockWords) {
-    const size_t w1 = std::min(word_hi, w0 + kGramBlockWords);
+  for (size_t w0 = 0; w0 < words_per_column_; w0 += kGramBlockWords) {
+    const size_t w1 = std::min(words_per_column_, w0 + kGramBlockWords);
     const size_t len = w1 - w0;
     for (size_t x = 0; x < k; ++x) {
       const uint64_t* cx = column_words(x) + w0;
@@ -46,28 +37,6 @@ void BitMatrix::AccumulateMoments(size_t word_lo, size_t word_hi,
       for (size_t y = x + 1; y < k; ++y) {
         const uint64_t* cy = column_words(y) + w0;
         co_counts[x * k + y] += ops.popcount_and_words(cx, cy, len);
-      }
-    }
-  }
-}
-
-void BitMatrix::UnpackRows(size_t row_lo, size_t row_hi,
-                           Matrix* dense) const {
-  // Column-blocked: the inner loops walk one column's words sequentially
-  // and scatter into a bounded tile of output rows, instead of striding
-  // across every column's word array once per row.
-  const size_t k = cols_;
-  const size_t rows_per_block = kUnpackRowWords * 64;
-  for (size_t r0 = row_lo; r0 < row_hi; r0 += rows_per_block) {
-    const size_t r1 = std::min(row_hi, r0 + rows_per_block);
-    for (size_t c0 = 0; c0 < k; c0 += kUnpackColBlock) {
-      const size_t c1 = std::min(k, c0 + kUnpackColBlock);
-      for (size_t c = c0; c < c1; ++c) {
-        const uint64_t* col = column_words(c);
-        for (size_t r = r0; r < r1; ++r) {
-          dense->RowPtr(r)[c] = static_cast<double>(
-              (col[r >> 6] >> (r & 63)) & uint64_t{1});
-        }
       }
     }
   }

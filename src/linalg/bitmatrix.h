@@ -1,18 +1,17 @@
 #ifndef FDX_LINALG_BITMATRIX_H_
 #define FDX_LINALG_BITMATRIX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "linalg/matrix.h"
 
 namespace fdx {
 
 /// A packed binary sample matrix: `rows` samples of `cols` 0/1 variables,
 /// stored column-major as ceil(rows/64) `uint64_t` words per column (bit
-/// `r & 63` of word `r >> 6` is sample r). This is the native output
-/// representation of the FDX pair transform, whose samples are equality
-/// indicators: one cell costs one bit instead of one double, and the
+/// `r & 63` of word `r >> 6` is sample r). Each attribute pass of the FDX
+/// pair transform packs its samples, which are equality indicators, into
+/// one: one cell costs one bit instead of one double, and the
 /// first and second moments reduce to popcounts —
 ///
 ///   counts[x]       = popcount(col_x)            (sum of column x)
@@ -52,25 +51,14 @@ class BitMatrix {
     return (column_words(col)[row >> 6] >> (row & 63)) & 1;
   }
 
-  /// Accumulates the integer moments of the word range [word_lo, word_hi)
-  /// of every column into caller-owned accumulators:
+  /// Accumulates the integer moments of every column into caller-owned
+  /// accumulators:
   ///   counts[x]           += popcount of column x
   ///   co_counts[x*k + y]  += popcount(col_x AND col_y)   for y >= x
   /// (upper triangle only, diagonal included; k = cols()). The kernel is
   /// word-blocked so the active slice of every column stays cache
   /// resident while the k^2/2 column pairs stream over it.
-  void AccumulateMoments(size_t word_lo, size_t word_hi, uint64_t* counts,
-                         uint64_t* co_counts) const;
-
-  /// Whole-matrix variant of the above.
-  void AccumulateMoments(uint64_t* counts, uint64_t* co_counts) const {
-    AccumulateMoments(0, words_per_column_, counts, co_counts);
-  }
-
-  /// Unpacks rows [row_lo, row_hi) into the same rows of a dense
-  /// row-major matrix (which must be rows() x cols()), writing exact
-  /// 0.0 / 1.0 doubles.
-  void UnpackRows(size_t row_lo, size_t row_hi, Matrix* dense) const;
+  void AccumulateMoments(uint64_t* counts, uint64_t* co_counts) const;
 
   /// Bitwise equality (same shape and words).
   bool IdenticalTo(const BitMatrix& other) const {

@@ -1,7 +1,6 @@
 #include "linalg/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 namespace fdx {
@@ -80,25 +79,8 @@ SimdLevel ClampToDetected(SimdLevel level) {
   return static_cast<SimdLevel>(want);
 }
 
-/// Initial level: detection clamped by the FDX_SIMD environment variable
-/// (read once; unknown values are ignored).
-SimdLevel InitialLevel() {
-  SimdLevel level = DetectedSimdLevel();
-  const char* env = std::getenv("FDX_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) {
-      level = SimdLevel::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      level = ClampToDetected(SimdLevel::kAvx2);
-    } else if (std::strcmp(env, "avx512") == 0) {
-      level = ClampToDetected(SimdLevel::kAvx512);
-    }
-  }
-  return level;
-}
-
 std::atomic<int>& ActiveLevelSlot() {
-  static std::atomic<int> slot{static_cast<int>(InitialLevel())};
+  static std::atomic<int> slot{static_cast<int>(DetectedSimdLevel())};
   return slot;
 }
 

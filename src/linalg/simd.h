@@ -67,9 +67,8 @@ const char* SimdLevelName(SimdLevel level);
 /// cpuid-gated). Constant for the process lifetime.
 SimdLevel DetectedSimdLevel();
 
-/// The level kernels currently dispatch to: DetectedSimdLevel() clamped
-/// by the FDX_SIMD environment variable (scalar|avx2|avx512, read once)
-/// and by any SetSimdLevel override.
+/// The level kernels currently dispatch to: DetectedSimdLevel() unless a
+/// SetSimdLevel override clamped it.
 SimdLevel ActiveSimdLevel();
 
 /// Test/bench override. The request is clamped to DetectedSimdLevel()

@@ -72,60 +72,6 @@ Result<Matrix> Covariance(const Matrix& samples, size_t threads) {
 
 namespace {
 
-/// Words per accumulation chunk of the packed covariance. The counts are
-/// integers, so chunking cannot change the result; the block size only
-/// balances scheduling overhead against parallel grain.
-constexpr size_t kPackedBlockWords = 1024;  // 65536 samples per chunk
-
-}  // namespace
-
-Result<Matrix> Covariance(const BitMatrix& samples, size_t threads) {
-  const size_t n = samples.rows();
-  const size_t k = samples.cols();
-  if (n == 0) return Status::InvalidArgument("covariance of an empty sample");
-  std::vector<uint64_t> counts(k, 0);
-  std::vector<uint64_t> co_counts(k * k, 0);
-  const size_t words = samples.words_per_column();
-  const size_t chunks =
-      std::max<size_t>(1, (words + kPackedBlockWords - 1) / kPackedBlockWords);
-  if (ResolveThreadCount(threads) <= 1 || chunks == 1) {
-    samples.AccumulateMoments(counts.data(), co_counts.data());
-  } else {
-    std::vector<std::vector<uint64_t>> chunk_counts(
-        chunks, std::vector<uint64_t>(k, 0));
-    std::vector<std::vector<uint64_t>> chunk_co(
-        chunks, std::vector<uint64_t>(k * k, 0));
-    ParallelForChunks(0, chunks, chunks, threads,
-                      [&](size_t chunk, size_t, size_t) {
-                        const size_t lo = chunk * kPackedBlockWords;
-                        const size_t hi =
-                            std::min(words, lo + kPackedBlockWords);
-                        samples.AccumulateMoments(lo, hi,
-                                                  chunk_counts[chunk].data(),
-                                                  chunk_co[chunk].data());
-                      });
-    for (size_t chunk = 0; chunk < chunks; ++chunk) {
-      for (size_t c = 0; c < k; ++c) counts[c] += chunk_counts[chunk][c];
-      for (size_t c = 0; c < k * k; ++c) co_counts[c] += chunk_co[chunk][c];
-    }
-  }
-  const double inv_n = 1.0 / static_cast<double>(n);
-  Matrix cov(k, k);
-  for (size_t x = 0; x < k; ++x) {
-    const double mean_x = static_cast<double>(counts[x]) * inv_n;
-    for (size_t y = x; y < k; ++y) {
-      const double mean_y = static_cast<double>(counts[y]) * inv_n;
-      const double exy = static_cast<double>(co_counts[x * k + y]) * inv_n;
-      const double value = exy - mean_x * mean_y;
-      cov(x, y) = value;
-      cov(y, x) = value;
-    }
-  }
-  return cov;
-}
-
-namespace {
-
 /// The serial inner kernel shared by both covariance paths: accumulates
 /// the upper triangle of sum (x - mu)(x - mu)^T over rows [lo, hi).
 void AccumulateCovariance(const Matrix& samples, const Vector& mean,

@@ -1,7 +1,6 @@
 #ifndef FDX_LINALG_STATS_H_
 #define FDX_LINALG_STATS_H_
 
-#include "linalg/bitmatrix.h"
 #include "linalg/matrix.h"
 #include "util/status.h"
 
@@ -24,16 +23,6 @@ Vector ColumnMeans(const Matrix& samples, size_t threads = 1);
 /// the large N produced by the FDX pair transform the distinction from
 /// 1/(N-1) is immaterial.
 Result<Matrix> Covariance(const Matrix& samples, size_t threads = 1);
-
-/// Covariance of a bit-packed 0/1 sample matrix. The moments of binary
-/// samples are integer counts (column popcounts and pairwise AND
-/// popcounts), so the accumulation is exact: the result is bit-identical
-/// at every thread count, including `threads == 1` — there is no
-/// serial-vs-blocked rounding distinction on this path. Equals the dense
-/// `Covariance` of the unpacked matrix up to floating-point rounding
-/// only (the dense path sums centered products; this path forms
-/// E[xy] - E[x]E[y] from the exact integer moments).
-Result<Matrix> Covariance(const BitMatrix& samples, size_t threads = 1);
 
 /// Covariance around a fixed (e.g. zero) mean instead of the empirical
 /// one. FDX's pair-difference view corresponds to a zero-mean transformed

@@ -87,6 +87,7 @@ Result<FdxOptions> ParseOptionsJson(const JsonValue& json,
                                      "\"");
     }
   }
+  FDX_RETURN_IF_ERROR(ValidateFdxOptions(options));
   return options;
 }
 

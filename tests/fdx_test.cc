@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "bn/networks.h"
 #include "core/fdx.h"
 #include "data/csv.h"
@@ -258,6 +261,36 @@ TEST(FdxTest, DiscoverFromCovarianceBypassesTransform) {
   auto result = discoverer.DiscoverFromCovariance(Matrix::Identity(5));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->fds.empty());
+}
+
+TEST(FdxTest, RejectsNegativeLambda) {
+  SyntheticConfig config;
+  config.num_tuples = 300;
+  config.num_attributes = 5;
+  config.seed = 3;
+  auto ds = GenerateSynthetic(config);
+  ASSERT_TRUE(ds.ok());
+  FdxOptions options;
+  for (double lambda : {-1.0, -1e-12, std::nan("")}) {
+    options.lambda = lambda;
+    EXPECT_EQ(ValidateFdxOptions(options).code(),
+              StatusCode::kInvalidArgument)
+        << lambda;
+    FdxDiscoverer discoverer(options);
+    auto result = discoverer.Discover(ds->noisy);
+    ASSERT_FALSE(result.ok()) << lambda;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("lambda"), std::string::npos);
+    // Even a shape with nothing to discover is rejected up front.
+    EXPECT_FALSE(discoverer.Discover(Table{Schema({"a", "b"})}).ok());
+    auto from_cov = discoverer.DiscoverFromCovariance(Matrix::Identity(5));
+    ASSERT_FALSE(from_cov.ok());
+    EXPECT_EQ(from_cov.status().code(), StatusCode::kInvalidArgument);
+  }
+  // No penalty at all is a legal (dense) solve.
+  options.lambda = 0.0;
+  EXPECT_TRUE(ValidateFdxOptions(options).ok());
+  EXPECT_TRUE(FdxDiscoverer(options).Discover(ds->noisy).ok());
 }
 
 TEST(FdxTest, HandlesMissingValues) {

@@ -12,7 +12,6 @@
 #include "eval/runner.h"
 #include "linalg/stats.h"
 #include "synth/generator.h"
-#include "transform_oracle.h"
 #include "util/rng.h"
 
 namespace fdx {
@@ -35,19 +34,39 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
   EXPECT_EQ(a.Subtract(b).MaxAbs(), 0.0);
 }
 
+/// PairTransformCounts and PairTransformMoments at 2 and 8 threads must
+/// equal the 1-thread run: the passes are spread over the threads, each
+/// attribute draws from its own forked seed, and the integer counts
+/// merge in any order.
+void ExpectTransformIdenticalAcrossThreads(const Table& table,
+                                           TransformOptions options) {
+  options.threads = 1;
+  auto serial_counts = PairTransformCounts(table, options);
+  auto serial = PairTransformMoments(table, options);
+  ASSERT_TRUE(serial_counts.ok() && serial.ok());
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    options.threads = threads;
+    auto counts = PairTransformCounts(table, options);
+    ASSERT_TRUE(counts.ok());
+    EXPECT_EQ(counts->counts, serial_counts->counts) << threads << " threads";
+    EXPECT_EQ(counts->co_counts, serial_counts->co_counts)
+        << threads << " threads";
+    EXPECT_EQ(counts->num_samples, serial_counts->num_samples);
+    auto moments = PairTransformMoments(table, options);
+    ASSERT_TRUE(moments.ok());
+    EXPECT_EQ(moments->num_samples, serial->num_samples);
+    for (size_t c = 0; c < serial->mean.size(); ++c) {
+      EXPECT_EQ(moments->mean[c], serial->mean[c]);
+    }
+    ExpectBitIdentical(serial->cov, moments->cov);
+  }
+}
+
 TEST(ParallelDeterminismTest, PairTransformIdenticalAcrossThreadCounts) {
   const SyntheticDataset ds = MakeData(500, 9, 11);
   TransformOptions options;
   options.seed = 5;
-  options.threads = 1;
-  auto serial = oracle::PairTransform(ds.noisy, options);
-  ASSERT_TRUE(serial.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto parallel = oracle::PairTransform(ds.noisy, options);
-    ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(*serial, *parallel);
-  }
+  ExpectTransformIdenticalAcrossThreads(ds.noisy, options);
 }
 
 TEST(ParallelDeterminismTest, SampledPairTransformIdenticalAcrossThreads) {
@@ -55,15 +74,7 @@ TEST(ParallelDeterminismTest, SampledPairTransformIdenticalAcrossThreads) {
   TransformOptions options;
   options.seed = 9;
   options.max_pairs_per_attribute = 64;
-  options.threads = 1;
-  auto serial = oracle::PairTransform(ds.noisy, options);
-  ASSERT_TRUE(serial.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto parallel = oracle::PairTransform(ds.noisy, options);
-    ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(*serial, *parallel);
-  }
+  ExpectTransformIdenticalAcrossThreads(ds.noisy, options);
 }
 
 TEST(ParallelDeterminismTest, MomentsIdenticalAcrossThreadCounts) {
@@ -89,34 +100,13 @@ TEST(ParallelDeterminismTest, MomentsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminismTest, PackedTransformIdenticalAcrossThreadCounts) {
-  // The packed engine's two parallel phases (per-attribute counting
-  // sorts, per-column bit packing) and the integer popcount moments must
-  // all be independent of the thread count — word-for-word.
+  // Under the pooled estimator each pass keeps its own covariance, and
+  // the passes are reduced in attribute order whichever thread ran them.
   const SyntheticDataset ds = MakeData(700, 11, 16);
   TransformOptions options;
   options.seed = 8;
-  options.threads = 1;
-  auto serial_bits = PairTransformPacked(ds.noisy, options);
-  auto serial_counts = PairTransformCounts(ds.noisy, options);
-  ASSERT_TRUE(serial_bits.ok() && serial_counts.ok());
-  auto serial_cov = Covariance(*serial_bits, 1);
-  ASSERT_TRUE(serial_cov.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto bits = PairTransformPacked(ds.noisy, options);
-    ASSERT_TRUE(bits.ok());
-    EXPECT_TRUE(bits->IdenticalTo(*serial_bits)) << threads << " threads";
-    auto counts = PairTransformCounts(ds.noisy, options);
-    ASSERT_TRUE(counts.ok());
-    EXPECT_EQ(counts->counts, serial_counts->counts);
-    EXPECT_EQ(counts->co_counts, serial_counts->co_counts);
-    EXPECT_EQ(counts->num_samples, serial_counts->num_samples);
-    // The packed covariance is all-integer inside: bit-identical even
-    // between the serial and sharded accumulations.
-    auto cov = Covariance(*bits, threads);
-    ASSERT_TRUE(cov.ok());
-    ExpectBitIdentical(*serial_cov, *cov);
-  }
+  options.pooled_covariance = true;
+  ExpectTransformIdenticalAcrossThreads(ds.noisy, options);
 }
 
 TEST(ParallelDeterminismTest, SampledPackedTransformIdenticalAcrossThreads) {
@@ -124,15 +114,8 @@ TEST(ParallelDeterminismTest, SampledPackedTransformIdenticalAcrossThreads) {
   TransformOptions options;
   options.seed = 4;
   options.max_pairs_per_attribute = 100;
-  options.threads = 1;
-  auto serial = PairTransformPacked(ds.noisy, options);
-  ASSERT_TRUE(serial.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto bits = PairTransformPacked(ds.noisy, options);
-    ASSERT_TRUE(bits.ok());
-    EXPECT_TRUE(bits->IdenticalTo(*serial)) << threads << " threads";
-  }
+  options.pooled_covariance = true;
+  ExpectTransformIdenticalAcrossThreads(ds.noisy, options);
 }
 
 TEST(ParallelDeterminismTest, MomentsRepeatableAtFixedThreadCount) {

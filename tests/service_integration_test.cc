@@ -468,6 +468,37 @@ TEST_F(ServiceIntegrationTest, DiscoverHonorsRequestOptions) {
   EXPECT_EQ(server.cache().hits(), 0u);
 }
 
+TEST_F(ServiceIntegrationTest, NegativeLambdaIsRejected) {
+  FdxServer& server = StartServer(ServerOptions{});
+
+  auto open = Request(
+      server.port(),
+      R"({"op":"open","schema":["a","b","c"],"options":{"lambda":-1}})");
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(ErrorCode(*open), "InvalidArgument") << *open;
+  EXPECT_NE(open->find("lambda"), std::string::npos) << *open;
+  EXPECT_EQ(server.sessions().size(), 0u);
+
+  std::string discover = DiscoverTableRequest(40, 5);
+  discover.insert(discover.size() - 1, R"(,"options":{"lambda":-1})");
+  auto rejected = Request(server.port(), discover);
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(ErrorCode(*rejected), "InvalidArgument") << *rejected;
+  EXPECT_EQ(server.queue().executed(), 0u);
+
+  // lambda = 0 (no penalty) stays legal on both ops.
+  auto open_zero = Request(
+      server.port(),
+      R"({"op":"open","schema":["a","b","c"],"options":{"lambda":0}})");
+  ASSERT_TRUE(open_zero.ok());
+  EXPECT_TRUE(IsOk(*open_zero)) << *open_zero;
+  std::string discover_zero = DiscoverTableRequest(40, 5);
+  discover_zero.insert(discover_zero.size() - 1, R"(,"options":{"lambda":0})");
+  auto zero = Request(server.port(), discover_zero);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(IsOk(*zero)) << *zero;
+}
+
 TEST_F(ServiceIntegrationTest, PipelinedRequestsAnswerInOrder) {
   ServerOptions options;
   options.enable_debug_ops = true;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/bitmatrix.h"
 #include "linalg/factorization.h"
 #include "linalg/stats.h"
 #include "util/rng.h"
@@ -37,37 +38,6 @@ TEST(StatsTest, CovarianceOfConstantsIsZero) {
 
 TEST(StatsTest, CovarianceRejectsEmpty) {
   EXPECT_FALSE(Covariance(Matrix(0, 3)).ok());
-  EXPECT_FALSE(Covariance(BitMatrix(0, 3)).ok());
-}
-
-TEST(StatsTest, PackedCovarianceMatchesDense) {
-  // Random 0/1 samples, sized to cross several uint64 words and the
-  // parallel chunking boundary behavior.
-  Rng rng(31);
-  const size_t n = 1000;
-  const size_t k = 9;
-  BitMatrix packed(n, k);
-  Matrix dense(n, k);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (rng.NextBernoulli(0.3)) {
-        packed.Set(i, j);
-        dense(i, j) = 1.0;
-      }
-    }
-  }
-  auto packed_cov = Covariance(packed);
-  auto dense_cov = Covariance(dense);
-  ASSERT_TRUE(packed_cov.ok() && dense_cov.ok());
-  // Different summation (integer moments vs centered double products):
-  // agreement to rounding error, not bitwise.
-  EXPECT_LT(packed_cov->Subtract(*dense_cov).MaxAbs(), 1e-12);
-  // Across thread counts the packed path is all-integer: bit-identical.
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    auto threaded = Covariance(packed, threads);
-    ASSERT_TRUE(threaded.ok());
-    EXPECT_EQ(threaded->Subtract(*packed_cov).MaxAbs(), 0.0);
-  }
 }
 
 TEST(StatsTest, BitMatrixSetGetAndMoments) {
@@ -87,11 +57,6 @@ TEST(StatsTest, BitMatrixSetGetAndMoments) {
   EXPECT_EQ(co[0 * 2 + 0], 3u);
   EXPECT_EQ(co[0 * 2 + 1], 1u);  // row 64 only
   EXPECT_EQ(co[1 * 2 + 1], 2u);
-
-  Matrix dense(70, 2);
-  bits.UnpackRows(0, 70, &dense);
-  EXPECT_DOUBLE_EQ(dense(64, 1), 1.0);
-  EXPECT_DOUBLE_EQ(dense(65, 1), 0.0);
 }
 
 TEST(StatsTest, CovarianceWithZeroMeanDiffersFromCentered) {

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <utility>
 
 #include "core/pairs.h"
 #include "core/transform.h"
+#include "core/transform_kernels.h"
 #include "data/csv.h"
+#include "linalg/bitmatrix.h"
 #include "linalg/stats.h"
 #include "synth/generator.h"
 #include "transform_oracle.h"
-#include "util/reservoir.h"
 
 namespace fdx {
 namespace {
@@ -22,89 +24,10 @@ Table TableFromCsv(const std::string& text) {
   return *t;
 }
 
-// ---------------------------------------------------------------------------
-// Scalar reference implementation of Algorithm 2, kept verbatim from the
-// pre-packed engine (std::stable_sort + materialized pair vectors +
-// double-by-double accumulation). The packed kernels must reproduce it
-// *bitwise*: same pair order, same integer counts, same derived doubles.
-
-std::vector<std::pair<size_t, size_t>> RefPairsForAttribute(
-    const EncodedTable& encoded, const std::vector<size_t>& shuffled,
-    size_t attr, size_t max_pairs, uint64_t attr_seed) {
-  std::vector<size_t> order = shuffled;
-  const auto& codes = encoded.column_codes(attr);
-  std::stable_sort(order.begin(), order.end(),
-                   [&codes](size_t a, size_t b) { return codes[a] < codes[b]; });
-  const size_t n = order.size();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (n < 2) return pairs;
-  if (max_pairs == 0 || max_pairs >= n) {
-    pairs.reserve(n);
-    for (size_t j = 0; j + 1 < n; ++j) pairs.emplace_back(order[j], order[j + 1]);
-    pairs.emplace_back(order[n - 1], order[0]);
-    return pairs;
-  }
-  // Sampled variant: the engine draws max_pairs sorted positions from a
-  // seeded reservoir (Algorithm R) and emits them ascending.
-  pairs.reserve(max_pairs);
-  ReservoirSampler sampler(max_pairs, attr_seed);
-  sampler.AddRange(0, static_cast<uint32_t>(n));
-  for (uint32_t j : sampler.Sorted()) {
-    const size_t next = j + 1 == n ? 0 : j + 1;
-    pairs.emplace_back(order[j], order[next]);
-  }
-  return pairs;
-}
-
-uint8_t RefEqualCodes(int32_t a, int32_t b) {
-  return (a != EncodedTable::kNullCode && a == b) ? 1 : 0;
-}
-
-struct RefSetup {
-  EncodedTable encoded;
-  std::vector<size_t> shuffled;
-  std::vector<uint64_t> attr_seeds;
-};
-
-RefSetup MakeRefSetup(const Table& table, const TransformOptions& options) {
-  RefSetup setup;
-  setup.encoded = EncodedTable::Encode(table);
-  Rng rng(options.seed);
-  setup.shuffled.resize(table.num_rows());
-  std::iota(setup.shuffled.begin(), setup.shuffled.end(), 0);
-  rng.Shuffle(&setup.shuffled);
-  setup.attr_seeds.resize(table.num_columns());
-  for (size_t attr = 0; attr < setup.attr_seeds.size(); ++attr) {
-    setup.attr_seeds[attr] = rng.engine()();
-  }
-  return setup;
-}
-
-Matrix RefTransform(const Table& table, const TransformOptions& options) {
-  const RefSetup setup = MakeRefSetup(table, options);
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  const size_t per_attr =
-      (options.max_pairs_per_attribute == 0 ||
-       options.max_pairs_per_attribute >= n)
-          ? n
-          : options.max_pairs_per_attribute;
-  Matrix out(per_attr * k, k);
-  for (size_t attr = 0; attr < k; ++attr) {
-    const auto pairs = RefPairsForAttribute(
-        setup.encoded, setup.shuffled, attr, options.max_pairs_per_attribute,
-        setup.attr_seeds[attr]);
-    size_t row = attr * per_attr;
-    for (const auto& [a, b] : pairs) {
-      double* out_row = out.RowPtr(row++);
-      for (size_t c = 0; c < k; ++c) {
-        out_row[c] =
-            RefEqualCodes(setup.encoded.code(a, c), setup.encoded.code(b, c));
-      }
-    }
-  }
-  return out;
-}
+// Reference moments, counted sample by sample off the scalar reference
+// transform (tests/transform_oracle.h) and finished with the expressions
+// of the pre-packed engine. The packed kernels must reproduce them
+// *bitwise*: same integer counts, same derived doubles.
 
 struct RefMomentsResult {
   std::vector<uint64_t> counts;
@@ -116,9 +39,12 @@ struct RefMomentsResult {
 
 RefMomentsResult RefMoments(const Table& table,
                             const TransformOptions& options) {
-  const RefSetup setup = MakeRefSetup(table, options);
   const size_t k = table.num_columns();
   RefMomentsResult ref;
+  auto samples = oracle::PairTransform(table, options);
+  EXPECT_TRUE(samples.ok());
+  if (!samples.ok()) return ref;
+  const size_t per_pass = samples->rows() / k;
   ref.counts.assign(k, 0);
   ref.co_counts.assign(k * k, 0);
   std::vector<uint64_t> pass_counts(k, 0);
@@ -126,17 +52,12 @@ RefMomentsResult RefMoments(const Table& table,
   std::vector<Matrix> pass_cov(k);
   std::vector<size_t> ones;
   for (size_t attr = 0; attr < k; ++attr) {
-    const auto pairs = RefPairsForAttribute(
-        setup.encoded, setup.shuffled, attr, options.max_pairs_per_attribute,
-        setup.attr_seeds[attr]);
     std::fill(pass_counts.begin(), pass_counts.end(), 0);
     std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
-    for (const auto& [a, b] : pairs) {
+    for (size_t r = attr * per_pass; r < (attr + 1) * per_pass; ++r) {
       ones.clear();
       for (size_t c = 0; c < k; ++c) {
-        if (RefEqualCodes(setup.encoded.code(a, c), setup.encoded.code(b, c))) {
-          ones.push_back(c);
-        }
+        if ((*samples)(r, c) == 1.0) ones.push_back(c);
       }
       for (size_t x : ones) {
         ++ref.counts[x];
@@ -148,10 +69,10 @@ RefMomentsResult RefMoments(const Table& table,
         }
       }
     }
-    ref.total += pairs.size();
-    if (options.pooled_covariance && !pairs.empty()) {
+    ref.total += per_pass;
+    if (options.pooled_covariance) {
       Matrix cov(k, k);
-      const double inv_pass = 1.0 / static_cast<double>(pairs.size());
+      const double inv_pass = 1.0 / static_cast<double>(per_pass);
       for (size_t x = 0; x < k; ++x) {
         const double mean_x = static_cast<double>(pass_counts[x]) * inv_pass;
         for (size_t y = x; y < k; ++y) {
@@ -419,22 +340,36 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
     options.seed = 17 + k;
     options.max_pairs_per_attribute = max_pairs;
 
-    const Matrix ref_matrix = RefTransform(t, options);
-    auto matrix = oracle::PairTransform(t, options);
-    ASSERT_TRUE(matrix.ok());
-    ASSERT_EQ(matrix->rows(), ref_matrix.rows());
-    ASSERT_EQ(matrix->cols(), ref_matrix.cols());
-    EXPECT_EQ(matrix->Subtract(ref_matrix).MaxAbs(), 0.0)
-        << "k=" << k << " max_pairs=" << max_pairs;
-
-    auto packed = PairTransformPacked(t, options);
-    ASSERT_TRUE(packed.ok());
-    ASSERT_EQ(packed->rows(), ref_matrix.rows());
-    for (size_t r = 0; r < packed->rows(); ++r) {
-      for (size_t c = 0; c < k; ++c) {
-        ASSERT_EQ(packed->Get(r, c) ? 1.0 : 0.0, ref_matrix(r, c))
-            << "bit (" << r << "," << c << ") k=" << k
-            << " max_pairs=" << max_pairs;
+    // Each pass's bits from the kernels both production drivers run
+    // (AttributePass::Reset + AppendPassColumnBits), against the
+    // reference rows of that pass.
+    auto ref_matrix = oracle::PairTransform(t, options);
+    ASSERT_TRUE(ref_matrix.ok());
+    const EncodedTable encoded = EncodedTable::Encode(t);
+    auto streams = PrepareTransformStreams(n, k, options.seed);
+    ASSERT_TRUE(streams.ok());
+    const size_t per_pass = ref_matrix->rows() / k;
+    AttributePass pass;
+    BitMatrix bits;
+    auto scratch = std::make_unique<PackScratch>();
+    for (size_t attr = 0; attr < k; ++attr) {
+      pass.Reset(encoded.column_codes(attr), encoded.Cardinality(attr),
+                 streams->shuffled, max_pairs, streams->attr_seeds[attr]);
+      ASSERT_EQ(pass.num_pairs(), per_pass);
+      bits.Reset(pass.num_pairs(), k);
+      for (size_t col = 0; col < k; ++col) {
+        ColumnBitWriter writer(bits.column_words(col));
+        AppendPassColumnBits(encoded.column_codes(col), pass, &writer,
+                             scratch.get());
+        writer.Flush();
+      }
+      for (size_t r = 0; r < per_pass; ++r) {
+        for (size_t c = 0; c < k; ++c) {
+          ASSERT_EQ(bits.Get(r, c) ? 1.0 : 0.0,
+                    (*ref_matrix)(attr * per_pass + r, c))
+              << "pass " << attr << " bit (" << r << "," << c << ") k=" << k
+              << " max_pairs=" << max_pairs;
+        }
       }
     }
 
@@ -453,12 +388,6 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
     }
     EXPECT_EQ(moments->cov.Subtract(ref.cov).MaxAbs(), 0.0)
         << "k=" << k << " max_pairs=" << max_pairs;
-
-    // The packed covariance kernel in linalg forms the same integer
-    // moments, so it must agree with the streamed moments bitwise.
-    auto packed_cov = Covariance(*packed, /*threads=*/1);
-    ASSERT_TRUE(packed_cov.ok());
-    EXPECT_EQ(packed_cov->Subtract(moments->cov).MaxAbs(), 0.0);
   }
 }
 
@@ -528,8 +457,12 @@ TEST(TransformTest, AttributePassEnumeratesWithoutMaterializing) {
 
 TEST(TransformTest, PackedRejectsDegenerateInputs) {
   Table empty{Schema({"a"})};
-  EXPECT_FALSE(PairTransformPacked(empty).ok());
-  EXPECT_FALSE(PairTransformCounts(empty).ok());
+  Table one_row{Schema({"a"})};
+  one_row.AppendRow({Value(int64_t{1})});
+  for (const Table* t : {&empty, &one_row}) {
+    EXPECT_FALSE(PairTransformCounts(*t).ok());
+    EXPECT_FALSE(PairTransformMoments(*t).ok());
+  }
 }
 
 TEST(TransformTest, SortedColumnHasHighAgreement) {

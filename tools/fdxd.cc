@@ -64,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/fdx.h"
 #include "service/server.h"
 #include "util/flags.h"
 
@@ -137,6 +138,11 @@ int Main(int argc, char** argv) {
   options.fdx.lambda = flags.GetNumber("lambda", options.fdx.lambda);
   options.fdx.time_budget_seconds =
       flags.GetNumber("time-budget", options.fdx.time_budget_seconds);
+  const Status fdx_valid = ValidateFdxOptions(options.fdx);
+  if (!fdx_valid.ok()) {
+    std::fprintf(stderr, "fdxd: %s\n", fdx_valid.message().c_str());
+    return 2;
+  }
   options.enable_debug_ops = flags.Has("debug-ops");
   options.state_dir = flags.Get("state-dir");
   options.snapshot_interval_seconds =

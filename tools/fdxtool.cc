@@ -83,18 +83,23 @@ FdxOptions OptionsFromArgs(const Flags& args) {
   if (!ordering.empty()) {
     auto parsed = ParseOrderingMethod(ordering);
     if (!parsed.ok()) {
-      std::fprintf(stderr, "warning: %s; using default ordering\n",
-                   parsed.status().ToString().c_str());
-    } else {
-      options.ordering = *parsed;
+      std::fprintf(stderr, "fdxtool: --ordering=%s: %s\n", ordering.c_str(),
+                   parsed.status().message().c_str());
+      std::exit(2);
     }
+    options.ordering = *parsed;
   }
   const std::string solver = args.Get("solver");
   if (!solver.empty() && !ParseGlassoSolver(solver, &options.glasso.solver)) {
     std::fprintf(stderr,
-                 "warning: unknown --solver=%s (want auto|cd|newton); "
-                 "using auto\n",
+                 "fdxtool: --solver=%s: expected auto, cd or newton\n",
                  solver.c_str());
+    std::exit(2);
+  }
+  const Status valid = ValidateFdxOptions(options);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "fdxtool: %s\n", valid.message().c_str());
+    std::exit(2);
   }
   return options;
 }
