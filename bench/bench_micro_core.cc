@@ -72,7 +72,8 @@ BENCHMARK(BM_PairTransformMoments)
     ->Args({1000, 8})
     ->Args({1000, 32})
     ->Args({10000, 8})
-    ->Args({10000, 32});
+    ->Args({10000, 32})
+    ->Args({12000, 384});
 
 void BM_PairTransformCounts(benchmark::State& state) {
   const SyntheticDataset ds =

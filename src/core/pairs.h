@@ -58,6 +58,8 @@ class AttributePass {
   size_t num_pairs() const { return num_pairs_; }
   bool sampled() const { return sampled_; }
   const std::vector<uint32_t>& order() const { return order_; }
+  /// The sampled sorted positions, ascending (meaningful when sampled()).
+  const std::vector<uint32_t>& positions() const { return positions_; }
 
   /// Invokes fn(pair_index, row_a, row_b) for every emitted pair, in
   /// emission order (pair_index runs 0..num_pairs()-1). row_a/row_b are

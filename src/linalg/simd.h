@@ -5,16 +5,55 @@
 #include <cstdint>
 
 /// Runtime-dispatched SIMD kernels for the two integer hot loops of the
-/// pipeline: the pair-transform bit-pack (gather at code width 1, 2 or
-/// 4 + adjacent-equality compare) and the AND+popcount Gram block of
-/// BitMatrix. Every kernel computes exact integer results, so the scalar
-/// fallback and the vector paths are bit-identical by construction —
+/// pipeline: the pair-transform bit-pack (off a row-major code panel, or
+/// gather at code width 1, 2 or 4 + adjacent-equality compare) and the
+/// AND+popcount Gram block of BitMatrix. Every kernel computes exact
+/// integer results, so the scalar fallback and the vector paths are
+/// bit-identical by construction —
 /// dispatch changes speed, never bytes. The scalar path is always built;
 /// the AVX2 and AVX-512 translation units are compiled only where the
 /// compiler accepts the flags (mirroring the -mpopcnt gate in the
 /// top-level CMakeLists) and selected only after __builtin_cpu_supports
 /// agrees at runtime.
 namespace fdx {
+
+/// A row-major panel of dictionary codes as the panel pack reads it. Row
+/// r starts at `rows + r * stride` and holds `ones` one-byte codes, then
+/// `twos` two-byte codes, then `fours` four-byte codes (any alignment;
+/// each width's all-ones value is its null code). Panel column j is the
+/// j-th code of a row in that order; its bits go to output column
+/// `column_of[j]`. Vector kernels load whole vectors, so the buffer must
+/// extend kPanelTailBytes past the last row's codes.
+struct PanelView {
+  const uint8_t* rows = nullptr;
+  size_t stride = 0;
+  size_t ones = 0;
+  size_t twos = 0;
+  size_t fours = 0;
+  const uint32_t* column_of = nullptr;
+};
+
+/// Bytes a panel kernel may read past a row's codes (one AVX2 vector).
+inline constexpr size_t kPanelTailBytes = 32;
+
+/// The pairs of one attribute pass: pair p joins the rows at sorted
+/// positions s and s + 1 of `order` (n rows; position n wraps to 0),
+/// where s = positions[p], or s = p when `positions` is null.
+struct PanelPairs {
+  const uint32_t* order = nullptr;
+  size_t n = 0;
+  const uint32_t* positions = nullptr;
+  size_t num_pairs = 0;
+};
+
+/// Words of scratch the panel pack needs: one 64-pair block of row masks
+/// (ceil(k / 64) words per pair) and copies of the block's rows (two per
+/// pair, each padded to whole words, plus a vector's tail).
+/// `row_bytes` is the panel's code bytes per row (Σ width over columns).
+inline size_t PanelScratchWords(size_t k, size_t row_bytes) {
+  return 64 * ((k + 63) / 64) + 128 * ((row_bytes + 7) / 8) +
+         kPanelTailBytes / 8;
+}
 
 enum class SimdLevel : int {
   kScalar = 0,
@@ -51,6 +90,18 @@ struct SimdOps {
   /// remaining tail bits (and the wrap pair) itself.
   size_t (*pack_adjacent_equal)(const int32_t* g, size_t n, int32_t null_code,
                                 uint64_t* words) = nullptr;
+
+  /// Packs one attribute pass's equality bits off a code panel: bit p of
+  /// output column column_of[j] is 1 when pair p's two rows hold an
+  /// equal, non-null code j (EqualCodes). Each pair costs one load and
+  /// one compare per vector of codes; each 64-pair block of row masks is
+  /// then transposed into column words. Writes ceil(num_pairs / 64)
+  /// words per column at `words + column * words_per_column`, bits at or
+  /// past num_pairs zero. `scratch` holds PanelScratchWords(k, row
+  /// bytes) words.
+  void (*pack_panel)(const PanelView& panel, const PanelPairs& pairs,
+                     uint64_t* words, size_t words_per_column,
+                     uint64_t* scratch) = nullptr;
 
   /// Sum of popcounts over `len` words.
   uint64_t (*popcount_words)(const uint64_t* a, size_t len) = nullptr;

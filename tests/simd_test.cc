@@ -1,6 +1,6 @@
 // Bit-identity of the runtime-dispatched SIMD kernels: every level's
-// gather (at code widths 1, 2 and 4) / pack / popcount output must equal
-// the scalar fallback's
+// gather (at code widths 1, 2 and 4) / pack / panel pack / popcount
+// output must equal the scalar fallback's
 // exactly (integer kernels, so "close" is not a thing — bytes or bust),
 // one pass's packed bits must be identical at every width and level, and
 // the full transform must produce identical moments at every level.
@@ -83,6 +83,7 @@ TEST_F(SimdTest, DetectionAndOverrideAreConsistent) {
     EXPECT_NE(ops.gather_u16, nullptr);
     EXPECT_NE(ops.gather_u32, nullptr);
     EXPECT_NE(ops.pack_adjacent_equal, nullptr);
+    EXPECT_NE(ops.pack_panel, nullptr);
     EXPECT_NE(ops.popcount_words, nullptr);
     EXPECT_NE(ops.popcount_and_words, nullptr);
   }
@@ -202,6 +203,109 @@ TEST_F(SimdTest, PackAdjacentEqualMatchesScalarBitwise) {
       for (size_t w = 0; w < packed / 64; ++w) {
         EXPECT_EQ(got[w], want[w])
             << SimdLevelName(level) << " n=" << n << " word=" << w;
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, PackPanelMatchesScalarBitwise) {
+  // Every level's panel pack against the scalar one, and the scalar one
+  // against first principles, on panels of random bytes: each code is a
+  // tie-prone 0 or 1, its width's all-ones null, or random bytes, so
+  // every code value of every width turns up. Shapes mix the widths and
+  // cross the 64-column group and the one-line row; pair counts cross
+  // the 64-pair block; passes are exact and sampled.
+  struct Shape {
+    size_t ones, twos, fours;
+  };
+  const Shape shapes[] = {{1, 0, 0},  {12, 0, 0},  {0, 1, 0},   {0, 0, 1},
+                          {63, 2, 1}, {64, 0, 0},  {65, 3, 2},  {5, 17, 9},
+                          {0, 40, 0}, {0, 0, 20},  {200, 70, 30}, {384, 0, 0}};
+  for (const Shape& shape : shapes) {
+    const size_t k = shape.ones + shape.twos + shape.fours;
+    const size_t row_bytes = shape.ones + 2 * shape.twos + 4 * shape.fours;
+    for (size_t n : {size_t{2}, size_t{63}, size_t{65}, size_t{130},
+                     size_t{1000}}) {
+      Rng rng(7 * n + k);
+      std::vector<uint8_t> rows(n * row_bytes + kPanelTailBytes);
+      std::vector<unsigned> widths;
+      for (size_t j = 0; j < k; ++j) {
+        widths.push_back(j < shape.ones ? 1 : j < shape.ones + shape.twos ? 2
+                                                                          : 4);
+      }
+      for (size_t r = 0; r < n; ++r) {
+        uint8_t* code = rows.data() + r * row_bytes;
+        for (unsigned width : widths) {
+          const double pick = rng.NextDouble();
+          for (unsigned byte = 0; byte < width; ++byte) {
+            code[byte] = pick < 0.4   ? (byte == 0 ? rng.NextInt(0, 1) : 0)
+                         : pick < 0.6 ? 0xFF
+                                      : static_cast<uint8_t>(rng.engine()());
+          }
+          code += width;
+        }
+      }
+      std::vector<uint32_t> order(n);
+      for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+      rng.Shuffle(&order);
+      std::vector<uint32_t> column_of(k);
+      for (size_t j = 0; j < k; ++j) {
+        column_of[j] = static_cast<uint32_t>(k - 1 - j);
+      }
+      PanelView panel;
+      panel.rows = rows.data();
+      panel.stride = row_bytes;
+      panel.ones = shape.ones;
+      panel.twos = shape.twos;
+      panel.fours = shape.fours;
+      panel.column_of = column_of.data();
+      std::vector<uint32_t> sampled;
+      for (uint32_t s = 0; s < n; s += 3) sampled.push_back(s);
+      sampled.back() = static_cast<uint32_t>(n - 1);  // the wrap pair
+      for (bool exact : {true, false}) {
+        PanelPairs pairs;
+        pairs.order = order.data();
+        pairs.n = n;
+        pairs.positions = exact ? nullptr : sampled.data();
+        pairs.num_pairs = exact ? n : sampled.size();
+        const size_t wpc = (pairs.num_pairs + 63) / 64;
+        std::vector<uint64_t> scratch(PanelScratchWords(k, row_bytes));
+        std::vector<uint64_t> want(k * wpc, 0x5A5A5A5A5A5A5A5Aull);
+        SimdOpsForLevel(SimdLevel::kScalar)
+            .pack_panel(panel, pairs, want.data(), wpc, scratch.data());
+        for (size_t p = 0; p < pairs.num_pairs; ++p) {
+          const size_t s = exact ? p : sampled[p];
+          const uint8_t* a = rows.data() + order[s] * row_bytes;
+          const uint8_t* b = rows.data() + order[s + 1 == n ? 0 : s + 1] *
+                                               row_bytes;
+          size_t at = 0;
+          for (size_t j = 0; j < k; ++j) {
+            const unsigned width = widths[j];
+            bool null = true;
+            for (unsigned byte = 0; byte < width; ++byte) {
+              null = null && a[at + byte] == 0xFF;
+            }
+            const bool equal =
+                !null && std::memcmp(a + at, b + at, width) == 0;
+            at += width;
+            const uint64_t bit =
+                (want[column_of[j] * wpc + p / 64] >> (p % 64)) & 1;
+            ASSERT_EQ(bit, equal ? 1u : 0u)
+                << "k=" << k << " n=" << n << " pair " << p << " col " << j;
+          }
+        }
+        for (size_t col = 0; col < k; ++col) {
+          if (pairs.num_pairs % 64 == 0) break;
+          EXPECT_EQ(want[col * wpc + wpc - 1] >> (pairs.num_pairs % 64), 0u)
+              << "padding bits, k=" << k << " n=" << n;
+        }
+        for (SimdLevel level : LevelsToTest()) {
+          std::vector<uint64_t> got(k * wpc, 0xA5A5A5A5A5A5A5A5ull);
+          SimdOpsForLevel(level).pack_panel(panel, pairs, got.data(), wpc,
+                                            scratch.data());
+          EXPECT_EQ(got, want) << SimdLevelName(level) << " k=" << k
+                               << " n=" << n << " exact=" << exact;
+        }
       }
     }
   }

@@ -190,36 +190,96 @@ Table TableOfWidth(size_t rows, size_t k) {
   return table;
 }
 
+/// A store of `rows` x k whose column 0 takes a distinct value per row
+/// (four-byte codes once it has more than 65,535) and column 1 one of 300
+/// (two-byte codes); the rest are tied small domains, nulls scattered
+/// throughout.
+/// Appended in generated chunks, so no whole Table of that size exists.
+ChunkedTable WideCodeStore(size_t rows, size_t k) {
+  std::vector<std::string> names;
+  for (size_t c = 0; c < k; ++c) names.push_back("c" + std::to_string(c));
+  auto store = ChunkedTable::Create(Schema(names), "");
+  EXPECT_TRUE(store.ok());
+  const size_t chunk_rows = 4096;
+  std::vector<Value> row(k);
+  for (size_t lo = 0; lo < rows; lo += chunk_rows) {
+    Table chunk{Schema(names)};
+    for (size_t r = lo; r < std::min(rows, lo + chunk_rows); ++r) {
+      for (size_t c = 0; c < k; ++c) {
+        const int64_t value =
+            c == 0   ? static_cast<int64_t>(r)
+            : c == 1 ? static_cast<int64_t>(r * 7 % 300)
+                     : static_cast<int64_t>((r / (c + 1)) % 5);
+        const bool null = c == 0 ? r % 1000 == 999 : (r + 3 * c) % 13 == 0;
+        row[c] = null ? Value() : Value(value);
+      }
+      chunk.AppendRow(row);
+    }
+    EXPECT_TRUE(store->AppendBatch(chunk).ok());
+  }
+  return std::move(store.value());
+}
+
+/// The store's decoded codes as an in-memory EncodedTable.
+EncodedTable DecodedTable(const ChunkedTable& store) {
+  const size_t k = store.num_columns();
+  std::vector<std::vector<int32_t>> codes(k);
+  std::vector<size_t> cardinalities(k);
+  std::vector<size_t> null_counts(k, 0);
+  for (size_t c = 0; c < k; ++c) {
+    CodeColumn column;
+    EXPECT_TRUE(store.ReadColumnCodes(c, &column).ok());
+    codes[c] = column.ToInt32();
+    cardinalities[c] = store.Cardinality(c);
+    null_counts[c] = static_cast<size_t>(
+        std::count(codes[c].begin(), codes[c].end(), EncodedTable::kNullCode));
+  }
+  return EncodedTable::FromColumns(store.schema(), store.num_rows(),
+                                   std::move(codes), std::move(cardinalities),
+                                   std::move(null_counts));
+}
+
 TEST(StoreEquivalenceTest, ResidencyBoundaryGridIdentical) {
-  // A column cache of exactly the decoded column bytes (n*k at one byte
-  // per code here) holds every decoded column, so the passes run
-  // resident; one byte less runs the wave schedule (at k = 5, several
-  // waves). Both sides must match the in-memory transform
-  // bit for bit at every thread count, including k <= 2, where a budget
-  // short of the full column set must still take the wave path.
-  const size_t rows = 400;
-  for (size_t k : {size_t{1}, size_t{2}, size_t{5}}) {
-    const Table table = TableOfWidth(rows, k);
-    auto store = ChunkedTable::Create(table.schema(), "");
-    ASSERT_TRUE(store.ok());
-    AppendInChunks(table, 57, &store.value());
-    const uint64_t resident = DecodedColumnBytes(store.value());
+  // A column cache of exactly the decoded column bytes (Σ n·width) holds
+  // every decoded column, so the passes run resident, off one code panel;
+  // one byte less runs the wave schedule, which gathers column by column
+  // (at k = 5, several waves). Both sides must match the in-memory
+  // transform bit for bit at every thread count, including k <= 2, where
+  // a budget short of the full column set must still take the wave path,
+  // and past one 64-column group with a column at each of two and four
+  // bytes.
+  const auto check = [](const ChunkedTable& store,
+                        const EncodedTable& encoded) {
+    const uint64_t resident = DecodedColumnBytes(store);
     for (size_t threads : {size_t{1}, size_t{4}}) {
       TransformOptions transform;
       transform.threads = threads;
-      auto memory = PairTransformMoments(table, transform);
+      auto memory = PairTransformMoments(encoded, transform);
       ASSERT_TRUE(memory.ok());
       for (uint64_t budget : {resident, resident - 1}) {
         StreamTransformOptions stream =
-            WithBudget(store.value(), budget, budget == resident);
+            WithBudget(store, budget, budget == resident);
         stream.transform = transform;
-        auto streamed = StreamTransformMoments(store.value(), stream);
+        auto streamed = StreamTransformMoments(store, stream);
         ASSERT_TRUE(streamed.ok())
-            << k << "x" << threads << "@" << budget << ": "
-            << streamed.status().message();
+            << store.num_columns() << "x" << threads << "@" << budget
+            << ": " << streamed.status().message();
         ExpectMomentsIdentical(memory.value(), streamed.value());
       }
     }
+  };
+  for (size_t k : {size_t{1}, size_t{2}, size_t{5}}) {
+    const Table table = TableOfWidth(400, k);
+    auto store = ChunkedTable::Create(table.schema(), "");
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(table, 57, &store.value());
+    check(store.value(), EncodedTable::Encode(table));
+  }
+  for (size_t k : {size_t{64}, size_t{65}, size_t{130}}) {
+    const ChunkedTable store = WideCodeStore(65700, k);
+    ASSERT_EQ(CodeWidthFor(store.Cardinality(0)), 4u);
+    ASSERT_EQ(CodeWidthFor(store.Cardinality(1)), 2u);
+    check(store, DecodedTable(store));
   }
 }
 

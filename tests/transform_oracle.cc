@@ -45,6 +45,36 @@ double RefEqualCodes(int32_t a, int32_t b) {
 
 }  // namespace
 
+Result<Matrix> PairTransformPass(const EncodedTable& encoded,
+                                 const TransformOptions& options,
+                                 size_t attr) {
+  const size_t k = encoded.num_columns();
+  const size_t n = encoded.num_rows();
+  if (k == 0 || n < 2) {
+    return Status::InvalidArgument(
+        "pair transform needs >= 2 rows and >= 1 column");
+  }
+  Rng rng(options.seed);
+  std::vector<size_t> shuffled(n);
+  std::iota(shuffled.begin(), shuffled.end(), size_t{0});
+  rng.Shuffle(&shuffled);
+  std::vector<uint64_t> attr_seeds(k);
+  for (uint64_t& seed : attr_seeds) seed = rng.engine()();
+
+  const size_t max_pairs = options.max_pairs_per_attribute;
+  const auto pairs = RefPairsForAttribute(encoded, shuffled, attr, max_pairs,
+                                          attr_seeds[attr]);
+  Matrix out(pairs.size(), k);
+  size_t row = 0;
+  for (const auto& [a, b] : pairs) {
+    double* out_row = out.RowPtr(row++);
+    for (size_t c = 0; c < k; ++c) {
+      out_row[c] = RefEqualCodes(encoded.code(a, c), encoded.code(b, c));
+    }
+  }
+  return out;
+}
+
 Result<Matrix> PairTransform(const Table& table,
                              const TransformOptions& options) {
   const size_t k = table.num_columns();
@@ -54,25 +84,15 @@ Result<Matrix> PairTransform(const Table& table,
         "pair transform needs >= 2 rows and >= 1 column");
   }
   const EncodedTable encoded = EncodedTable::Encode(table);
-  Rng rng(options.seed);
-  std::vector<size_t> shuffled(n);
-  std::iota(shuffled.begin(), shuffled.end(), size_t{0});
-  rng.Shuffle(&shuffled);
-  std::vector<uint64_t> attr_seeds(k);
-  for (uint64_t& seed : attr_seeds) seed = rng.engine()();
-
   const size_t max_pairs = options.max_pairs_per_attribute;
   const size_t per_attr = (max_pairs == 0 || max_pairs >= n) ? n : max_pairs;
   Matrix out(per_attr * k, k);
   for (size_t attr = 0; attr < k; ++attr) {
-    const auto pairs = RefPairsForAttribute(encoded, shuffled, attr,
-                                            max_pairs, attr_seeds[attr]);
-    size_t row = attr * per_attr;
-    for (const auto& [a, b] : pairs) {
-      double* out_row = out.RowPtr(row++);
-      for (size_t c = 0; c < k; ++c) {
-        out_row[c] = RefEqualCodes(encoded.code(a, c), encoded.code(b, c));
-      }
+    FDX_ASSIGN_OR_RETURN(Matrix pass,
+                         PairTransformPass(encoded, options, attr));
+    for (size_t r = 0; r < per_attr; ++r) {
+      std::copy(pass.RowPtr(r), pass.RowPtr(r) + k,
+                out.RowPtr(attr * per_attr + r));
     }
   }
   return out;

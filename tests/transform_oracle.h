@@ -23,6 +23,13 @@ namespace fdx::oracle {
 Result<Matrix> PairTransform(const Table& table,
                              const TransformOptions& options = {});
 
+/// Pass `attr` of PairTransform alone, over the table's encoding: its
+/// rows [attr * pairs_per_pass, (attr+1) * pairs_per_pass), so a wide
+/// table's passes need not all be held at once.
+Result<Matrix> PairTransformPass(const EncodedTable& encoded,
+                                 const TransformOptions& options,
+                                 size_t attr);
+
 }  // namespace fdx::oracle
 
 #endif  // FDX_TESTS_TRANSFORM_ORACLE_H_
