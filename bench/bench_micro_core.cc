@@ -2,8 +2,9 @@
 //
 //   bench_micro_core --micro [--benchmark_filter=...]
 //     The google-benchmark micro-benchmarks for the FDX building blocks:
-//     pair transform, covariance, graphical lasso, U D U^T
-//     factorization, stripped partitions, and entropy.
+//     pair transform, one pass's moments at each SIMD level,
+//     covariance, graphical lasso, U D U^T factorization, stripped
+//     partitions, and entropy.
 //
 //   bench_micro_core --oocore [--rows-max=N] [--attrs=K] [--out=PATH]
 //     Out-of-core columnar store: CSV ingest throughput into a spilled
@@ -34,14 +35,17 @@
 #include "data/csv.h"
 #include "eval/report.h"
 #include "fd/partition.h"
+#include "linalg/bitmatrix.h"
 #include "linalg/factorization.h"
 #include "linalg/glasso.h"
+#include "linalg/simd.h"
 #include "linalg/stats.h"
 #include "store/chunked_table.h"
 #include "store/stream_transform.h"
 #include "synth/generator.h"
 #include "util/file_io.h"
 #include "util/json_writer.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -87,6 +91,41 @@ void BM_PairTransformCounts(benchmark::State& state) {
                           state.range(1));
 }
 BENCHMARK(BM_PairTransformCounts)->Args({10000, 8})->Args({10000, 32});
+
+/// One pass's moments (BitMatrix::AccumulateMoments, one SimdOps::gram
+/// call) over {pairs, columns} of random bits at ~10% density, the
+/// density of `wide`'s passes, at the SimdLevel of the third argument
+/// (clamped to what this machine runs; the label names it). The shapes
+/// are the passes of perfbench's `wide`, `tall_capped` and `sessions`.
+void BM_AccumulateMoments(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t cols = static_cast<size_t>(state.range(1));
+  BitMatrix bits(rows, cols);
+  Rng rng(rows + cols);
+  for (size_t c = 0; c < cols; ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng.NextBernoulli(0.1)) bits.Set(r, c);
+    }
+  }
+  std::vector<uint64_t> counts(cols, 0);
+  std::vector<uint64_t> co_counts(cols * cols, 0);
+  const SimdLevel ambient = ActiveSimdLevel();
+  const SimdLevel level =
+      SetSimdLevel(static_cast<SimdLevel>(state.range(2)));
+  state.SetLabel(SimdLevelName(level));
+  for (auto _ : state) {
+    bits.AccumulateMoments(counts.data(), co_counts.data());
+    benchmark::DoNotOptimize(co_counts.data());
+    benchmark::ClobberMemory();
+  }
+  SetSimdLevel(ambient);
+  state.SetBytesProcessed(state.iterations() * bits.words_per_column() *
+                          cols * 8);
+}
+BENCHMARK(BM_AccumulateMoments)
+    ->ArgsProduct({{12000}, {384}, {0, 1, 2}})
+    ->ArgsProduct({{1000000}, {12}, {0, 1, 2}})
+    ->ArgsProduct({{1000}, {16}, {0, 1, 2}});
 
 void BM_GraphicalLasso(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -70,8 +70,11 @@ Result<PassMoments> AccumulateResidentPasses(
         BitMatrix bits;
         std::vector<uint64_t> scratch(
             PanelScratchWords(k, panel.row_bytes()));
-        std::vector<uint64_t> pass_counts(k, 0);
-        std::vector<uint64_t> pass_co_counts(k * k, 0);
+        // Only a pooled pass needs its own moments (for its covariance);
+        // the others add straight into the thread's running sums.
+        std::vector<uint64_t> pass_counts(pooled ? k : 0, 0);
+        std::vector<uint64_t> pass_co_counts(pooled ? k * k : 0, 0);
+        TransformCounts& sums = parts[chunk].sums;
         for (size_t attr = lo; attr < hi; ++attr) {
           if (CheckDeadline(options, &expired)) break;
           if (stopped.load(std::memory_order_relaxed)) break;
@@ -95,11 +98,16 @@ Result<PassMoments> AccumulateResidentPasses(
           }
           bits.Reset(pass.num_pairs(), k);
           PackPanelPass(view, pass, &bits, scratch.data());
-          std::fill(pass_counts.begin(), pass_counts.end(), 0);
-          std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
-          bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
-          parts[chunk].AddPass(attr, pass_counts, pass_co_counts,
-                               pass.num_pairs());
+          if (pooled) {
+            std::fill(pass_counts.begin(), pass_counts.end(), 0);
+            std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
+            bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
+            parts[chunk].AddPass(attr, pass_counts, pass_co_counts,
+                                 pass.num_pairs());
+          } else {
+            bits.AccumulateMoments(sums.counts.data(), sums.co_counts.data());
+            sums.num_samples += pass.num_pairs();
+          }
         }
       });
 

@@ -55,9 +55,8 @@ class BitMatrix {
   /// accumulators:
   ///   counts[x]           += popcount of column x
   ///   co_counts[x*k + y]  += popcount(col_x AND col_y)   for y >= x
-  /// (upper triangle only, diagonal included; k = cols()). The kernel is
-  /// word-blocked so the active slice of every column stays cache
-  /// resident while the k^2/2 column pairs stream over it.
+  /// (upper triangle only, diagonal included; k = cols()), in one call
+  /// of the active level's SimdOps::gram.
   void AccumulateMoments(uint64_t* counts, uint64_t* co_counts) const;
 
   /// Bitwise equality (same shape and words).

@@ -3,15 +3,12 @@
 #include <atomic>
 #include <cstring>
 
+#include "linalg/simd_gram.h"
 #include "linalg/simd_panel.h"
 
 namespace fdx {
 
 namespace {
-
-uint64_t Popcount(uint64_t word) {
-  return static_cast<uint64_t>(__builtin_popcountll(word));
-}
 
 template <typename T>
 void GatherCodesScalar(const uint8_t* codes, const uint32_t* order, size_t n,
@@ -72,17 +69,29 @@ void PackPanelScalar(const PanelView& panel, const PanelPairs& pairs,
                    uint64_t*) { return size_t{0}; });
 }
 
-uint64_t PopcountWordsScalar(const uint64_t* a, size_t len) {
-  uint64_t total = 0;
-  for (size_t w = 0; w < len; ++w) total += Popcount(a[w]);
-  return total;
-}
+/// One word per step; a 2 x 2 tile's four sums, its four column pointers
+/// and the loop's index and bound fit the general-purpose registers.
+struct GramStepScalar {
+  using Vec = uint64_t;
+  using Acc = uint64_t;
+  static constexpr size_t kWords = 1;
+  static constexpr size_t kRunWords = kGramWordsPerBlock;
+  static Acc Zero() { return 0; }
+  static Vec Load(const uint64_t* p) { return *p; }
+  static Vec LoadTail(const uint64_t* p, size_t) { return *p; }
+  static Acc AndPopAdd(Acc acc, Vec a, Vec b) {
+    return acc + static_cast<uint64_t>(__builtin_popcountll(a & b));
+  }
+  template <size_t N>
+  static void AddSums(const Acc (&acc)[N], uint64_t (&sums)[N]) {
+    for (size_t t = 0; t < N; ++t) sums[t] += acc[t];
+  }
+};
 
-uint64_t PopcountAndWordsScalar(const uint64_t* a, const uint64_t* b,
-                                size_t len) {
-  uint64_t total = 0;
-  for (size_t w = 0; w < len; ++w) total += Popcount(a[w] & b[w]);
-  return total;
+void GramScalar(const uint64_t* words, size_t k, size_t words_per_column,
+                uint64_t* counts, uint64_t* co_counts) {
+  GramWith<GramStepScalar, 2, 2>(words, k, words_per_column, counts,
+                                 co_counts);
 }
 
 SimdLevel DetectLevel() {
@@ -131,8 +140,7 @@ const SimdOps& ScalarOps() {
     table.gather_u32 = GatherCodesScalar<uint32_t>;
     table.pack_adjacent_equal = PackAdjacentEqualScalar;
     table.pack_panel = PackPanelScalar;
-    table.popcount_words = PopcountWordsScalar;
-    table.popcount_and_words = PopcountAndWordsScalar;
+    table.gram = GramScalar;
     return table;
   }();
   return ops;

@@ -7,7 +7,7 @@
 /// Runtime-dispatched SIMD kernels for the two integer hot loops of the
 /// pipeline: the pair-transform bit-pack (off a row-major code panel, or
 /// gather at code width 1, 2 or 4 + adjacent-equality compare) and the
-/// AND+popcount Gram block of BitMatrix. Every kernel computes exact
+/// AND+popcount Gram of BitMatrix. Every kernel computes exact
 /// integer results, so the scalar fallback and the vector paths are
 /// bit-identical by construction —
 /// dispatch changes speed, never bytes. The scalar path is always built;
@@ -54,6 +54,11 @@ inline size_t PanelScratchWords(size_t k, size_t row_bytes) {
   return 64 * ((k + 63) / 64) + 128 * ((row_bytes + 7) / 8) +
          kPanelTailBytes / 8;
 }
+
+/// Words of every column a gram tile walks before its sums reduce
+/// (4 KB per column): each tile pays its reduces once per block, and a
+/// 12k-pair pass's 188-word columns form one block.
+inline constexpr size_t kGramWordsPerBlock = 512;
 
 enum class SimdLevel : int {
   kScalar = 0,
@@ -103,12 +108,16 @@ struct SimdOps {
                      uint64_t* words, size_t words_per_column,
                      uint64_t* scratch) = nullptr;
 
-  /// Sum of popcounts over `len` words.
-  uint64_t (*popcount_words)(const uint64_t* a, size_t len) = nullptr;
-
-  /// Sum of popcounts of (a[i] & b[i]) over `len` words.
-  uint64_t (*popcount_and_words)(const uint64_t* a, const uint64_t* b,
-                                 size_t len) = nullptr;
+  /// The AND+popcount Gram of a column-major bit matrix of k columns
+  /// (column c at `words + c * words_per_column`), added into the
+  /// caller's accumulators:
+  ///   counts[x]          += popcount(column x)
+  ///   co_counts[x*k + y] += popcount(column x AND column y)   for y >= x
+  /// (upper triangle, diagonal included). Column tiles walk blocks of
+  /// kGramWordsPerBlock words, and every tile's running sums stay in
+  /// registers through a block (linalg/simd_gram.h).
+  void (*gram)(const uint64_t* words, size_t k, size_t words_per_column,
+               uint64_t* counts, uint64_t* co_counts) = nullptr;
 };
 
 /// Name of a level: "scalar", "avx2", "avx512".

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "linalg/simd.h"
+#include "linalg/simd_gram.h"
 #include "linalg/simd_panel.h"
 
 namespace fdx {
@@ -188,59 +189,70 @@ void PackPanelAvx2(const PanelView& panel, const PanelPairs& pairs,
                 });
 }
 
-/// Per-lane byte popcount via the nibble-LUT + PSHUFB trick (Mula),
-/// reduced to four u64 lane sums with PSADBW.
-inline __m256i Popcount256(__m256i v) {
-  const __m256i lut = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                      _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
+/// Four words per step through PSHUFB nibble-table popcounts (Mula),
+/// summed per byte: a byte lane gains at most 8 per step, so a run of 31
+/// steps cannot overflow it, and PSADBW folds each run once instead of
+/// once per step. A 2 x 4 tile's eight sums, two x vectors, a y vector,
+/// the two table constants and the popcount's temporaries fit the
+/// sixteen ymm registers.
+struct GramStepAvx2 {
+  using Vec = __m256i;
+  using Acc = __m256i;
+  static constexpr size_t kWords = 4;
+  static constexpr size_t kRunWords = 31 * kWords;
+  static Acc Zero() { return _mm256_setzero_si256(); }
+  static Vec Load(const uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static Vec LoadTail(const uint64_t* p, size_t n) {
+    const __m256i lanes = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(n)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    return _mm256_maskload_epi64(reinterpret_cast<const long long*>(p),
+                                 lanes);
+  }
+  static Acc AndPopAdd(Acc acc, Vec a, Vec b) {
+    const __m256i table = _mm256_setr_epi8(
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+    const __m256i low_mask = _mm256_set1_epi8(0x0f);
+    const __m256i v = _mm256_and_si256(a, b);
+    const __m256i lo = _mm256_and_si256(v, low_mask);
+    const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
+    return _mm256_add_epi8(
+        acc, _mm256_add_epi8(_mm256_shuffle_epi8(table, lo),
+                             _mm256_shuffle_epi8(table, hi)));
+  }
+  /// Each run's byte counts fold with PSADBW, four accumulators at a
+  /// time into one vector of their four totals.
+  template <size_t N>
+  static void AddSums(const Acc (&acc)[N], uint64_t (&sums)[N]) {
+    static_assert(N % 4 == 0, "AVX2 tiles reduce four sums at a time");
+    const __m256i zero = _mm256_setzero_si256();
+    for (size_t t = 0; t < N; t += 4) {
+      const __m256i a = _mm256_sad_epu8(acc[t], zero);
+      const __m256i b = _mm256_sad_epu8(acc[t + 1], zero);
+      const __m256i c = _mm256_sad_epu8(acc[t + 2], zero);
+      const __m256i d = _mm256_sad_epu8(acc[t + 3], zero);
+      // Per 128-bit half: the pair sums of a and b, then of c and d.
+      const __m256i ab = _mm256_add_epi64(_mm256_unpacklo_epi64(a, b),
+                                          _mm256_unpackhi_epi64(a, b));
+      const __m256i cd = _mm256_add_epi64(_mm256_unpacklo_epi64(c, d),
+                                          _mm256_unpackhi_epi64(c, d));
+      const __m256i total =
+          _mm256_add_epi64(_mm256_permute2x128_si256(ab, cd, 0x20),
+                           _mm256_permute2x128_si256(ab, cd, 0x31));
+      __m256i* out = reinterpret_cast<__m256i*>(sums + t);
+      _mm256_storeu_si256(out,
+                          _mm256_add_epi64(_mm256_loadu_si256(out), total));
+    }
+  }
+};
 
-inline uint64_t HorizontalSum64(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return static_cast<uint64_t>(_mm_extract_epi64(sum, 0)) +
-         static_cast<uint64_t>(_mm_extract_epi64(sum, 1));
-}
-
-uint64_t PopcountWordsAvx2(const uint64_t* a, size_t len) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= len; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    acc = _mm256_add_epi64(acc, Popcount256(v));
-  }
-  uint64_t total = HorizontalSum64(acc);
-  for (; w < len; ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[w]));
-  }
-  return total;
-}
-
-uint64_t PopcountAndWordsAvx2(const uint64_t* a, const uint64_t* b,
-                              size_t len) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= len; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    acc = _mm256_add_epi64(acc, Popcount256(_mm256_and_si256(va, vb)));
-  }
-  uint64_t total = HorizontalSum64(acc);
-  for (; w < len; ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return total;
+void GramAvx2(const uint64_t* words, size_t k, size_t words_per_column,
+              uint64_t* counts, uint64_t* co_counts) {
+  GramWith<GramStepAvx2, 2, 4>(words, k, words_per_column, counts,
+                               co_counts);
 }
 
 }  // namespace
@@ -256,8 +268,7 @@ const SimdOps& Avx2Ops() {
     table.gather_u32 = GatherCodesAvx2<uint32_t>;
     table.pack_adjacent_equal = PackAdjacentEqualAvx2;
     table.pack_panel = PackPanelAvx2;
-    table.popcount_words = PopcountWordsAvx2;
-    table.popcount_and_words = PopcountAndWordsAvx2;
+    table.gram = GramAvx2;
     return table;
   }();
   return ops;

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "linalg/simd.h"
+#include "linalg/simd_gram.h"
 #include "linalg/simd_panel.h"
 
 namespace fdx {
@@ -153,38 +154,57 @@ void PackPanelAvx512(const PanelView& panel, const PanelPairs& pairs,
                 });
 }
 
-uint64_t PopcountWordsAvx512(const uint64_t* a, size_t len) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t w = 0;
-  for (; w + 8 <= len; w += 8) {
-    const __m512i v =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(a + w));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+/// Eight words per step through VPOPCNTQ; the trailing words load
+/// masked. A 4 x 4 tile's sixteen sums, four x vectors and a y vector
+/// take 21 of the 32 zmm registers.
+struct GramStepAvx512 {
+  using Vec = __m512i;
+  using Acc = __m512i;
+  static constexpr size_t kWords = 8;
+  static constexpr size_t kRunWords = kGramWordsPerBlock;
+  static Acc Zero() { return _mm512_setzero_si512(); }
+  static Vec Load(const uint64_t* p) {
+    return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
   }
-  uint64_t total = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; w < len; ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[w]));
+  static Vec LoadTail(const uint64_t* p, size_t n) {
+    return _mm512_maskz_loadu_epi64(static_cast<__mmask8>((1u << n) - 1),
+                                    reinterpret_cast<const void*>(p));
   }
-  return total;
-}
+  static Acc AndPopAdd(Acc acc, Vec a, Vec b) {
+    return _mm512_add_epi64(acc,
+                            _mm512_popcnt_epi64(_mm512_and_si512(a, b)));
+  }
+  /// Eight accumulators at a time into one vector of their eight
+  /// totals: pair sums within each 128-bit lane, then two rounds across
+  /// lanes. The zero-masked shuffles read no undefined vector, which
+  /// GCC 12's unmasked ones do and then flag as uninitialized.
+  template <size_t N>
+  static void AddSums(const Acc (&acc)[N], uint64_t (&sums)[N]) {
+    static_assert(N % 8 == 0, "AVX-512 tiles reduce eight sums at a time");
+    const __mmask8 all = 0xFF;
+    const auto pairs = [all](__m512i a, __m512i b) {
+      return _mm512_add_epi64(_mm512_maskz_unpacklo_epi64(all, a, b),
+                              _mm512_maskz_unpackhi_epi64(all, a, b));
+    };
+    const auto lanes = [all](__m512i a, __m512i b) {
+      return _mm512_add_epi64(_mm512_maskz_shuffle_i64x2(all, a, b, 0x88),
+                              _mm512_maskz_shuffle_i64x2(all, a, b, 0xDD));
+    };
+    for (size_t t = 0; t < N; t += 8) {
+      const __m512i total = lanes(
+          lanes(pairs(acc[t], acc[t + 1]), pairs(acc[t + 2], acc[t + 3])),
+          lanes(pairs(acc[t + 4], acc[t + 5]), pairs(acc[t + 6], acc[t + 7])));
+      uint64_t* out = sums + t;
+      _mm512_storeu_si512(
+          out, _mm512_add_epi64(_mm512_loadu_si512(out), total));
+    }
+  }
+};
 
-uint64_t PopcountAndWordsAvx512(const uint64_t* a, const uint64_t* b,
-                                size_t len) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t w = 0;
-  for (; w + 8 <= len; w += 8) {
-    const __m512i va =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(a + w));
-    const __m512i vb =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(b + w));
-    acc = _mm512_add_epi64(
-        acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  uint64_t total = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; w < len; ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return total;
+void GramAvx512(const uint64_t* words, size_t k, size_t words_per_column,
+                uint64_t* counts, uint64_t* co_counts) {
+  GramWith<GramStepAvx512, 4, 4>(words, k, words_per_column, counts,
+                                 co_counts);
 }
 
 }  // namespace
@@ -207,8 +227,7 @@ const SimdOps& Avx512Ops() {
     table.gather_u32 = GatherCodesAvx512;
     table.pack_adjacent_equal = PackAdjacentEqualAvx512;
     table.pack_panel = PackPanelAvx512;
-    table.popcount_words = PopcountWordsAvx512;
-    table.popcount_and_words = PopcountAndWordsAvx512;
+    table.gram = GramAvx512;
     return table;
   }();
   return ops;

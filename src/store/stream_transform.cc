@@ -140,9 +140,12 @@ size_t WaveSize(const ChunkedTable& table,
 /// shuffled row permutation, dictionaries, allocator slack), and at
 /// least one. Each slot of AccumulateResidentPasses holds a pass
 /// (PassBytes), its panel scratch (row masks and row copies) and its
-/// thread's running PassMoments sums (a second k x k accumulator), plus,
-/// while the pass sorts, its contiguous sort key (at most a column at the
-/// panel's widest width).
+/// thread's running PassMoments sums, plus, while the pass sorts, its
+/// contiguous sort key (at most a column at the panel's widest width).
+/// A slot is priced with two k x k accumulators, PassBytes' and the
+/// sums: a pooled slot holds both, its pass's own moments beside the
+/// sums; a slot under the default estimator adds its passes straight
+/// into the sums and holds one.
 size_t ResidentPassLimit(const ChunkedTable& table, const CodePanel& panel,
                          const StreamTransformOptions& options) {
   if (options.rss_limit_bytes == 0) return 0;

@@ -1,6 +1,6 @@
 // Bit-identity of the runtime-dispatched SIMD kernels: every level's
-// gather (at code widths 1, 2 and 4) / pack / panel pack / popcount
-// output must equal the scalar fallback's
+// gather (at code widths 1, 2 and 4) / pack / panel pack output must
+// equal the scalar fallback's (and every level's Gram a per-bit count)
 // exactly (integer kernels, so "close" is not a thing — bytes or bust),
 // one pass's packed bits must be identical at every width and level, and
 // the full transform must produce identical moments at every level.
@@ -18,6 +18,7 @@
 #include "core/transform_kernels.h"
 #include "data/code_column.h"
 #include "data/table.h"
+#include "gram_oracle.h"
 #include "linalg/bitmatrix.h"
 #include "linalg/simd.h"
 #include "util/rng.h"
@@ -84,8 +85,7 @@ TEST_F(SimdTest, DetectionAndOverrideAreConsistent) {
     EXPECT_NE(ops.gather_u32, nullptr);
     EXPECT_NE(ops.pack_adjacent_equal, nullptr);
     EXPECT_NE(ops.pack_panel, nullptr);
-    EXPECT_NE(ops.popcount_words, nullptr);
-    EXPECT_NE(ops.popcount_and_words, nullptr);
+    EXPECT_NE(ops.gram, nullptr);
   }
 }
 
@@ -311,33 +311,80 @@ TEST_F(SimdTest, PackPanelMatchesScalarBitwise) {
   }
 }
 
-TEST_F(SimdTest, PopcountKernelsMatchScalarExactly) {
-  const SimdOps& scalar = SimdOpsForLevel(SimdLevel::kScalar);
-  Rng rng(77);
-  for (size_t len : {0u, 1u, 3u, 4u, 5u, 8u, 63u, 64u, 129u}) {
-    std::vector<uint64_t> a(len), b(len);
-    for (size_t w = 0; w < len; ++w) {
-      a[w] = (static_cast<uint64_t>(rng.engine()()) << 32) ^ rng.engine()();
-      b[w] = (static_cast<uint64_t>(rng.engine()()) << 32) ^ rng.engine()();
-    }
-    const uint64_t want_self = scalar.popcount_words(a.data(), len);
-    const uint64_t want_and =
-        scalar.popcount_and_words(a.data(), b.data(), len);
-    for (SimdLevel level : LevelsToTest()) {
-      const SimdOps& ops = SimdOpsForLevel(level);
-      EXPECT_EQ(ops.popcount_words(a.data(), len), want_self)
-          << SimdLevelName(level) << " len=" << len;
-      EXPECT_EQ(ops.popcount_and_words(a.data(), b.data(), len), want_and)
-          << SimdLevelName(level) << " len=" << len;
+/// A k-column bit matrix of `words_per_column` whole words per column
+/// (every bit a row), at one of four densities: 0 = empty, 1 = ~10%
+/// (a `wide` pass averages 38.4 set bits of 384), 2 = ~50%, 3 = full.
+BitMatrix GramInput(size_t k, size_t words_per_column, int density,
+                    uint64_t seed) {
+  BitMatrix bits(words_per_column * 64, k);
+  Rng rng(seed);
+  for (size_t c = 0; c < k; ++c) {
+    uint64_t* words = bits.column_words(c);
+    for (size_t w = 0; w < words_per_column; ++w) {
+      uint64_t word = 0;
+      if (density == 1) {
+        for (unsigned b = 0; b < 64; ++b) {
+          if (rng.NextBernoulli(0.1)) word |= uint64_t{1} << b;
+        }
+      } else if (density == 2) {
+        word = (static_cast<uint64_t>(rng.engine()()) << 32) ^
+               rng.engine()();
+      } else if (density == 3) {
+        word = ~uint64_t{0};
+      }
+      words[w] = word;
     }
   }
-  // All-ones / all-zeros edges.
-  std::vector<uint64_t> ones(130, ~uint64_t{0});
-  std::vector<uint64_t> zeros(130, 0);
-  for (SimdLevel level : LevelsToTest()) {
-    const SimdOps& ops = SimdOpsForLevel(level);
-    EXPECT_EQ(ops.popcount_words(ones.data(), 130), 130u * 64u);
-    EXPECT_EQ(ops.popcount_and_words(ones.data(), zeros.data(), 130), 0u);
+  return bits;
+}
+
+TEST_F(SimdTest, GramMatchesFirstPrinciples) {
+  // Every level against a per-bit count (tests/gram_oracle.h), into
+  // accumulators that start non-zero, so a kernel that overwrites rather
+  // than adds fails. The shapes cross k mod 4 (edge tiles) with words per
+  // column mod 8 (tail words) and the block edges; the input is exactly
+  // k columns long, so a read past the last word trips the sanitizers.
+  struct Shape {
+    size_t k;
+    size_t words_per_column;
+  };
+  std::vector<Shape> shapes;
+  for (size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 16u, 17u, 63u, 64u,
+                   65u, 130u}) {
+    for (size_t wpc : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 65u}) {
+      shapes.push_back({k, wpc});
+    }
+  }
+  const size_t block = kGramWordsPerBlock;
+  for (size_t k : {1u, 5u, 9u, 17u}) {
+    for (size_t wpc : {block - 1, block, block + 1, 2 * block + 3}) {
+      shapes.push_back({k, wpc});
+    }
+  }
+  for (const Shape& shape : shapes) {
+    const size_t k = shape.k;
+    for (int density = 0; density < 4; ++density) {
+      const BitMatrix bits = GramInput(k, shape.words_per_column, density,
+                                       k * 1000 + shape.words_per_column);
+      const oracle::BitMoments want = oracle::CountBitMoments(bits);
+      for (SimdLevel level : LevelsToTest()) {
+        std::vector<uint64_t> counts(k);
+        std::vector<uint64_t> co_counts(k * k);
+        for (size_t c = 0; c < k; ++c) counts[c] = 7 + c;
+        for (size_t i = 0; i < k * k; ++i) co_counts[i] = 1000 + i;
+        SimdOpsForLevel(level).gram(bits.column_words(0), k,
+                                    shape.words_per_column, counts.data(),
+                                    co_counts.data());
+        for (size_t c = 0; c < k; ++c) counts[c] -= 7 + c;
+        for (size_t i = 0; i < k * k; ++i) co_counts[i] -= 1000 + i;
+        EXPECT_EQ(counts, want.counts)
+            << SimdLevelName(level) << " k=" << k
+            << " words=" << shape.words_per_column << " density=" << density;
+        EXPECT_EQ(co_counts, want.co_counts)
+            << SimdLevelName(level) << " k=" << k
+            << " words=" << shape.words_per_column << " density=" << density;
+      }
+    }
   }
 }
 

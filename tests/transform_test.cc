@@ -11,6 +11,7 @@
 #include "core/transform.h"
 #include "core/transform_kernels.h"
 #include "data/csv.h"
+#include "gram_oracle.h"
 #include "linalg/bitmatrix.h"
 #include "linalg/stats.h"
 #include "synth/generator.h"
@@ -330,7 +331,8 @@ TEST(TransformTest, PooledCovarianceKeepsFdSignal) {
 // boundaries (1, 63, 64, 65, 130) and past a 64-column group (384), and
 // n across the 64-pair block, the pack block and the wrap pair (2, 65,
 // 130, 4097), so partial trailing words, nulls, tie groups and every code
-// width are all exercised.
+// width are all exercised. At n = 4097 each checked pass's moments are
+// also held to a per-bit count of its reference rows.
 
 /// NoisyTiedTable with its first three columns drawn from 200, 256 and
 /// 65,536 values: declared at those cardinalities, a panel keeps them at
@@ -428,6 +430,19 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
         ASSERT_TRUE(column_bits.IdenticalTo(want))
             << "column pass " << attr << " k=" << k << " n=" << n
             << " max_pairs=" << max_pairs;
+        if (n == 4097) {
+          // The pass's moments off those bits, against a per-bit count
+          // of the reference rows: an exact pass has 65 words per
+          // column, so the Gram's whole vectors and tail words both run.
+          const oracle::BitMoments ref_moments = oracle::CountBitMoments(want);
+          std::vector<uint64_t> counts(k, 0);
+          std::vector<uint64_t> co_counts(k * k, 0);
+          panel_bits.AccumulateMoments(counts.data(), co_counts.data());
+          ASSERT_EQ(counts, ref_moments.counts)
+              << "pass " << attr << " k=" << k << " max_pairs=" << max_pairs;
+          ASSERT_EQ(co_counts, ref_moments.co_counts)
+              << "pass " << attr << " k=" << k << " max_pairs=" << max_pairs;
+        }
       }
 
       // The moments off those bits, at the sizes the scalar reference
