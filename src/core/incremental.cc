@@ -10,8 +10,7 @@ IncrementalFdx::IncrementalFdx(Schema schema, FdxOptions options)
     : schema_(std::move(schema)),
       options_(options),
       next_batch_seed_(options.transform.seed),
-      ones_(schema_.size(), 0),
-      co_counts_(schema_.size() * schema_.size(), 0) {}
+      moments_(ZeroCounts(schema_.size())) {}
 
 Status IncrementalFdx::Append(const Table& batch) {
   FDX_ASSIGN_OR_RETURN(TransformCounts counts, TransformBatch(batch));
@@ -45,21 +44,18 @@ Result<TransformCounts> IncrementalFdx::TransformBatch(
 }
 
 void IncrementalFdx::Merge(const TransformCounts& counts, size_t rows) {
-  const size_t k = schema_.size();
   ++next_batch_seed_;
-  for (size_t x = 0; x < k; ++x) ones_[x] += counts.counts[x];
-  for (size_t c = 0; c < k * k; ++c) co_counts_[c] += counts.co_counts[c];
-  total_samples_ += counts.num_samples;
+  AddCounts(counts, &moments_);
   total_rows_ += rows;
   ++total_batches_;
 }
 
 Result<Matrix> IncrementalFdx::CurrentCovariance() const {
-  if (total_samples_ == 0) {
+  if (moments_.num_samples == 0) {
     return Status::InvalidArgument("no batches appended yet");
   }
-  return CovarianceFromCounts(ones_, co_counts_, schema_.size(),
-                              total_samples_);
+  return CovarianceFromCounts(moments_.counts, moments_.co_counts,
+                              schema_.size(), moments_.num_samples);
 }
 
 Result<FdxResult> IncrementalFdx::CurrentFds() const {
@@ -88,7 +84,7 @@ Result<FdxResult> IncrementalFdx::CurrentFds() const {
   FdxDiscoverer discoverer(solve_options);
   FDX_ASSIGN_OR_RETURN(FdxResult result,
                        discoverer.DiscoverFromCovariance(cov, &deadline));
-  result.transform_samples = total_samples_;
+  result.transform_samples = moments_.num_samples;
 
   // Capture the solver state for the next call. Degraded runs (fallback
   // or quarantine) leave glasso_w empty and clear the warm state: never

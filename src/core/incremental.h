@@ -28,7 +28,9 @@ namespace fdx {
 /// The batch-local pairing is an approximation of Algorithm 2 run on
 /// the union (pairs never span batches); it converges to the same
 /// moments as batches grow, and inherits the exact semantics for a
-/// single batch.
+/// single batch. The merged counts always finish as the concatenated
+/// estimator: `options.transform.pooled_covariance` has no effect here
+/// (fdxd's `open` rejects it).
 class IncrementalFdx {
  public:
   explicit IncrementalFdx(Schema schema, FdxOptions options = {});
@@ -36,7 +38,7 @@ class IncrementalFdx {
   const Schema& schema() const { return schema_; }
   const FdxOptions& options() const { return options_; }
   size_t total_rows() const { return total_rows_; }
-  size_t total_samples() const { return total_samples_; }
+  size_t total_samples() const { return moments_.num_samples; }
   size_t total_batches() const { return total_batches_; }
 
   /// Accumulates one batch: TransformBatch, then Merge. The batch must
@@ -112,11 +114,9 @@ class IncrementalFdx {
   Schema schema_;
   FdxOptions options_;
   size_t total_rows_ = 0;
-  size_t total_samples_ = 0;
   size_t total_batches_ = 0;
   uint64_t next_batch_seed_ = 0;
-  std::vector<uint64_t> ones_;       ///< per-column indicator sums
-  std::vector<uint64_t> co_counts_;  ///< upper-triangular co-occurrences
+  TransformCounts moments_;  ///< the merged batches' integer moments
 
   // Solver state chained across CurrentFds() calls. Mutable: CurrentFds
   // is logically const (it never changes the accumulated moments), and

@@ -33,9 +33,10 @@ void StableSortByCodes(CodeView codes, size_t cardinality,
 /// One sort-and-shift pass of Algorithm 2 for a single attribute: rows
 /// sorted by the attribute's codes (radix, shuffle as tie breaker), each
 /// sorted position paired with its successor (the last wraps to the
-/// first). Pairs are *enumerated*, never materialized: ForEachPair
-/// invokes an inline callback straight off the sorted order, so a pass
-/// costs no O(n) pair-vector allocation or extra walk.
+/// first). Pairs are never materialized: pair p joins sorted positions
+/// s and s + 1 of order() (n wraps to 0), where s = p for an exact pass
+/// and s = positions()[p] for a sampled one, so a pass costs no O(n)
+/// pair-vector allocation; the pack kernels read them that way.
 ///
 /// The object is reusable scratch: Reset() re-sorts for the next
 /// attribute without reallocating.
@@ -60,25 +61,6 @@ class AttributePass {
   const std::vector<uint32_t>& order() const { return order_; }
   /// The sampled sorted positions, ascending (meaningful when sampled()).
   const std::vector<uint32_t>& positions() const { return positions_; }
-
-  /// Invokes fn(pair_index, row_a, row_b) for every emitted pair, in
-  /// emission order (pair_index runs 0..num_pairs()-1). row_a/row_b are
-  /// table row indices.
-  template <typename Fn>
-  void ForEachPair(Fn&& fn) const {
-    const size_t n = order_.size();
-    if (!sampled_) {
-      // Hot loop without the modulo: only the final pair wraps.
-      for (size_t j = 0; j + 1 < n; ++j) fn(j, order_[j], order_[j + 1]);
-      if (n >= 2) fn(n - 1, order_[n - 1], order_[0]);
-      return;
-    }
-    for (size_t i = 0; i < num_pairs_; ++i) {
-      const size_t j = positions_[i];
-      const size_t next = j + 1 == n ? 0 : j + 1;
-      fn(i, order_[j], order_[next]);
-    }
-  }
 
  private:
   std::vector<uint32_t> order_;

@@ -4,29 +4,30 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/pairs.h"
 #include "core/transform_kernels.h"
 #include "linalg/bitmatrix.h"
+#include "util/file_io.h"
 #include "util/thread_pool.h"
 
 namespace fdx {
 
-namespace {
-
-inline bool CheckDeadline(const TransformOptions& options,
-                          std::atomic<bool>* expired) {
-  if (options.deadline != nullptr &&
-      (expired->load(std::memory_order_relaxed) ||
-       options.deadline->Expired())) {
-    expired->store(true, std::memory_order_relaxed);
-    return true;
+Status CheckPassLimits(const TransformOptions& options,
+                       uint64_t rss_limit_bytes) {
+  if (options.deadline != nullptr && options.deadline->Expired()) {
+    return Status::Timeout("pair transform: time budget exhausted");
   }
-  return false;
+  if (rss_limit_bytes == 0) return Status::OK();
+  const uint64_t rss = CurrentRssBytes();
+  if (rss <= rss_limit_bytes) return Status::OK();
+  return Status::Unavailable(
+      "stream transform: resident set " + std::to_string(rss) +
+      " bytes exceeds the memory ceiling of " +
+      std::to_string(rss_limit_bytes) + " bytes");
 }
-
-}  // namespace
 
 Result<TransformStreams> PrepareTransformStreams(size_t n, size_t k,
                                                  uint64_t seed) {
@@ -58,7 +59,6 @@ Result<PassMoments> AccumulateResidentPasses(
     num_chunks = std::min(num_chunks, schedule.max_passes);
   }
   std::vector<PassMoments> parts(num_chunks, PassMoments(k, pooled));
-  std::atomic<bool> expired{false};
   std::mutex stop_mu;
   Status stop = Status::OK();
   std::atomic<bool> stopped{false};
@@ -70,22 +70,14 @@ Result<PassMoments> AccumulateResidentPasses(
         BitMatrix bits;
         std::vector<uint64_t> scratch(
             PanelScratchWords(k, panel.row_bytes()));
-        // Only a pooled pass needs its own moments (for its covariance);
-        // the others add straight into the thread's running sums.
-        std::vector<uint64_t> pass_counts(pooled ? k : 0, 0);
-        std::vector<uint64_t> pass_co_counts(pooled ? k * k : 0, 0);
-        TransformCounts& sums = parts[chunk].sums;
         for (size_t attr = lo; attr < hi; ++attr) {
-          if (CheckDeadline(options, &expired)) break;
           if (stopped.load(std::memory_order_relaxed)) break;
-          if (schedule.between_passes) {
-            Status status = schedule.between_passes();
-            if (!status.ok()) {
-              std::lock_guard<std::mutex> lock(stop_mu);
-              if (stop.ok()) stop = std::move(status);
-              stopped.store(true, std::memory_order_relaxed);
-              break;
-            }
+          Status status = CheckPassLimits(options, schedule.rss_limit_bytes);
+          if (!status.ok()) {
+            std::lock_guard<std::mutex> lock(stop_mu);
+            if (stop.ok()) stop = std::move(status);
+            stopped.store(true, std::memory_order_relaxed);
+            break;
           }
           {
             // The sort key lives only through the sort (Reset keeps no
@@ -98,22 +90,10 @@ Result<PassMoments> AccumulateResidentPasses(
           }
           bits.Reset(pass.num_pairs(), k);
           PackPanelPass(view, pass, &bits, scratch.data());
-          if (pooled) {
-            std::fill(pass_counts.begin(), pass_counts.end(), 0);
-            std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
-            bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
-            parts[chunk].AddPass(attr, pass_counts, pass_co_counts,
-                                 pass.num_pairs());
-          } else {
-            bits.AccumulateMoments(sums.counts.data(), sums.co_counts.data());
-            sums.num_samples += pass.num_pairs();
-          }
+          parts[chunk].AddPass(attr, bits, pass.num_pairs());
         }
       });
 
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::Timeout("pair transform: time budget exhausted");
-  }
   FDX_RETURN_IF_ERROR(stop);
   for (size_t chunk = 1; chunk < num_chunks; ++chunk) {
     parts[0].Merge(std::move(parts[chunk]));

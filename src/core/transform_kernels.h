@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -64,91 +63,50 @@ struct TransformStreams {
 Result<TransformStreams> PrepareTransformStreams(size_t n, size_t k,
                                                  uint64_t seed);
 
-/// Sequential bit appender over a column's word array. Bits arrive in
-/// index order; whole words are stored once, the trailing partial word
-/// on Flush. The destination words must start zeroed (BitMatrix::Reset)
-/// or be fully overwritten (the writer covers every word it touches).
-class ColumnBitWriter {
- public:
-  explicit ColumnBitWriter(uint64_t* words) : words_(words) {}
-
-  inline void Append(uint64_t bit) {
-    word_ |= bit << shift_;
-    if (++shift_ == 64) {
-      *words_++ = word_;
-      word_ = 0;
-      shift_ = 0;
-    }
-  }
-
-  /// Appends the low `nbits` bits of `bits` (1..64, LSB first) in one
-  /// shot — the bulk entry used by the SIMD pack path, equivalent to
-  /// nbits Append calls. Bits above `nbits` must be zero.
-  inline void AppendWord(uint64_t bits, unsigned nbits) {
-    word_ |= bits << shift_;
-    const unsigned avail = 64 - shift_;
-    if (nbits >= avail) {
-      *words_++ = word_;
-      // avail == 64 implies shift_ == 0 and the whole input was stored
-      // above; the shift below would be UB, so special-case it.
-      word_ = avail == 64 ? 0 : bits >> avail;
-      shift_ = nbits - avail;
-    } else {
-      shift_ += nbits;
-    }
-  }
-
-  void Flush() {
-    if (shift_ != 0) *words_ = word_;
-  }
-
- private:
-  uint64_t* words_;
-  uint64_t word_ = 0;
-  unsigned shift_ = 0;
-};
-
 /// Codes per gather-and-pack block: a multiple of 64, so every block
-/// but a pass's last packs whole words, and small enough that a block's
-/// gathered codes and words stay in L1/L2.
+/// starts on a word of its column and all but a pass's last pack whole
+/// words, and small enough that a block's gathered codes stay in L1/L2.
 inline constexpr size_t kPackBlock = 4096;
+static_assert(kPackBlock % 64 == 0, "pack blocks start on word boundaries");
 
-/// Fixed buffers of the pack path: one block of gathered codes (plus the
-/// next block's first, for the pair that straddles them) and the words
-/// the SIMD compare fills before the writer splices them in at the
-/// current bit offset. One instance per packing thread, reused across
-/// (column, pass) iterations; its size does not grow with the table.
+/// Fixed buffer of the column pack: one block of gathered codes plus the
+/// next block's first, for the pair that straddles them. One instance
+/// per packing thread, reused across (column, pass) iterations; its size
+/// does not grow with the table.
 struct PackScratch {
   int32_t gathered[kPackBlock + 1];
-  uint64_t words[kPackBlock / 64];
 };
 
-/// Appends one pass's equality bits for the column with dictionary codes
-/// `codes` to `writer`: the wave schedule's pack, which streams one
-/// column at a time and never holds a row (the resident driver packs
-/// off a CodePanel instead, see PackPanelPass). The full (uncapped)
-/// variant walks the sorted order a block at a time: it gathers the
-/// block's codes widened to int32 and packs their adjacent-equality bits
-/// through the runtime-dispatched SIMD kernels (scalar fallback
-/// included). Both produce the exact integer bit stream, so the output
-/// is bit-identical at every dispatch level and code width. The sampled
-/// variant stays scalar: its pair positions are a sparse subset, not an
-/// adjacent sweep.
-inline void AppendPassColumnBits(CodeView codes, const AttributePass& pass,
-                                 ColumnBitWriter* writer,
-                                 PackScratch* scratch) {
+/// Packs one pass's equality bits for the column with dictionary codes
+/// `codes` into `words`, the column's ceil(num_pairs / 64) words, zeroed
+/// (BitMatrix::Reset): the wave schedule's pack, which streams one column
+/// at a time and never holds a row (the resident driver packs off a
+/// CodePanel instead, see PackPanelPass). An exact pass walks the sorted
+/// order a block at a time: it gathers the block's codes widened to
+/// int32, and the runtime-dispatched pack_adjacent_equal writes the
+/// block's whole words straight into the column; the block's leftover
+/// bits and the wrap pair are OR'd in. A sampled pass reads its pair
+/// positions directly and stays scalar: they are a sparse subset, not an
+/// adjacent sweep. Both produce the exact integer bit stream, so the
+/// output is bit-identical at every dispatch level and code width.
+inline void PackColumnPass(CodeView codes, const AttributePass& pass,
+                           uint64_t* words, PackScratch* scratch) {
+  const std::vector<uint32_t>& order = pass.order();
+  const size_t n = order.size();
   if (pass.sampled()) {
+    const std::vector<uint32_t>& positions = pass.positions();
     DispatchCodeWidth(codes.width, [&](auto zero) {
       using T = decltype(zero);
-      pass.ForEachPair([&](size_t, size_t a, size_t b) {
-        writer->Append(EqualCodes(LoadCode<T>(codes.data, a),
-                                  LoadCode<T>(codes.data, b)));
-      });
+      for (size_t p = 0; p < positions.size(); ++p) {
+        const size_t s = positions[p];
+        const uint64_t bit =
+            EqualCodes(LoadCode<T>(codes.data, order[s]),
+                       LoadCode<T>(codes.data, order[s + 1 == n ? 0 : s + 1]));
+        words[p / 64] |= bit << (p % 64);
+      }
     });
     return;
   }
-  const std::vector<uint32_t>& order = pass.order();
-  const size_t n = order.size();
   if (n < 2) return;
   const SimdOps& ops = ActiveSimdOps();
   const SimdOps::GatherFn gather = ops.gather(codes.width);
@@ -162,27 +120,24 @@ inline void AppendPassColumnBits(CodeView codes, const AttributePass& pass,
   for (size_t lo = 0; lo + 1 < n; lo += kPackBlock) {
     const size_t len = std::min(kPackBlock, n - 1 - lo);
     gather(codes.data, order.data() + lo, len + 1, g);
-    const size_t packed =
-        ops.pack_adjacent_equal(g, len + 1, null_code, scratch->words);
-    for (size_t w = 0; w < packed / 64; ++w) {
-      writer->AppendWord(scratch->words[w], 64);
-    }
+    uint64_t* block = words + lo / 64;
+    const size_t packed = ops.pack_adjacent_equal(g, len + 1, null_code, block);
     for (size_t j = packed; j < len; ++j) {
-      writer->Append(equal(g[j], g[j + 1]));
+      block[j / 64] |= equal(g[j], g[j + 1]) << (j % 64);
     }
   }
   // The wrap pair (order[n-1], order[0]).
   int32_t ends[2];
   gather(codes.data, order.data() + n - 1, 1, &ends[0]);
   gather(codes.data, order.data(), 1, &ends[1]);
-  writer->Append(equal(ends[0], ends[1]));
+  words[(n - 1) / 64] |= equal(ends[0], ends[1]) << ((n - 1) % 64);
 }
 
 /// Packs one pass's equality bits for every column off `panel` (a
 /// CodePanel's view) into `bits`, sized for the pass, through the
 /// dispatched panel kernel: the resident driver's whole pack. `scratch`
 /// holds PanelScratchWords(k) words. Bit-identical to k calls of
-/// AppendPassColumnBits at every dispatch level and code width.
+/// PackColumnPass at every dispatch level and code width.
 inline void PackPanelPass(const PanelView& panel, const AttributePass& pass,
                           BitMatrix* bits, uint64_t* scratch) {
   PanelPairs pairs;
@@ -236,40 +191,61 @@ inline Matrix ReducePooledCovariance(const std::vector<Matrix>& pass_cov) {
   return pooled.Scale(1.0 / static_cast<double>(pooled_passes));
 }
 
+/// k zeroed integer moments: k counts and the k x k co-occurrences.
+inline TransformCounts ZeroCounts(size_t k) {
+  TransformCounts zero;
+  zero.counts.assign(k, 0);
+  zero.co_counts.assign(k * k, 0);
+  return zero;
+}
+
+/// Adds the integer moments `from` into `into` (same k): exact and
+/// additive, so any merge order gives the same sums. The one moment sum
+/// of the pass drivers' threads and of IncrementalFdx's batches.
+inline void AddCounts(const TransformCounts& from, TransformCounts* into) {
+  for (size_t c = 0; c < from.counts.size(); ++c) {
+    into->counts[c] += from.counts[c];
+  }
+  for (size_t c = 0; c < from.co_counts.size(); ++c) {
+    into->co_counts[c] += from.co_counts[c];
+  }
+  into->num_samples += from.num_samples;
+}
+
 /// A transform's passes before the finish: their integer moments, summed
 /// (exact and additive, so merge order is free), plus — under the pooled
-/// estimator — each pass's own covariance in its attribute's slot.
+/// estimator — each pass's own covariance in its attribute's slot. Each
+/// pass driver keeps one per thread and merges them at the end.
 struct PassMoments {
-  PassMoments(size_t k, bool pooled) : pass_cov(pooled ? k : 0) {
-    sums.counts.assign(k, 0);
-    sums.co_counts.assign(k * k, 0);
-  }
+  PassMoments(size_t k, bool pooled)
+      : sums(ZeroCounts(k)),
+        pass_cov(pooled ? k : 0),
+        pass_(pooled ? ZeroCounts(k) : TransformCounts{}) {}
 
-  /// Adds integer moments: one pass's, or a partial over several.
-  void AddCounts(const std::vector<uint64_t>& counts,
-                 const std::vector<uint64_t>& co_counts,
-                 size_t num_samples) {
-    for (size_t c = 0; c < counts.size(); ++c) sums.counts[c] += counts[c];
-    for (size_t c = 0; c < co_counts.size(); ++c) {
-      sums.co_counts[c] += co_counts[c];
+  /// Counts one finished pass of `num_pairs` pairs from its equality
+  /// bits. Under the default estimator the Gram runs straight into the
+  /// running sums; under the pooled one it first counts the pass alone,
+  /// for the covariance filed in slot `attr`, then adds that into them.
+  void AddPass(size_t attr, const BitMatrix& bits, size_t num_pairs) {
+    if (pass_cov.empty()) {
+      bits.AccumulateMoments(sums.counts.data(), sums.co_counts.data());
+      sums.num_samples += num_pairs;
+      return;
     }
-    sums.num_samples += num_samples;
-  }
-
-  /// Adds one finished pass's moments.
-  void AddPass(size_t attr, const std::vector<uint64_t>& pass_counts,
-               const std::vector<uint64_t>& pass_co_counts,
-               size_t num_pairs) {
-    AddCounts(pass_counts, pass_co_counts, num_pairs);
-    if (!pass_cov.empty() && num_pairs > 0) {
-      pass_cov[attr] = CovarianceFromCounts(pass_counts, pass_co_counts,
-                                            pass_counts.size(), num_pairs);
+    std::fill(pass_.counts.begin(), pass_.counts.end(), 0);
+    std::fill(pass_.co_counts.begin(), pass_.co_counts.end(), 0);
+    bits.AccumulateMoments(pass_.counts.data(), pass_.co_counts.data());
+    pass_.num_samples = num_pairs;
+    AddCounts(pass_, &sums);
+    if (num_pairs > 0) {
+      pass_cov[attr] = CovarianceFromCounts(pass_.counts, pass_.co_counts,
+                                            pass_.counts.size(), num_pairs);
     }
   }
 
   /// Folds in the moments of a disjoint set of passes (one thread's).
   void Merge(PassMoments&& part) {
-    AddCounts(part.sums.counts, part.sums.co_counts, part.sums.num_samples);
+    AddCounts(part.sums, &sums);
     for (size_t attr = 0; attr < pass_cov.size(); ++attr) {
       if (!part.pass_cov[attr].empty()) {
         pass_cov[attr] = std::move(part.pass_cov[attr]);
@@ -279,6 +255,9 @@ struct PassMoments {
 
   TransformCounts sums;
   std::vector<Matrix> pass_cov;  ///< k slots when pooled, else empty
+
+ private:
+  TransformCounts pass_;  ///< one pooled pass's own moments, else empty
 };
 
 /// The finish every engine shares: mean and covariance from the integer
@@ -304,14 +283,22 @@ inline Result<TransformedMoments> FinishMoments(const PassMoments& moments) {
   return out;
 }
 
+/// The one stop check of both pass drivers, run before every resident
+/// pass and before every wave: Timeout once `options.deadline` has
+/// expired, else Unavailable when `rss_limit_bytes` is nonzero and the
+/// process's resident set exceeds it (the caller chose the ceiling; the
+/// input does not fit under it). With `rss_limit_bytes` 0 it reads no
+/// /proc file, so a driver may poll the deadline alone that way.
+Status CheckPassLimits(const TransformOptions& options,
+                       uint64_t rss_limit_bytes);
+
 /// Bounds on the resident pass driver. `max_passes` caps the passes in
 /// flight (each holds its sort order and bit matrix; 0 = one per
-/// thread). `between_passes`, when set, runs before every pass; an error
-/// stops the remaining passes and is returned (the streaming transform
-/// polls its memory ceiling here).
+/// thread). `rss_limit_bytes` is the ceiling CheckPassLimits polls
+/// before every pass (0 = none).
 struct ResidentSchedule {
   size_t max_passes = 0;
-  std::function<Status()> between_passes;
+  uint64_t rss_limit_bytes = 0;
 };
 
 /// The resident pass driver: every attribute pass of Algorithm 2 (sort,
@@ -320,9 +307,10 @@ struct ResidentSchedule {
 /// alive at a time. Each pass sorts a contiguous copy of its attribute's
 /// codes (bounded by the panel's cardinality of that column), frees it,
 /// and packs every column's bits off the panel's rows (PackPanelPass).
-/// Keeps per-pass covariances when `pooled`. Polls `options.deadline`
-/// between passes and returns Timeout on expiry. Bit-identical at any
-/// thread count and code width.
+/// Keeps per-pass covariances when `pooled`. Runs CheckPassLimits
+/// before every pass; the first stop a thread records is returned and
+/// the remaining passes are skipped. Bit-identical at any thread count
+/// and code width.
 Result<PassMoments> AccumulateResidentPasses(
     const CodePanel& panel, const TransformStreams& streams,
     const TransformOptions& options, bool pooled,

@@ -50,6 +50,11 @@ bool SessionRegistry::TryReserveSlot() {
 
 Result<std::shared_ptr<DatasetSession>> SessionRegistry::Open(
     Schema schema, FdxOptions options) {
+  if (options.transform.pooled_covariance) {
+    return Status::InvalidArgument(
+        "options.pooled_covariance is not supported by sessions (their "
+        "batches merge integer moments, not per-pass covariances)");
+  }
   if (!TryReserveSlot()) {
     // At capacity: a TTL sweep across every shard may free admission.
     EvictExpired();

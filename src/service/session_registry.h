@@ -61,7 +61,9 @@ class SessionRegistry {
 
   /// Creates a session, evicting idle-expired ones first. Returns
   /// kUnavailable once `max_sessions` live sessions exist — the caller
-  /// should retry after the TTL frees a slot.
+  /// should retry after the TTL frees a slot — and kInvalidArgument for
+  /// `options.transform.pooled_covariance`, which a session's merged
+  /// moments cannot honor (Restore keeps accepting it, DESIGN §9).
   Result<std::shared_ptr<DatasetSession>> Open(Schema schema,
                                                FdxOptions options);
 

@@ -9,21 +9,10 @@
 #include "core/pairs.h"
 #include "core/transform_kernels.h"
 #include "linalg/bitmatrix.h"
-#include "util/file_io.h"
 #include "util/thread_pool.h"
 
 namespace fdx {
 namespace {
-
-Status CheckRssCeiling(const StreamTransformOptions& options) {
-  if (options.rss_limit_bytes == 0) return Status::OK();
-  const uint64_t rss = CurrentRssBytes();
-  if (rss <= options.rss_limit_bytes) return Status::OK();
-  return Status::Unavailable(
-      "stream transform: resident set " + std::to_string(rss) +
-      " bytes exceeds the memory ceiling of " +
-      std::to_string(options.rss_limit_bytes) + " bytes");
-}
 
 constexpr size_t kNoColumn = static_cast<size_t>(-1);
 
@@ -86,10 +75,9 @@ class ColumnStream {
 uint64_t AccumulatorBytes(uint64_t k) { return (k * k + k) * 8; }
 
 /// Bytes every attribute pass holds while it runs: its sort order and
-/// counting-sort buckets, its bit matrix, and the accumulator of its own
-/// moments. A wave pass adds one pack scratch (WaveSize); a resident
-/// slot adds its sort key, its panel scratch and a second accumulator
-/// (ResidentPassLimit).
+/// counting-sort buckets, and its bit matrix. A wave pass adds one pack
+/// scratch and one thread's moments (WaveSize); a resident slot adds its
+/// sort key, its panel scratch and two accumulators (ResidentPassLimit).
 uint64_t PassBytes(const ChunkedTable& table,
                    const StreamTransformOptions& options) {
   const uint64_t n = table.num_rows();
@@ -103,7 +91,7 @@ uint64_t PassBytes(const ChunkedTable& table,
   const uint64_t order_bytes = n * 4;
   const uint64_t bucket_bytes = (max_cardinality + 2) * 4;
   const uint64_t bits_bytes = (pairs + 63) / 64 * 8 * k;
-  return order_bytes + bucket_bytes + bits_bytes + AccumulatorBytes(k);
+  return order_bytes + bucket_bytes + bits_bytes;
 }
 
 /// The widest code width among the table's columns.
@@ -117,9 +105,10 @@ unsigned WidestCode(const ChunkedTable& table) {
 
 /// Attribute passes per wave under the cache budget: what the budget
 /// leaves after two decoded columns (streamed + decode-ahead, at the
-/// widest column's width), at PassBytes each. At least one pass always
-/// runs — a budget too small for even that degrades to wave size one
-/// rather than failing.
+/// widest column's width), at PassBytes plus a pack scratch and one
+/// thread's PassMoments (one accumulator, two under the pooled
+/// estimator) each. At least one pass always runs — a budget too small
+/// for even that degrades to wave size one rather than failing.
 size_t WaveSize(const ChunkedTable& table,
                 const StreamTransformOptions& options) {
   const size_t k = table.num_columns();
@@ -128,8 +117,10 @@ size_t WaveSize(const ChunkedTable& table,
   const uint64_t budget = options.column_cache_bytes > reserved
                               ? options.column_cache_bytes - reserved
                               : 0;
-  const uint64_t fit =
-      budget / (PassBytes(table, options) + sizeof(PackScratch));
+  const uint64_t moments_bytes =
+      AccumulatorBytes(k) * (options.transform.pooled_covariance ? 2 : 1);
+  const uint64_t fit = budget / (PassBytes(table, options) +
+                                 sizeof(PackScratch) + moments_bytes);
   return static_cast<size_t>(
       std::min<uint64_t>(k, std::max<uint64_t>(1, fit)));
 }
@@ -140,12 +131,11 @@ size_t WaveSize(const ChunkedTable& table,
 /// shuffled row permutation, dictionaries, allocator slack), and at
 /// least one. Each slot of AccumulateResidentPasses holds a pass
 /// (PassBytes), its panel scratch (row masks and row copies) and its
-/// thread's running PassMoments sums, plus, while the pass sorts, its
-/// contiguous sort key (at most a column at the panel's widest width).
-/// A slot is priced with two k x k accumulators, PassBytes' and the
-/// sums: a pooled slot holds both, its pass's own moments beside the
-/// sums; a slot under the default estimator adds its passes straight
-/// into the sums and holds one.
+/// thread's PassMoments, plus, while the pass sorts, its contiguous sort
+/// key (at most a column at the panel's widest width). A slot is priced
+/// with two k x k accumulators: a pooled slot's PassMoments holds both,
+/// the running sums and its pass's own moments; under the default
+/// estimator the Gram adds straight into the sums and a slot holds one.
 size_t ResidentPassLimit(const ChunkedTable& table, const CodePanel& panel,
                          const StreamTransformOptions& options) {
   if (options.rss_limit_bytes == 0) return 0;
@@ -159,23 +149,24 @@ size_t ResidentPassLimit(const ChunkedTable& table, const CodePanel& panel,
   const uint64_t slot_bytes =
       PassBytes(table, options) +
       static_cast<uint64_t>(panel.num_rows()) * panel.widest() +
-      PanelScratchWords(k, panel.row_bytes()) * 8 + AccumulatorBytes(k);
+      PanelScratchWords(k, panel.row_bytes()) * 8 + 2 * AccumulatorBytes(k);
   return static_cast<size_t>(std::max<uint64_t>(1, budget / slot_bytes));
 }
 
 /// The wave schedule of the memory-bounded path. Passes are grouped
-/// into waves sized by WaveSize; per wave:
+/// into waves sized by WaveSize; per wave, after CheckPassLimits:
 ///
 ///   1. sort — each pass's attribute column is decoded (one ahead, on
 ///      the pool) and the pass Reset; the column is released before the
 ///      next one arrives, so only two are ever resident.
-///   2. pack — every column streams through once and is appended into
-///      all of the wave's bit matrices concurrently (passes are
-///      independent, so the fan-out is over passes, each chunk with its
-///      own gather scratch). One decode per column per wave, not one per
-///      column per pass.
-///   3. accumulate — per-pass popcounts run in parallel into per-pass
-///      integer buffers, then merge serially in attribute order.
+///   2. pack — every column streams through once and is packed into all
+///      of the wave's bit matrices concurrently (PackColumnPass; passes
+///      are independent, so the fan-out is over passes, each chunk with
+///      its own gather scratch). One decode per column per wave, not one
+///      per column per pass. The deadline alone is polled per column.
+///   3. accumulate — each thread counts its chunk of the wave's passes
+///      into its own PassMoments (AddPass, as a resident thread does);
+///      the threads' moments merge once, after the last wave.
 ///
 /// Counts are integers (commutative merges) and pooled pass covariances
 /// land in per-attribute slots reduced in attribute order, so the
@@ -187,25 +178,20 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
   const size_t wave = WaveSize(table, options);
   const size_t threads = ResolveThreadCount(options.transform.threads);
   const bool async = threads > 1 && ThreadPool::Shared().size() > 0;
-  const Deadline* deadline = options.transform.deadline;
+  const size_t chunks = std::min(threads, wave);
 
-  PassMoments moments(k, options.transform.pooled_covariance);
   ColumnStream stream(&table, async);
   std::vector<AttributePass> passes(wave);
   std::vector<BitMatrix> bits(wave);
-  std::vector<std::vector<uint64_t>> pass_counts(
-      wave, std::vector<uint64_t>(k, 0));
-  std::vector<std::vector<uint64_t>> pass_co_counts(
-      wave, std::vector<uint64_t>(k * k, 0));
-  std::vector<PackScratch> scratch(std::min(threads, wave));
+  std::vector<PackScratch> scratch(chunks);
+  std::vector<PassMoments> parts(
+      chunks, PassMoments(k, options.transform.pooled_covariance));
 
   for (size_t wave_lo = 0; wave_lo < k; wave_lo += wave) {
     const size_t wave_hi = std::min(k, wave_lo + wave);
     const size_t w = wave_hi - wave_lo;
-    if (deadline != nullptr && deadline->Expired()) {
-      return Status::Timeout("pair transform: time budget exhausted");
-    }
-    FDX_RETURN_IF_ERROR(CheckRssCeiling(options));
+    FDX_RETURN_IF_ERROR(
+        CheckPassLimits(options.transform, options.rss_limit_bytes));
 
     for (size_t i = 0; i < w; ++i) {
       const size_t attr = wave_lo + i;
@@ -219,9 +205,7 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
     }
 
     for (size_t col = 0; col < k; ++col) {
-      if (deadline != nullptr && deadline->Expired()) {
-        return Status::Timeout("pair transform: time budget exhausted");
-      }
+      FDX_RETURN_IF_ERROR(CheckPassLimits(options.transform, 0));
       // After the last pack column, the next wave's first sort column.
       const size_t next = col + 1 < k
                               ? col + 1
@@ -230,32 +214,25 @@ Result<PassMoments> AccumulateWaves(const ChunkedTable& table,
       ParallelForChunks(0, w, std::min(threads, w), threads,
                         [&](size_t chunk, size_t lo, size_t hi) {
                           for (size_t i = lo; i < hi; ++i) {
-                            ColumnBitWriter writer(bits[i].column_words(col));
-                            AppendPassColumnBits(codes, passes[i], &writer,
-                                                 &scratch[chunk]);
-                            writer.Flush();
+                            PackColumnPass(codes, passes[i],
+                                           bits[i].column_words(col),
+                                           &scratch[chunk]);
                           }
                         });
     }
 
     ParallelForChunks(0, w, std::min(threads, w), threads,
                       [&](size_t chunk, size_t lo, size_t hi) {
-                        (void)chunk;
                         for (size_t i = lo; i < hi; ++i) {
-                          std::fill(pass_counts[i].begin(),
-                                    pass_counts[i].end(), 0);
-                          std::fill(pass_co_counts[i].begin(),
-                                    pass_co_counts[i].end(), 0);
-                          bits[i].AccumulateMoments(pass_counts[i].data(),
-                                                    pass_co_counts[i].data());
+                          parts[chunk].AddPass(wave_lo + i, bits[i],
+                                               passes[i].num_pairs());
                         }
                       });
-    for (size_t i = 0; i < w; ++i) {
-      moments.AddPass(wave_lo + i, pass_counts[i], pass_co_counts[i],
-                      passes[i].num_pairs());
-    }
   }
-  return moments;
+  for (size_t chunk = 1; chunk < chunks; ++chunk) {
+    parts[0].Merge(std::move(parts[chunk]));
+  }
+  return std::move(parts[0]);
 }
 
 }  // namespace
@@ -306,9 +283,7 @@ Result<TransformedMoments> StreamTransformMoments(
   }
   ResidentSchedule schedule;
   schedule.max_passes = ResidentPassLimit(table, panel, options);
-  if (options.rss_limit_bytes != 0) {
-    schedule.between_passes = [&] { return CheckRssCeiling(options); };
-  }
+  schedule.rss_limit_bytes = options.rss_limit_bytes;
   FDX_ASSIGN_OR_RETURN(
       PassMoments moments,
       AccumulateResidentPasses(panel, streams, options.transform,

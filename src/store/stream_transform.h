@@ -22,16 +22,17 @@ struct StreamTransformOptions {
   /// column decoded once per wave. 0 means unbounded (keep all columns).
   /// Results are bit-identical either way — the budget only changes I/O.
   uint64_t column_cache_bytes = 0;
-  /// Process-RSS ceiling, polled before every attribute pass of the
-  /// resident schedule and before every wave; a breach returns
-  /// kUnavailable (the caller chose the ceiling, the input simply does
-  /// not fit under it). The ceiling also bounds the resident passes in
-  /// flight: they share what it leaves after the column budget and an
-  /// equal reserve for the rest of the process, rss_limit_bytes −
-  /// 2·column_cache_bytes, at the bytes one slot holds (a pass's sort
-  /// order, bit matrix and moment accumulator, plus its thread's running
-  /// sums, a second k × k accumulator); at least one pass runs.
-  /// 0 disables the check and the bound.
+  /// Process-RSS ceiling, polled by CheckPassLimits (after the deadline)
+  /// before every attribute pass of the resident schedule and before
+  /// every wave; a breach returns kUnavailable (the caller chose the
+  /// ceiling, the input simply does not fit under it). The ceiling also
+  /// bounds the resident passes in flight: they share what it leaves
+  /// after the column budget and an equal reserve for the rest of the
+  /// process, rss_limit_bytes − 2·column_cache_bytes, at the bytes one
+  /// slot is priced at (a pass's sort order, buckets and bit matrix, its
+  /// sort key and panel scratch, and two k × k accumulators: a pooled
+  /// thread's running sums and its pass's own moments); at least one
+  /// pass runs. 0 disables the check and the bound.
   uint64_t rss_limit_bytes = 0;
 };
 

@@ -461,6 +461,25 @@ TEST(SessionRegistryTest, EnforcesMaxSessions) {
   EXPECT_EQ((*fourth)->id, "s-3");
 }
 
+TEST(SessionRegistryTest, OpenRejectsPooledCovariance) {
+  // Sessions merge integer moments batch by batch, so the pooled
+  // estimator would be dropped without a word; open refuses it instead.
+  SessionRegistry registry(4, 0.0);
+  FdxOptions options;
+  options.transform.pooled_covariance = true;
+  auto pooled = registry.Open(Schema({"a", "b"}), options);
+  EXPECT_EQ(pooled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pooled.status().message().find("pooled_covariance"),
+            std::string::npos)
+      << pooled.status().message();
+  EXPECT_EQ(registry.size(), 0u);
+  // The refusal took no slot and no id.
+  options.transform.pooled_covariance = false;
+  auto plain = registry.Open(Schema({"a", "b"}), options);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ((*plain)->id, "s-1");
+}
+
 TEST(SessionRegistryTest, EvictsIdleSessionsAfterTtl) {
   SessionRegistry registry(4, 0.02);
   ASSERT_TRUE(registry.Open(Schema({"a"}), FdxOptions{}).ok());

@@ -152,9 +152,7 @@ TEST_F(SimdTest, PassBitsIdenticalAtEveryWidthAndLevel) {
       const auto pack = [&](CodeView view, const AttributePass& pass) {
         BitMatrix bits(pass.num_pairs(), 1);
         auto scratch = std::make_unique<PackScratch>();
-        ColumnBitWriter writer(bits.column_words(0));
-        AppendPassColumnBits(view, pass, &writer, scratch.get());
-        writer.Flush();
+        PackColumnPass(view, pass, bits.column_words(0), scratch.get());
         return bits;
       };
       SetSimdLevel(SimdLevel::kScalar);

@@ -333,37 +333,56 @@ TEST(StoreEquivalenceTest, RssCeilingBreachIsUnavailableOnEverySchedule) {
 }
 
 TEST(StoreEquivalenceTest, SampledPairsIdenticalAcrossChunking) {
+  // Sampled passes on both schedules: resident passes pack the sampled
+  // positions off the panel, waves column by column.
   const Table table = FdTable(500);
-  TransformOptions transform;
-  transform.max_pairs_per_attribute = 64;
-  auto memory = PairTransformMoments(table, transform);
-  ASSERT_TRUE(memory.ok());
-  for (size_t chunk_rows : kChunkSizes) {
-    auto store = ChunkedTable::Create(table.schema(), "");
-    ASSERT_TRUE(store.ok());
-    AppendInChunks(table, chunk_rows, &store.value());
-    StreamTransformOptions stream;
-    stream.transform = transform;
-    auto streamed = StreamTransformMoments(store.value(), stream);
-    ASSERT_TRUE(streamed.ok());
-    ExpectMomentsIdentical(memory.value(), streamed.value());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TransformOptions transform;
+    transform.max_pairs_per_attribute = 64;
+    transform.threads = threads;
+    auto memory = PairTransformMoments(table, transform);
+    ASSERT_TRUE(memory.ok());
+    for (size_t chunk_rows : kChunkSizes) {
+      auto store = ChunkedTable::Create(table.schema(), "");
+      ASSERT_TRUE(store.ok());
+      AppendInChunks(table, chunk_rows, &store.value());
+      for (uint64_t budget : ScheduleBudgets(store.value())) {
+        StreamTransformOptions stream;
+        stream.transform = transform;
+        stream.column_cache_bytes = budget;
+        auto streamed = StreamTransformMoments(store.value(), stream);
+        ASSERT_TRUE(streamed.ok())
+            << chunk_rows << "x" << threads << "@" << budget << ": "
+            << streamed.status().message();
+        ExpectMomentsIdentical(memory.value(), streamed.value());
+      }
+    }
   }
 }
 
 TEST(StoreEquivalenceTest, PooledCovarianceIdentical) {
+  // Each pass's covariance must land in its own attribute's slot on
+  // both schedules, whichever thread and wave counted it.
   const Table table = FdTable(300);
-  TransformOptions transform;
-  transform.pooled_covariance = true;
-  auto memory = PairTransformMoments(table, transform);
-  ASSERT_TRUE(memory.ok());
   auto store = ChunkedTable::Create(table.schema(), "");
   ASSERT_TRUE(store.ok());
   AppendInChunks(table, 7, &store.value());
-  StreamTransformOptions stream;
-  stream.transform = transform;
-  auto streamed = StreamTransformMoments(store.value(), stream);
-  ASSERT_TRUE(streamed.ok());
-  ExpectMomentsIdentical(memory.value(), streamed.value());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TransformOptions transform;
+    transform.pooled_covariance = true;
+    transform.threads = threads;
+    auto memory = PairTransformMoments(table, transform);
+    ASSERT_TRUE(memory.ok());
+    for (uint64_t budget : ScheduleBudgets(store.value())) {
+      StreamTransformOptions stream;
+      stream.transform = transform;
+      stream.column_cache_bytes = budget;
+      auto streamed = StreamTransformMoments(store.value(), stream);
+      ASSERT_TRUE(streamed.ok())
+          << threads << "@" << budget << ": " << streamed.status().message();
+      ExpectMomentsIdentical(memory.value(), streamed.value());
+    }
+  }
 }
 
 void ExpectResultsIdentical(const FdxResult& memory, const FdxResult& store) {

@@ -419,10 +419,8 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
         PackPanelPass(panel.view(), pass, &panel_bits, scratch.data());
         column_bits.Reset(pass.num_pairs(), k);
         for (size_t col = 0; col < k; ++col) {
-          ColumnBitWriter writer(column_bits.column_words(col));
-          AppendPassColumnBits(columns[col].view(), pass, &writer,
-                               pack_scratch.get());
-          writer.Flush();
+          PackColumnPass(columns[col].view(), pass,
+                         column_bits.column_words(col), pack_scratch.get());
         }
         ASSERT_TRUE(panel_bits.IdenticalTo(want))
             << "panel pass " << attr << " k=" << k << " n=" << n
@@ -513,22 +511,26 @@ TEST(TransformTest, AttributePassEnumeratesWithoutMaterializing) {
   AttributePass pass;
   pass.Reset(encoded.column_codes(0), encoded.Cardinality(0), shuffled,
              /*max_pairs=*/0, /*seed=*/1);
+  // An exact pass's pairs are the n sorted positions of its order, a
+  // permutation of the rows.
+  EXPECT_FALSE(pass.sampled());
   EXPECT_EQ(pass.num_pairs(), t.num_rows());
-  size_t calls = 0;
-  size_t last_index = 0;
-  pass.ForEachPair([&](size_t i, size_t a, size_t b) {
-    EXPECT_LT(a, t.num_rows());
-    EXPECT_LT(b, t.num_rows());
-    last_index = i;
-    ++calls;
-  });
-  EXPECT_EQ(calls, pass.num_pairs());
-  EXPECT_EQ(last_index, pass.num_pairs() - 1);
+  std::vector<uint32_t> rows = pass.order();
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, shuffled);
 
+  // A sampled pass's pairs are max_pairs distinct ascending positions.
   pass.Reset(encoded.column_codes(1), encoded.Cardinality(1), shuffled,
              /*max_pairs=*/13, /*seed=*/2);
   EXPECT_TRUE(pass.sampled());
   EXPECT_EQ(pass.num_pairs(), 13u);
+  ASSERT_EQ(pass.positions().size(), pass.num_pairs());
+  for (size_t p = 0; p < pass.positions().size(); ++p) {
+    EXPECT_LT(pass.positions()[p], t.num_rows());
+    if (p > 0) {
+      EXPECT_LT(pass.positions()[p - 1], pass.positions()[p]);
+    }
+  }
 }
 
 TEST(TransformTest, PackedRejectsDegenerateInputs) {
